@@ -18,9 +18,10 @@ assign a coefficient expression to every variable; "flow_closed_form", when
 present, lists expressions over the variables plus "t".  germ_determined is
 recorded as declared, never verified.
 
-Exit codes: 0 success/certified, 1 I/O or parse error, 2 check failed or
-input not on the scheme, 3 groupoid refused (field not complete on the
-sampled domain).
+Exit codes: 0 success/certified, 1 I/O or parse error, 2 check failed,
+input not on the scheme, a curve over its step limit or a Groebner basis
+over its degree cap, 3 groupoid refused (field not complete on the sampled
+domain).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from . import derivation as dv
 from . import expr as ex
 from . import flow as fl
 from . import groupoid as gp
+from . import polyring as pr
 
 __all__ = ["SchemeFile", "SchemeFileError", "load_scheme", "main"]
 
@@ -284,8 +286,9 @@ def cmd_groupoid(args) -> int:
         time_span=min(3.0, sf.options.horizon / 2), box=box,
     )
     tol = args.tol if args.tol is not None else 1e-6
+    flow = gp.MemoFlow(sf.field, sf.options)
     try:
-        report = gp.check_axioms(sf.field, arrows, tol=tol, opts=sf.options)
+        report = gp.check_axioms(sf.field, arrows, tol=tol, opts=sf.options, flow=flow)
     except gp.IncompleteFieldError as err:
         print(f"refused: {err}", file=sys.stderr)
         return EXIT_REFUSED
@@ -295,7 +298,7 @@ def cmd_groupoid(args) -> int:
         cf = fl.validate_closed_form(
             sf.scheme, sf.field, sf.flow_closed_form,
             [a.point for a in arrows[: min(10, len(arrows))]],
-            [-2.0, -0.5, 0.0, 0.5, 1.0, 2.0], sf.options,
+            [-2.0, -0.5, 0.0, 0.5, 1.0, 2.0], sf.options, curves=flow.curve,
         )
         print(f"closed form max deviation: {cf.max_deviation:.3e}")
         incl = gp.check_ideal_inclusions(sf.scheme, sf.flow_closed_form, arrows)
@@ -384,6 +387,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ex.ExprError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
+    except (cv.StepLimitExceeded, pr.DegreeCapExceeded) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_FAILED
 
 
 if __name__ == "__main__":

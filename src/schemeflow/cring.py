@@ -94,11 +94,23 @@ class SchemePresentation:
         """Compiled membership residual: max over |generator| and max(region, 0).
 
         A point belongs to the zero set exactly when the residual is <= eps_z.
+        The callable takes one point, or an (n, m) array holding m points as
+        columns and returning their m residuals.  Both skip a NaN constraint
+        value (``max`` point-wise, ``np.fmax`` on a batch), and a batch
+        raises GuardViolation when any of its points violates a guard.
         """
         gen_fns = [ex.as_callable(g) for g in self.ideal_gens]
         region_fns = [ex.as_callable(g) for g in self.region]
 
         def residual(p: Sequence[float]) -> float:
+            if isinstance(p, np.ndarray) and p.ndim == 2:
+                with np.errstate(all="ignore"):
+                    r = np.zeros(p.shape[1])
+                    for f in gen_fns:
+                        r = np.fmax(r, np.abs(f(p)))
+                    for f in region_fns:
+                        r = np.fmax(r, f(p))
+                return r
             r = 0.0
             for f in gen_fns:
                 r = max(r, abs(f(p)))

@@ -9,6 +9,14 @@ threshold crossing is localized by bisection.  Sign-based event detection is
 not enough here because the membership residual can touch zero without
 crossing, so a threshold test on the max residual is used instead.
 
+Each accepted step is scanned in one batch: the dense-output states at all
+checkpoints come from one matrix product, and the scheme's residual
+callable evaluates them in one call on the (n, checkpoints) array.  A guard
+violation anywhere in that batch sends the step back to a point-by-point
+scan, so a guard at a later checkpoint never pre-empts an earlier
+membership exit.  Bisection and the boundary state use the scalar dense
+output.
+
 Interval endpoints carry three epistemic flags: reached the horizon (no
 claim of completeness), closed (the localized boundary state itself passes
 membership; always the case when the exit is a membership exit, since zero
@@ -18,6 +26,7 @@ underflow or non-finite state, i.e. finite-time blow-up).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -220,6 +229,7 @@ def _integrate_direction(
     thetas = [
         (j + 1) / opts.checkpoints_per_step for j in range(opts.checkpoints_per_step)
     ]
+    powers = np.array([[th**k for th in thetas] for k in range(1, 5)])
 
     while abs(t) < opts.horizon:
         if steps >= opts.max_steps:
@@ -254,17 +264,9 @@ def _integrate_direction(
         seg = DenseSegment(t, h, y.copy(), K.T @ _P)
         steps += 1
 
-        # membership scan on dense output
-        bad_theta = None
-        prev_good = 0.0
-        for theta in thetas:
-            state = seg.eval(t + theta * h)
-            if residual(state) > eps_z:
-                bad_theta = theta
-                break
-            prev_good = theta
-        if bad_theta is not None:
-            lo, hi = prev_good, bad_theta
+        bad = _first_exit(seg, thetas, powers, residual, eps_z)
+        if bad is not None:
+            lo, hi = (thetas[bad - 1] if bad else 0.0), thetas[bad]
             while (hi - lo) * abs(h) > opts.event_tol:
                 mid = 0.5 * (lo + hi)
                 if residual(seg.eval(t + mid * h)) > eps_z:
@@ -289,6 +291,23 @@ def _integrate_direction(
         h_abs = next_h
 
     return _DirectionResult(segments, sign * opts.horizon, True, True, 0)
+
+
+def _first_exit(seg, thetas, powers, residual, eps_z):
+    """Index of the first checkpoint whose dense-output state fails
+    membership, or None; ``powers`` holds theta**1..4 for each checkpoint."""
+    states = seg.y0[:, None] + seg.h * (seg.coeffs @ powers)
+    try:
+        failing = residual(states) > eps_z
+    except (ex.GuardViolation, ValueError):
+        # some checkpoint is outside a guard (or a math domain); the scalar
+        # scan raises only if no earlier checkpoint exits first
+        for j, theta in enumerate(thetas):
+            if residual(seg.eval(seg.t0 + theta * seg.h)) > eps_z:
+                return j
+        return None
+    j = int(np.argmax(failing))
+    return j if failing[j] else None
 
 
 def _scan_reentries(rhs, y, sign, residual, eps_z, opts, t_start) -> int:
@@ -406,13 +425,16 @@ def evaluate_curve(curve: IntegralCurve, t: float) -> np.ndarray:
         return np.array(curve.base.coords, dtype=float)
     segments = curve.forward if t > 0 else curve.backward
     t = min(max(t, curve.interval.lo), curve.interval.hi)
-    for seg in segments:
-        if seg.covers(t):
-            return seg.eval(t)
-    # t inside the interval but past the last stored segment start: use the last
-    if segments:
-        return segments[-1].eval(t)
-    raise OutsideDefinitionInterval(f"no dense output covering t={t}")
+    if not segments:
+        raise OutsideDefinitionInterval(f"no dense output covering t={t}")
+    # segments run away from 0 end to start, so the first one covering t is
+    # the last one starting strictly before it
+    i = bisect.bisect_left(segments, abs(t), key=lambda seg: abs(seg.t0)) - 1
+    seg = segments[max(i, 0)]
+    if seg.covers(t):
+        return seg.eval(t)
+    # t inside the interval but past the last stored segment: use the last
+    return segments[-1].eval(t)
 
 
 def classify_interval(curve: IntegralCurve) -> str:

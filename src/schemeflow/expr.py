@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
+import numpy as np
+
 __all__ = [
     "VarList",
     "SmoothExpr",
@@ -253,11 +255,21 @@ def _cut_eval(s: float, k: int) -> float:
 def _guard_check(guard, point) -> None:
     if guard is None:
         return
+    # a point is a sequence of floats; a batch is an (n, m) array whose rows
+    # are coordinates, and one point of it outside the box fails the batch
     for (lo, hi), x in zip(guard, point):
-        if not lo <= x <= hi:
+        if not _all((lo <= x) & (x <= hi)):
             raise GuardViolation(
                 f"point {tuple(point)} outside declared guard box {guard}"
             )
+
+
+def _all(mask) -> bool:
+    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _any(mask) -> bool:
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
 def evaluate(e: SmoothExpr, point: Sequence[float]) -> float:
@@ -799,6 +811,8 @@ def parse_expr(src: str, vars_: VarList) -> SmoothExpr:
     Rejects unknown identifiers and non-smooth heads (abs, floor, ...) with
     position information.
     """
+    if not isinstance(src, str):
+        raise ParseError(f"expression must be a string, not {type(src).__name__}", 0)
     return _Parser(src, vars_).parse()
 
 
@@ -810,6 +824,12 @@ def as_callable(e: SmoothExpr) -> Callable[[Sequence[float]], float]:
 
     Semantically identical to evaluate(), including guard behavior; intended
     for hot loops (ODE right-hand sides, grid scans).
+
+    The compiled function also takes an (n, m) array of m points stored as
+    columns and returns their m values.  One point outside a guard makes the
+    whole batch raise GuardViolation; NaN and overflow propagate as in the
+    point-wise call.  Point-wise calls keep ``math`` functions, so batches
+    cost the scalar path only an isinstance test per transcendental node.
     """
     counter = [0]
     guards: dict[str, object] = {}
@@ -855,28 +875,67 @@ def as_callable(e: SmoothExpr) -> Callable[[Sequence[float]], float]:
         guards[name] = node.guard
         return name
 
-    def _div(a, b, g, p):
-        _guard_check(g, p)
-        if b == 0.0:
-            raise GuardViolation("division by zero")
-        return a / b
-
-    def _log(x, g, p):
-        _guard_check(g, p)
-        if x <= 0.0:
-            raise GuardViolation(f"log of nonpositive value {x}")
-        return math.log(x)
-
     body = emit(e)  # populates the guard table as a side effect
     ns: dict[str, object] = {
-        "_exp": _safe_exp,
-        "_sin": math.sin,
-        "_cos": math.cos,
-        "_cut": _cut_eval,
-        "_div": _div,
-        "_log": _log,
+        "_exp": _compiled_exp,
+        "_sin": _compiled_sin,
+        "_cos": _compiled_cos,
+        "_cut": _compiled_cut,
+        "_div": _compiled_div,
+        "_log": _compiled_log,
     }
     ns.update(guards)
     src = f"def _compiled(p):\n    return ({body}) * 1.0\n"
     exec(src, ns)  # noqa: S102 - generated from a closed AST, no external input
     return ns["_compiled"]  # type: ignore[return-value]
+
+
+# Helpers of compiled expressions.  Each takes a float or an array of values
+# (one per point of a batch); arrays go through numpy, floats through math.
+
+
+def _compiled_exp(x):
+    return np.exp(x) if isinstance(x, np.ndarray) else _safe_exp(x)
+
+
+def _compiled_sin(x):
+    if isinstance(x, np.ndarray):
+        _domain_check(x)
+        return np.sin(x)
+    return math.sin(x)
+
+
+def _compiled_cos(x):
+    if isinstance(x, np.ndarray):
+        _domain_check(x)
+        return np.cos(x)
+    return math.cos(x)
+
+
+def _domain_check(x: np.ndarray) -> None:
+    # math.sin and math.cos raise on infinities where numpy returns NaN
+    if np.isinf(x).any():
+        raise ValueError("math domain error")
+
+
+def _compiled_cut(s, k: int):
+    if not isinstance(s, np.ndarray):
+        return _cut_eval(s, k)
+    # NaN fails both tests below and stays NaN, as in _cut_eval
+    safe = np.where(s <= 0.0, 1.0, s)
+    return np.where(s <= 0.0, 0.0, np.exp(-1.0 / safe - k * np.log(safe)))
+
+
+def _compiled_div(a, b, g, p):
+    _guard_check(g, p)
+    if _any(b == 0.0):
+        raise GuardViolation("division by zero")
+    return a / b
+
+
+def _compiled_log(x, g, p):
+    _guard_check(g, p)
+    if _any(x <= 0.0):
+        bad = x[x <= 0.0][0] if isinstance(x, np.ndarray) else x
+        raise GuardViolation(f"log of nonpositive value {bad}")
+    return np.log(x) if isinstance(x, np.ndarray) else math.log(x)

@@ -5,6 +5,8 @@ The flow domain is sampled as a table of (base point, definition interval)
 rows.  Its two structural facts are checked rather than assumed: slices are
 intervals containing 0 (t-convexity, verified by membership of the
 trajectory at scaled times) and the unit section sits inside the domain.
+Each row keeps the curve it was built from, so the t-convexity check reads
+the same trajectory instead of integrating it again.
 
 The flow ideal over (x_1..x_n, t) carries two generator families: the base
 generators reindexed through the projection, and, when a closed-form flow
@@ -17,8 +19,8 @@ are not constructible in closed form.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -52,6 +54,8 @@ class DomainRow:
     interval: cv.IntervalRecord
     classification: str
     error: Optional[str] = None
+    # the curve the row was read from; None for failed or hand-built rows
+    curve: Optional[cv.IntegralCurve] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,7 @@ class FlowDomain:
     field: dv.LiftedField
     rows: tuple[DomainRow, ...]
     horizon: float
+    opts: Optional[cv.IntegratorOptions] = None  # what the row curves used
 
     @property
     def all_horizon_complete(self) -> bool:
@@ -84,7 +89,7 @@ def flow_domain(
     def run(p: cring.SchemePoint) -> DomainRow:
         try:
             c = cv.integrate_max_curve(field, p, opts)
-            return DomainRow(p, c.interval, c.classification)
+            return DomainRow(p, c.interval, c.classification, curve=c)
         except Exception as err:  # recorded, not fatal
             empty = cv.IntervalRecord(0.0, 0.0)
             return DomainRow(p, empty, cv.CurveClass.SINGLETON, error=str(err))
@@ -94,7 +99,7 @@ def flow_domain(
             rows = tuple(pool.map(run, grid))
     else:
         rows = tuple(run(p) for p in grid)
-    return FlowDomain(scheme, field, rows, opts.horizon)
+    return FlowDomain(scheme, field, rows, opts.horizon, opts)
 
 
 def flow_eval(
@@ -134,7 +139,12 @@ def t_convexity_check(
 ) -> ConvexityReport:
     """For every row and both interval endpoints, membership of the
     trajectory at a*t for a uniform grid of a in [0, 1]; slices of the
-    domain are intervals, so honest tables report zero violations."""
+    domain are intervals, so honest tables report zero violations.
+
+    A row's stored curve is read when ``opts`` equal the options the domain
+    was built with; otherwise, and for rows without a curve, the curve is
+    integrated again.  The curve keeps its own interval, so a row whose
+    bounds were altered after the fact still shows up as a violation."""
     opts = opts or cv.IntegratorOptions(horizon=domain.horizon)
     scheme = domain.scheme
     residual = scheme.residual_fn()
@@ -151,11 +161,13 @@ def t_convexity_check(
         if not endpoints:
             checks += 1
             continue
-        try:
-            curve = cv.integrate_max_curve(domain.field, row.point, opts)
-        except Exception as err:
-            violations.append(ConvexityViolation(row.point, 0.0, 0.0, str(err)))
-            continue
+        curve = row.curve if opts == domain.opts else None
+        if curve is None:
+            try:
+                curve = cv.integrate_max_curve(domain.field, row.point, opts)
+            except Exception as err:
+                violations.append(ConvexityViolation(row.point, 0.0, 0.0, str(err)))
+                continue
         for endpoint in sorted(endpoints):
             for a in np.linspace(0.0, 1.0, subdivisions):
                 ta = float(a) * endpoint
@@ -165,7 +177,7 @@ def t_convexity_check(
                 except cv.OutsideDefinitionInterval:
                     violations.append(
                         ConvexityViolation(
-                            row.point, endpoint, ta, "time outside the recomputed curve"
+                            row.point, endpoint, ta, "time outside the row's curve"
                         )
                     )
                     continue
@@ -218,14 +230,22 @@ def validate_closed_form(
     times: Sequence[float],
     opts: cv.IntegratorOptions = cv.IntegratorOptions(),
     tol: float = 1e-6,
+    curves: Optional[Callable[[tuple[float, ...]], cv.IntegralCurve]] = None,
 ) -> ClosedFormReport:
     """Compare a claimed closed-form flow against the numeric flow on a
-    sample; the closed form is never reconstructed, only validated."""
+    sample; the closed form is never reconstructed, only validated.
+
+    ``curves``, when given, maps a point's coordinates to its maximal curve
+    (already integrated with ``opts``); otherwise each curve is integrated
+    here."""
     phi = closed_form_flow(scheme, psi)
     worst = 0.0
     count = 0
     for p in points:
-        curve = cv.integrate_max_curve(field, p, opts)
+        if curves is not None:
+            curve = curves(p.coords)
+        else:
+            curve = cv.integrate_max_curve(field, p, opts)
         for t in times:
             slack = 1e-12 * max(1.0, abs(t))
             if not curve.interval.contains(t, slack):

@@ -29,6 +29,7 @@ from . import flow as fl
 
 __all__ = [
     "Arrow",
+    "MemoFlow",
     "GroupoidReport",
     "IdealInclusionReport",
     "IncompleteFieldError",
@@ -67,9 +68,10 @@ class Arrow:
 FlowFn = Callable[[Sequence[float], float], np.ndarray]
 
 
-class _MemoFlow:
+class MemoFlow:
     """Flow evaluation through integrate_max_curve with one curve per base
-    point; identical code path to flow_eval, cached for axiom sweeps."""
+    point; identical code path to flow_eval, cached for the completeness
+    gate, the axiom sweep and closed-form validation."""
 
     def __init__(self, field: dv.LiftedField, opts: cv.IntegratorOptions):
         self.field = field
@@ -98,7 +100,7 @@ def target(
     opts: cv.IntegratorOptions = cv.IntegratorOptions(),
     flow: Optional[FlowFn] = None,
 ) -> np.ndarray:
-    phi = flow or _MemoFlow(field, opts)
+    phi = flow or MemoFlow(field, opts)
     return phi(arrow.point.coords, arrow.t)
 
 
@@ -116,7 +118,7 @@ def compose(
 ) -> Arrow:
     """(q, t2) after (p, t1) requires q to match the flow of (p, t1); the
     composite rides the first arrow's base point for the summed time."""
-    phi = flow or _MemoFlow(field, opts)
+    phi = flow or MemoFlow(field, opts)
     reached = phi(a1.point.coords, a1.t)
     residual = float(np.max(np.abs(reached - np.array(a2.point.coords))))
     if residual > tol:
@@ -130,7 +132,7 @@ def inverse(
     opts: cv.IntegratorOptions = cv.IntegratorOptions(),
     flow: Optional[FlowFn] = None,
 ) -> Arrow:
-    phi = flow or _MemoFlow(field, opts)
+    phi = flow or MemoFlow(field, opts)
     reached = phi(a.point.coords, a.t)
     endpoint = cring.SchemePoint(tuple(float(c) for c in reached))
     return Arrow(endpoint, -a.t)
@@ -175,14 +177,10 @@ class GroupoidReport:
         return "\n".join(lines)
 
 
-def _completeness_gate(field: dv.LiftedField, arrows, opts) -> None:
-    seen = set()
+def _completeness_gate(memo: MemoFlow, arrows) -> None:
     for a in arrows:
-        coords = tuple(a.point.coords)
-        if coords in seen:
-            continue
-        seen.add(coords)
-        curve = cv.integrate_max_curve(field, a.point, opts)
+        coords = tuple(float(c) for c in a.point.coords)
+        curve = memo.curve(coords)
         if curve.classification != cv.CurveClass.HORIZON_COMPLETE:
             raise IncompleteFieldError(
                 f"curve through {coords} is {curve.classification} on "
@@ -202,12 +200,15 @@ def check_axioms(
     target of composites, associativity, unit laws, and inverse laws.
 
     Refuses with IncompleteFieldError if any sampled base point's curve is
-    not horizon-complete, mirroring the completeness hypothesis.
+    not horizon-complete, mirroring the completeness hypothesis.  The gate's
+    curves serve the sweep; a MemoFlow passed as ``flow`` holds them
+    afterwards, so callers can reuse them.
     """
     if not arrows:
         raise ValueError("need at least one arrow")
-    _completeness_gate(field, arrows, opts)
-    phi = flow or _MemoFlow(field, opts)
+    memo = flow if isinstance(flow, MemoFlow) else MemoFlow(field, opts)
+    _completeness_gate(memo, arrows)
+    phi = flow or memo
 
     r = {
         "flow_law": 0.0,
@@ -332,15 +333,14 @@ def check_ideal_inclusions(
     count = 0
     n = len(arrows)
     for i, a1 in enumerate(arrows):
-        t2 = arrows[(i + 1) % n].t
-        p1 = a1.point.coords
-        q = phi(p1, a1.t)
+        q = tuple(float(c) for c in phi(a1.point.coords, a1.t))
+        a2 = Arrow(cring.SchemePoint(q), arrows[(i + 1) % n].t)
+        m = compose(a2, a1, None, flow=phi)
         count += 1
         for g in gen_fns:
-            # composite projects to p1; the second factor of the fiber pair
-            # is (p1, t1), which also projects to p1
-            proj_res = max(proj_res, abs(g(p1) - g(p1)))
-            lhs = g(tuple(phi(p1, a1.t + t2)))
-            rhs = g(tuple(phi(tuple(float(c) for c in q), t2)))
+            # the composite projects where the second factor (a1) does
+            proj_res = max(proj_res, abs(g(m.point.coords) - g(a1.point.coords)))
+            lhs = g(tuple(phi(m.point.coords, m.t)))
+            rhs = g(tuple(phi(q, a2.t)))
             flow_res = max(flow_res, abs(lhs - rhs))
     return IdealInclusionReport(proj_res, flow_res, count, tol)

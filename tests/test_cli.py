@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from schemeflow import curves as cv
+from schemeflow import polyring as pr
 from schemeflow.cli import (
     EXIT_ERROR,
     EXIT_FAILED,
@@ -67,6 +69,13 @@ class TestLoadScheme:
         with pytest.raises(SchemeFileError, match="unknown keys"):
             load_scheme(str(p))
 
+    def test_non_string_expression_rejected(self, tmp_path):
+        bad = dict(SQUARE_SCHEME, region=[3])
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(bad))
+        with pytest.raises(SchemeFileError, match="must be a string"):
+            load_scheme(str(p))
+
     def test_expression_errors_reported(self, tmp_path):
         bad = dict(LINE_SCHEME, ideal=["abs(y)"])
         p = tmp_path / "bad.json"
@@ -89,6 +98,28 @@ class TestCheckCommand:
         assert code == EXIT_FAILED
         out = capsys.readouterr().out
         assert "2*y" in out
+
+    def test_degree_cap_exits_two(self, tmp_path, monkeypatch, capsys):
+        scheme = dict(
+            LINE_SCHEME,
+            ideal=["x^3 - 2*x*y", "x^2*y - 2*y^2 + x"],
+            derivation={"x": "x", "y": "y"},
+        )
+        del scheme["flow_closed_form"]
+        p = tmp_path / "cap.json"
+        p.write_text(json.dumps(scheme))
+        real = pr.groebner_basis
+        monkeypatch.setattr(
+            pr, "groebner_basis", lambda gens, order, degree_cap: real(gens, order, 1)
+        )
+        assert main(["check", "--scheme", str(p)]) == EXIT_FAILED
+        assert "error:" in capsys.readouterr().err
+
+    def test_non_string_expression_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(dict(SQUARE_SCHEME, region=[3])))
+        assert main(["check", "--scheme", str(p)]) == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
 
     def test_malformed_file_exits_one(self, tmp_path):
         p = tmp_path / "broken.json"
@@ -125,6 +156,12 @@ class TestCurveCommand:
     def test_point_off_scheme_exits_two(self, line_path):
         assert main(["curve", "--scheme", line_path, "--point", "0,0.5"]) == EXIT_FAILED
 
+    def test_step_limit_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "short.json"
+        p.write_text(json.dumps(dict(LINE_SCHEME, options={"horizon": 20.0, "max_steps": 2})))
+        assert main(["curve", "--scheme", str(p), "--point", "2,0"]) == EXIT_FAILED
+        assert "error: exceeded 2 accepted steps" in capsys.readouterr().err
+
 
 class TestFlowCommand:
     def test_flow_value(self, line_path, capsys):
@@ -137,6 +174,13 @@ class TestFlowCommand:
     def test_corner_time_exits_two(self, square_path):
         code = main(["flow", "--scheme", square_path, "--point", "1,1", "--time", "0.5"])
         assert code == EXIT_FAILED
+
+    def test_step_limit_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "short.json"
+        p.write_text(json.dumps(dict(LINE_SCHEME, options={"horizon": 20.0, "max_steps": 2})))
+        code = main(["flow", "--scheme", str(p), "--point", "1,0", "--time", "2"])
+        assert code == EXIT_FAILED
+        assert "error: exceeded 2 accepted steps" in capsys.readouterr().err
 
 
 class TestDomainCommand:
@@ -151,6 +195,26 @@ class TestDomainCommand:
         assert lines[0] == "x1,x2,Kp_lo,Kp_hi,lo_closed,hi_closed,class"
         assert len(lines) == 10
         assert all("horizon-complete" in ln for ln in lines[1:])
+
+    def test_one_integration_per_row(self, square_path, tmp_path, monkeypatch):
+        calls = []
+        real = cv.integrate_max_curve
+
+        def counting(field, point, opts=cv.IntegratorOptions()):
+            calls.append(point.coords)
+            return real(field, point, opts)
+
+        monkeypatch.setattr(cv, "integrate_max_curve", counting)
+        out = tmp_path / "domain.csv"
+        code = main([
+            "domain", "--scheme", square_path, "--grid", "3",
+            "--box=-0.2:1,-0.2:1", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        rows = out.read_text().strip().splitlines()[1:]
+        assert len(rows) == 9
+        assert {"singleton", "closed", "horizon-complete"} <= {r.split(",")[-1] for r in rows}
+        assert len(calls) == len(rows) == len(set(calls))
 
     def test_deterministic_bytes(self, line_path, tmp_path):
         a = tmp_path / "a.csv"

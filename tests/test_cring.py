@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from schemeflow.cring import (
@@ -9,7 +10,7 @@ from schemeflow.cring import (
     membership_residual,
     sample_zero_set,
 )
-from schemeflow.expr import evaluate
+from schemeflow.expr import GuardViolation, SmoothExpr, const, evaluate, log
 
 from helpers import XY, crossing_axes, expr_xy, square, thickened_line
 
@@ -46,6 +47,102 @@ class TestMembership:
         f = sq.residual_fn()
         for p in [(0.0, 0.0), (1.0, 1.0), (1.5, 0.2), (-2.0, 3.0)]:
             assert f(p) == pytest.approx(membership_residual(sq, p), abs=1e-15)
+
+
+def _guarded_div():
+    # x / (y^2 + 1), defined only on a declared box
+    num, den = expr_xy("x"), expr_xy("y^2 + 1")
+    return SmoothExpr("div", XY, (num, den), guard=((-3.0, 3.0), (-3.0, 3.0)))
+
+
+# one presentation per node kind; region constraints exercise the signed branch
+_NODE_KIND_SCHEMES = {
+    "pow": dict(ideal_gens=(expr_xy("x^3 - y^5"),), region=(expr_xy("x^4 - 2"),)),
+    "div": dict(ideal_gens=(_guarded_div(),)),
+    "exp-overflow": dict(ideal_gens=(expr_xy("exp(800*x) - y"),)),
+    "log": dict(ideal_gens=(log(expr_xy("x^2 + 1"), guard=((-3.0, 3.0), (-3.0, 3.0))),)),
+    "sin": dict(ideal_gens=(expr_xy("sin(3*x) - y"),)),
+    "cos": dict(region=(expr_xy("cos(x*y) - 1/2"),)),
+    "cut": dict(region=(expr_xy("cut(x) - cut_2(y)"), expr_xy("cut_1(y - x)"))),
+}
+
+
+class TestBatchedResidual:
+    """The residual callable takes an (n, m) batch and must agree with m
+    point-wise calls; numpy and math may differ in the last bits."""
+
+    @staticmethod
+    def _points(with_nan: bool) -> np.ndarray:
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-2.0, 2.0, size=(2, 64))
+        pts[:, :4] = [[0.0, 1.0, -1.0, 2.0], [0.0, 0.0, 1.0, -2.0]]
+        if with_nan:
+            pts[0, 10] = np.nan
+            pts[1, 20] = np.nan
+            pts[:, 30] = np.nan
+        return pts
+
+    @pytest.mark.parametrize("kind", sorted(_NODE_KIND_SCHEMES))
+    def test_batch_matches_pointwise(self, kind):
+        scheme = SchemePresentation(XY, **_NODE_KIND_SCHEMES[kind])
+        f = scheme.residual_fn()
+        # a NaN coordinate fails a guard box, so guarded kinds see no NaN here
+        pts = self._points(with_nan=kind not in ("div", "log"))
+        batch = f(pts)
+        assert batch.shape == (pts.shape[1],)
+        with np.errstate(all="ignore"):
+            scalar = np.array([f(pts[:, j]) for j in range(pts.shape[1])], dtype=float)
+        np.testing.assert_array_equal(np.isnan(batch), np.isnan(scalar))
+        np.testing.assert_allclose(batch, scalar, rtol=1e-13, atol=1e-15)
+
+    def test_exp_overflow_is_infinite_in_both(self):
+        scheme = SchemePresentation(XY, **_NODE_KIND_SCHEMES["exp-overflow"])
+        f = scheme.residual_fn()
+        pts = np.array([[1.0, 0.5], [0.0, 0.0]])
+        assert f(pts)[0] == np.inf and f(pts[:, 0]) == np.inf
+        assert np.isfinite(f(pts)[1])
+
+    def test_nan_constraint_is_skipped_in_both(self):
+        # the generator is NaN at x = NaN; max and fmax both skip it, so the
+        # region constraint alone decides
+        scheme = SchemePresentation(
+            XY, ideal_gens=(expr_xy("x*y"),), region=(expr_xy("y - 1"),)
+        )
+        f = scheme.residual_fn()
+        pts = np.array([[np.nan, np.nan], [0.5, 3.0]])
+        assert f(pts).tolist() == [0.0, 2.0]
+        assert [f(pts[:, 0]), f(pts[:, 1])] == [0.0, 2.0]
+
+    def test_guard_violation_anywhere_fails_the_batch(self):
+        scheme = SchemePresentation(XY, ideal_gens=(_guarded_div(),))
+        f = scheme.residual_fn()
+        pts = np.array([[0.0, 1.0, 5.0], [0.0, 0.0, 0.0]])
+        assert f(pts[:, 1]) == pytest.approx(1.0)
+        with pytest.raises(GuardViolation):
+            f(pts[:, 2])
+        with pytest.raises(GuardViolation):
+            f(pts)
+
+    def test_zero_denominator_and_log_domain(self):
+        quotient = SmoothExpr("div", XY, (const(1, XY), expr_xy("x")))
+        f = SchemePresentation(XY, ideal_gens=(quotient,)).residual_fn()
+        with pytest.raises(GuardViolation, match="division by zero"):
+            f(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        g = SchemePresentation(XY, ideal_gens=(log(expr_xy("x")),)).residual_fn()
+        with pytest.raises(GuardViolation, match="nonpositive value -1"):
+            g(np.array([[1.0, -1.0], [0.0, 0.0]]))
+
+    def test_sine_of_infinity_raises_in_both(self):
+        f = SchemePresentation(XY, ideal_gens=(expr_xy("sin(exp(800*x))"),)).residual_fn()
+        pts = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError):
+            f(pts[:, 1])
+        with pytest.raises(ValueError):
+            f(pts)
+
+    def test_constant_constraint_broadcasts(self):
+        scheme = SchemePresentation(XY, ideal_gens=(expr_xy("y"),), region=(expr_xy("-1"),))
+        assert scheme.residual_fn()(np.array([[0.0, 0.0], [0.0, -0.5]])).tolist() == [0.0, 0.5]
 
 
 class TestSampling:

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from schemeflow.cring import PointNotOnScheme
+from schemeflow.cring import PointNotOnScheme, SchemePresentation
 from schemeflow.curves import (
     CurveClass,
     IntegratorOptions,
@@ -15,7 +15,7 @@ from schemeflow.curves import (
     integrate_max_curve,
 )
 from schemeflow.derivation import LiftedField
-from schemeflow.expr import parse_expr
+from schemeflow.expr import GuardViolation, SmoothExpr, const, parse_expr
 
 from helpers import (
     XY,
@@ -254,6 +254,90 @@ class TestIntegratorInternals:
         residual = circ.residual_fn()
         for t in np.linspace(c.interval.lo, c.interval.hi, 201):
             assert residual(evaluate_curve(c, t)) <= circ.eps_z * 10
+
+
+def _linear_scan_eval(curve, t):
+    """Segment lookup by scanning every segment, as a reference for the
+    bisection in evaluate_curve."""
+    if t == 0.0 or curve.interval.is_singleton:
+        return np.array(curve.base.coords, dtype=float)
+    segments = curve.forward if t > 0 else curve.backward
+    t = min(max(t, curve.interval.lo), curve.interval.hi)
+    for seg in segments:
+        if seg.covers(t):
+            return seg.eval(t)
+    return segments[-1].eval(t)
+
+
+class TestSegmentLookup:
+    @pytest.mark.parametrize("start", [(0.9, 0.9), (0.0, 0.5), (1.0, 0.0)])
+    def test_bisection_matches_linear_scan_bit_for_bit(self, start):
+        sq = square()
+        c = integrate_max_curve(rotation_field(sq), sq.point(start), OPTS)
+        times = [c.interval.lo, c.interval.hi, 1e-300, -1e-300]
+        for seg in c.forward + c.backward:
+            times += [seg.t0, seg.t1, seg.t0 + 0.5 * seg.h]
+        times += np.linspace(c.interval.lo, c.interval.hi, 101).tolist()
+        for t in times:
+            if not c.interval.contains(t):
+                continue
+            assert evaluate_curve(c, t).tobytes() == _linear_scan_eval(c, t).tobytes()
+
+
+class TestBatchedScan:
+    OPTS = IntegratorOptions(horizon=5.0)
+
+    def _scheme(self, guard_hi: float) -> SchemePresentation:
+        # x <= 1, plus a constraint that is always satisfied but only
+        # defined for x <= guard_hi
+        fenced = SmoothExpr(
+            "div", XY, (const(-1, XY), const(1, XY)),
+            guard=((-100.0, guard_hi), (-1.0, 1.0)),
+        )
+        return SchemePresentation(XY, region=(expr_xy("x - 1"), fenced))
+
+    def test_later_guard_does_not_preempt_membership_exit(self):
+        sq = self._scheme(guard_hi=1.12)
+        v = LiftedField.from_strings(["1", "0"], sq)
+        c = integrate_max_curve(v, sq.point((0.0, 0.0)), self.OPTS)
+        assert abs(c.interval.hi - 1.0) <= 1e-8 and c.interval.hi_closed
+        assert c.interval.lo_at_horizon
+        # the exit step's checkpoints reach past the guard, so its batch
+        # raised and the step was rescanned point by point
+        seg = c.forward[-1]
+        assert seg.eval(seg.t1)[0] > 1.12
+        thetas = np.arange(1, 17) / 16
+        powers = np.vstack([thetas**k for k in range(1, 5)])
+        states = seg.y0[:, None] + seg.h * (seg.coeffs @ powers)
+        with pytest.raises(GuardViolation):
+            sq.residual_fn()(states)
+
+    def test_guard_before_any_exit_still_raises(self):
+        sq = self._scheme(guard_hi=0.5)
+        v = LiftedField.from_strings(["1", "0"], sq)
+        with pytest.raises(GuardViolation):
+            integrate_max_curve(v, sq.point((0.0, 0.0)), self.OPTS)
+
+    def test_one_residual_call_per_step_away_from_exits(self, monkeypatch):
+        line = thickened_line()
+        calls = [0]
+        real = SchemePresentation.residual_fn
+
+        def counting_residual_fn(scheme):
+            f = real(scheme)
+
+            def counted(p):
+                calls[0] += 1
+                return f(p)
+
+            return counted
+
+        monkeypatch.setattr(SchemePresentation, "residual_fn", counting_residual_fn)
+        c = integrate_max_curve(shear_field(line), line.point((0.0, 0.0)), OPTS)
+        assert c.classification == CurveClass.HORIZON_COMPLETE
+        steps = len(c.forward) + len(c.backward)
+        probes = 1 + 2 * 3  # base point, then three probes per direction
+        assert calls[0] <= steps + probes
 
 
 class TestCsvExport:

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from schemeflow import curves as cv
 from schemeflow.cring import sample_zero_set
 from schemeflow.curves import CurveClass, IntegratorOptions, integrate_max_curve, evaluate_curve
 from schemeflow.expr import evaluate, parse_expr
@@ -125,6 +127,44 @@ class TestTConvexity:
         assert not report.ok
         assert any(v.point.coords == (0.9, 0.9) for v in report.violations)
 
+    def test_stored_curves_reused_under_the_same_options(self, monkeypatch):
+        _, _, W = square_domain()
+        assert W.opts == OPTS and all(row.curve is not None for row in W.rows)
+        calls = _count_integrations(monkeypatch)
+        assert t_convexity_check(W, 11, OPTS).ok
+        assert calls == []
+
+    def test_other_options_integrate_again(self, monkeypatch):
+        _, _, W = square_domain()
+        calls = _count_integrations(monkeypatch)
+        # a different step limit changes no curve, but the options differ
+        report = t_convexity_check(W, 11, IntegratorOptions(horizon=20.0, max_steps=10**6 - 1))
+        assert report.ok
+        non_singleton = [r for r in W.rows if {r.interval.lo, r.interval.hi} - {0.0}]
+        assert len(calls) == len(non_singleton)
+
+    def test_rows_without_curves_integrate_again(self, monkeypatch):
+        _, _, W = square_domain()
+        bare = replace(W, rows=tuple(replace(r, curve=None) for r in W.rows))
+        calls = _count_integrations(monkeypatch)
+        assert t_convexity_check(bare, 11, OPTS).ok
+        assert len(calls) > 0
+        # and the fault is found the same way
+        report = t_convexity_check(scale_row_bounds(bare, 3, 1.1), 11, OPTS)
+        assert any(v.point.coords == (0.9, 0.9) for v in report.violations)
+
+
+def _count_integrations(monkeypatch) -> list:
+    calls = []
+    real = cv.integrate_max_curve
+
+    def counting(field, point, opts=cv.IntegratorOptions()):
+        calls.append(point.coords)
+        return real(field, point, opts)
+
+    monkeypatch.setattr(cv, "integrate_max_curve", counting)
+    return calls
+
 
 class TestClosedForm:
     PSI = (parse_expr("x + t", XYT), parse_expr("y*exp(t)", XYT))
@@ -140,6 +180,20 @@ class TestClosedForm:
         phi = closed_form_flow(line, self.PSI)
         assert np.allclose(phi((1.0, 0.0), 2.0), [3.0, 0.0])
         assert np.allclose(phi((0.0, 2.0), 1.0), [1.0, 2.0 * math.e])
+
+    def test_curve_source_replaces_integration(self, monkeypatch):
+        line, field, W = line_domain(9)
+        pts = [row.point for row in W.rows]
+        times = [-5.0, -1.0, 0.0, 2.0, 5.0]
+        stored = {row.point.coords: row.curve for row in W.rows}
+        calls = _count_integrations(monkeypatch)
+        with_source = validate_closed_form(
+            line, field, self.PSI, pts, times, OPTS, curves=stored.__getitem__
+        )
+        assert calls == []
+        without = validate_closed_form(line, field, self.PSI, pts, times, OPTS)
+        assert len(calls) == len(pts)
+        assert with_source == without
 
     def test_broken_form_flagged(self):
         line, field, W = line_domain(9)

@@ -1,6 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from schemeflow import curves as cv
+from schemeflow import groupoid as gp
 from schemeflow.cring import SchemePoint
 from schemeflow.curves import IntegratorOptions
 from schemeflow.expr import parse_expr
@@ -8,6 +12,7 @@ from schemeflow.flow import closed_form_flow
 from schemeflow.groupoid import (
     Arrow,
     IncompleteFieldError,
+    MemoFlow,
     NonComposableError,
     check_axioms,
     check_ideal_inclusions,
@@ -133,6 +138,28 @@ class TestAxioms:
         with pytest.raises(IncompleteFieldError):
             check_axioms(rotation_field(sq), arrows, opts=OPTS)
 
+    def test_each_base_point_integrated_once(self, monkeypatch):
+        line, v = line_setup()
+        arrows = sample_arrows(line, 12, seed=3, box=LINE_BOX)
+        calls = Counter()
+        real = cv.integrate_max_curve
+
+        def counting(field, point, opts=cv.IntegratorOptions()):
+            calls[tuple(point.coords)] += 1
+            return real(field, point, opts)
+
+        monkeypatch.setattr(cv, "integrate_max_curve", counting)
+        assert check_axioms(v, arrows, opts=OPTS).passed
+        assert max(calls.values()) == 1
+        assert {a.point.coords for a in arrows} <= set(calls)
+        # a MemoFlow passed in keeps the gate's curves for the caller
+        memo = MemoFlow(v, OPTS)
+        check_axioms(v, arrows, opts=OPTS, flow=memo)
+        before = sum(calls.values())
+        for a in arrows:
+            memo.curve(a.point.coords)
+        assert sum(calls.values()) == before
+
     def test_deterministic_sampling(self):
         line, _ = line_setup()
         a = sample_arrows(line, 25, seed=7, box=LINE_BOX)
@@ -172,6 +199,21 @@ class TestIdealInclusions:
         arrows = [Arrow(SchemePoint((1.0, 0.0)), 2.0)]
         report = check_ideal_inclusions(aug, PSI, arrows, tol=1e-12)
         assert report.passed
+
+    def test_composite_with_wrong_source_fails(self, monkeypatch):
+        line, _ = line_setup()
+        arrows = sample_arrows(line, 20, seed=4, box=LINE_BOX)
+        real = gp.compose
+
+        def off_source(a2, a1, *args, **kwargs):
+            # a composite anchored off the zero set instead of at a1's source
+            m = real(a2, a1, *args, **kwargs)
+            return Arrow(SchemePoint((m.point.coords[0], m.point.coords[1] + 0.5)), m.t)
+
+        monkeypatch.setattr(gp, "compose", off_source)
+        report = check_ideal_inclusions(line, PSI, arrows, tol=1e-9)
+        assert report.projection_identity > 1e-12
+        assert not report.passed
 
     def test_fault_injected_flow_fails(self):
         line, _ = line_setup()
