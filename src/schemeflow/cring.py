@@ -96,19 +96,26 @@ class SchemePresentation:
         A point belongs to the zero set exactly when the residual is <= eps_z.
         The callable takes one point, or an (n, m) array holding m points as
         columns and returning their m residuals.  Both skip a NaN constraint
-        value (``max`` point-wise, ``np.fmax`` on a batch), and a batch
-        raises GuardViolation when any of its points violates a guard.
+        value (``max`` point-wise, ``np.fmax`` on a batch).  A batch runs the
+        constraints compiled with ``expr.as_callable(..., batch=True)`` and
+        raises where one of its points would.  It also raises
+        FloatingPointError on any overflow, because point-wise some
+        overflows raise and others give inf; the caller then evaluates the
+        points one by one.  Batch values may differ from point-wise ones in
+        the last bits.
         """
         gen_fns = [ex.as_callable(g) for g in self.ideal_gens]
         region_fns = [ex.as_callable(g) for g in self.region]
+        gen_batch = [ex.as_callable(g, batch=True) for g in self.ideal_gens]
+        region_batch = [ex.as_callable(g, batch=True) for g in self.region]
 
         def residual(p: Sequence[float]) -> float:
             if isinstance(p, np.ndarray) and p.ndim == 2:
-                with np.errstate(all="ignore"):
+                with np.errstate(all="ignore", over="raise"):
                     r = np.zeros(p.shape[1])
-                    for f in gen_fns:
+                    for f in gen_batch:
                         r = np.fmax(r, np.abs(f(p)))
-                    for f in region_fns:
+                    for f in region_batch:
                         r = np.fmax(r, f(p))
                 return r
             r = 0.0

@@ -11,11 +11,14 @@ crossing, so a threshold test on the max residual is used instead.
 
 Each accepted step is scanned in one batch: the dense-output states at all
 checkpoints come from one matrix product, and the scheme's residual
-callable evaluates them in one call on the (n, checkpoints) array.  A guard
-violation anywhere in that batch sends the step back to a point-by-point
-scan, so a guard at a later checkpoint never pre-empts an earlier
-membership exit.  Bisection and the boundary state use the scalar dense
-output.
+callable evaluates them in one call on the (n, checkpoints) array.  A batch
+that raises (a guard, a math domain, an overflow) sends the step back to a
+point-by-point scan, so a failure at a later checkpoint never pre-empts an
+earlier membership exit.  Bisection and the boundary state use the scalar
+dense output.  The batched states may differ from ``DenseSegment.eval`` in
+the last bits (one matrix product instead of one product per point), so a
+checkpoint whose residual sits within rounding of the threshold can start
+the bisection one checkpoint earlier or later than a point-wise scan would.
 
 Interval endpoints carry three epistemic flags: reached the horizon (no
 claim of completeness), closed (the localized boundary state itself passes
@@ -299,9 +302,9 @@ def _first_exit(seg, thetas, powers, residual, eps_z):
     states = seg.y0[:, None] + seg.h * (seg.coeffs @ powers)
     try:
         failing = residual(states) > eps_z
-    except (ex.GuardViolation, ValueError):
-        # some checkpoint is outside a guard (or a math domain); the scalar
-        # scan raises only if no earlier checkpoint exits first
+    except (ex.GuardViolation, ArithmeticError, ValueError):
+        # some checkpoint is outside a guard, overflows or leaves a math
+        # domain; the scalar scan raises only if no earlier checkpoint exits
         for j, theta in enumerate(thetas):
             if residual(seg.eval(seg.t0 + theta * seg.h)) > eps_z:
                 return j

@@ -255,21 +255,11 @@ def _cut_eval(s: float, k: int) -> float:
 def _guard_check(guard, point) -> None:
     if guard is None:
         return
-    # a point is a sequence of floats; a batch is an (n, m) array whose rows
-    # are coordinates, and one point of it outside the box fails the batch
     for (lo, hi), x in zip(guard, point):
-        if not _all((lo <= x) & (x <= hi)):
+        if not lo <= x <= hi:
             raise GuardViolation(
                 f"point {tuple(point)} outside declared guard box {guard}"
             )
-
-
-def _all(mask) -> bool:
-    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
-
-
-def _any(mask) -> bool:
-    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
 def evaluate(e: SmoothExpr, point: Sequence[float]) -> float:
@@ -819,17 +809,20 @@ def parse_expr(src: str, vars_: VarList) -> SmoothExpr:
 # -- compiled evaluation --------------------------------------------------
 
 
-def as_callable(e: SmoothExpr) -> Callable[[Sequence[float]], float]:
+def as_callable(e: SmoothExpr, batch: bool = False) -> Callable[[Sequence[float]], float]:
     """Compile ``e`` into a fast point -> float function.
 
     Semantically identical to evaluate(), including guard behavior; intended
     for hot loops (ODE right-hand sides, grid scans).
 
-    The compiled function also takes an (n, m) array of m points stored as
-    columns and returns their m values.  One point outside a guard makes the
-    whole batch raise GuardViolation; NaN and overflow propagate as in the
-    point-wise call.  Point-wise calls keep ``math`` functions, so batches
-    cost the scalar path only an isinstance test per transcendental node.
+    With ``batch`` the same tree compiles to a function of an (n, m) array
+    holding m points as columns, returning their m values (one float when
+    ``e`` is constant) through numpy instead of ``math``.  It raises
+    GuardViolation (a guard or a zero denominator) or ValueError (sin or cos
+    of an infinity) when one of its points would, though not necessarily
+    naming that point.  Overflow follows numpy's error state: by default it
+    gives inf, where point-wise a power of a Python float raises
+    OverflowError.  numpy and ``math`` may differ in the last bits.
     """
     counter = [0]
     guards: dict[str, object] = {}
@@ -875,50 +868,81 @@ def as_callable(e: SmoothExpr) -> Callable[[Sequence[float]], float]:
         guards[name] = node.guard
         return name
 
+    def _div(a, b, g, p):
+        _guard_check(g, p)
+        if b == 0.0:
+            raise GuardViolation("division by zero")
+        return a / b
+
+    def _log(x, g, p):
+        _guard_check(g, p)
+        if x <= 0.0:
+            raise GuardViolation(f"log of nonpositive value {x}")
+        return math.log(x)
+
     body = emit(e)  # populates the guard table as a side effect
-    ns: dict[str, object] = {
-        "_exp": _compiled_exp,
-        "_sin": _compiled_sin,
-        "_cos": _compiled_cos,
-        "_cut": _compiled_cut,
-        "_div": _compiled_div,
-        "_log": _compiled_log,
-    }
+    if batch:
+        ns: dict[str, object] = {
+            "_exp": _batch_exp,
+            "_sin": _batch_sin,
+            "_cos": _batch_cos,
+            "_cut": _batch_cut,
+            "_div": _batch_div,
+            "_log": _batch_log,
+        }
+    else:
+        ns = {
+            "_exp": _safe_exp,
+            "_sin": math.sin,
+            "_cos": math.cos,
+            "_cut": _cut_eval,
+            "_div": _div,
+            "_log": _log,
+        }
     ns.update(guards)
     src = f"def _compiled(p):\n    return ({body}) * 1.0\n"
     exec(src, ns)  # noqa: S102 - generated from a closed AST, no external input
     return ns["_compiled"]  # type: ignore[return-value]
 
 
-# Helpers of compiled expressions.  Each takes a float or an array of values
-# (one per point of a batch); arrays go through numpy, floats through math.
+# Helpers of batched compiled expressions.  Each takes an array of values,
+# one per point of the batch, and raises where the point-wise helper would
+# raise for some point.  A constant subexpression arrives as a plain number
+# and goes through the point-wise helper.
 
 
-def _compiled_exp(x):
+def _batch_guard_check(guard, points: np.ndarray) -> None:
+    if guard is None:
+        return
+    for (lo, hi), x in zip(guard, points):
+        inside = (lo <= x) & (x <= hi)
+        if not inside.all():
+            j = int(np.argmin(inside))
+            raise GuardViolation(
+                f"point {tuple(points[:, j].tolist())} outside declared guard box {guard}"
+            )
+
+
+def _batch_exp(x):
     return np.exp(x) if isinstance(x, np.ndarray) else _safe_exp(x)
 
 
-def _compiled_sin(x):
-    if isinstance(x, np.ndarray):
-        _domain_check(x)
-        return np.sin(x)
-    return math.sin(x)
+def _batch_sin(x):
+    return np.sin(_finite(x)) if isinstance(x, np.ndarray) else math.sin(x)
 
 
-def _compiled_cos(x):
-    if isinstance(x, np.ndarray):
-        _domain_check(x)
-        return np.cos(x)
-    return math.cos(x)
+def _batch_cos(x):
+    return np.cos(_finite(x)) if isinstance(x, np.ndarray) else math.cos(x)
 
 
-def _domain_check(x: np.ndarray) -> None:
+def _finite(x: np.ndarray) -> np.ndarray:
     # math.sin and math.cos raise on infinities where numpy returns NaN
     if np.isinf(x).any():
         raise ValueError("math domain error")
+    return x
 
 
-def _compiled_cut(s, k: int):
+def _batch_cut(s, k: int):
     if not isinstance(s, np.ndarray):
         return _cut_eval(s, k)
     # NaN fails both tests below and stays NaN, as in _cut_eval
@@ -926,16 +950,20 @@ def _compiled_cut(s, k: int):
     return np.where(s <= 0.0, 0.0, np.exp(-1.0 / safe - k * np.log(safe)))
 
 
-def _compiled_div(a, b, g, p):
-    _guard_check(g, p)
-    if _any(b == 0.0):
+def _batch_div(a, b, g, p):
+    _batch_guard_check(g, p)
+    if np.any(b == 0.0):
         raise GuardViolation("division by zero")
     return a / b
 
 
-def _compiled_log(x, g, p):
-    _guard_check(g, p)
-    if _any(x <= 0.0):
-        bad = x[x <= 0.0][0] if isinstance(x, np.ndarray) else x
-        raise GuardViolation(f"log of nonpositive value {bad}")
-    return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
+def _batch_log(x, g, p):
+    _batch_guard_check(g, p)
+    if not isinstance(x, np.ndarray):
+        if x <= 0.0:
+            raise GuardViolation(f"log of nonpositive value {x}")
+        return math.log(x)
+    bad = x <= 0.0
+    if bad.any():
+        raise GuardViolation(f"log of nonpositive value {x[bad][0]}")
+    return np.log(x)

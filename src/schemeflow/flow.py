@@ -5,8 +5,10 @@ The flow domain is sampled as a table of (base point, definition interval)
 rows.  Its two structural facts are checked rather than assumed: slices are
 intervals containing 0 (t-convexity, verified by membership of the
 trajectory at scaled times) and the unit section sits inside the domain.
-Each row keeps the curve it was built from, so the t-convexity check reads
-the same trajectory instead of integrating it again.
+While each row's curve is integrated, the membership residuals at the times
+the t-convexity check probes are recorded on the row, so the check reads
+them instead of integrating the curve again; only those few numbers outlive
+the curve.
 
 The flow ideal over (x_1..x_n, t) carries two generator families: the base
 generators reindexed through the projection, and, when a closed-form flow
@@ -46,6 +48,7 @@ __all__ = [
 ]
 
 TIME_VAR = "t"
+CONVEXITY_SUBDIVISIONS = 11
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,9 @@ class DomainRow:
     interval: cv.IntervalRecord
     classification: str
     error: Optional[str] = None
-    # the curve the row was read from; None for failed or hand-built rows
-    curve: Optional[cv.IntegralCurve] = field(default=None, compare=False, repr=False)
+    # membership residual of the row's curve at each t-convexity probe time
+    # (see _probe_times); empty for failed or hand-built rows
+    residuals: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,6 @@ class FlowDomain:
     field: dv.LiftedField
     rows: tuple[DomainRow, ...]
     horizon: float
-    opts: Optional[cv.IntegratorOptions] = None  # what the row curves used
 
     @property
     def all_horizon_complete(self) -> bool:
@@ -85,21 +88,49 @@ def flow_domain(
     scheme = field.home
     if scheme is None:
         raise ValueError("the field needs a home presentation")
+    residual = scheme.residual_fn()
 
     def run(p: cring.SchemePoint) -> DomainRow:
         try:
             c = cv.integrate_max_curve(field, p, opts)
-            return DomainRow(p, c.interval, c.classification, curve=c)
         except Exception as err:  # recorded, not fatal
             empty = cv.IntervalRecord(0.0, 0.0)
             return DomainRow(p, empty, cv.CurveClass.SINGLETON, error=str(err))
+        return DomainRow(
+            p, c.interval, c.classification, residuals=_probe_residuals(c, residual)
+        )
 
     if jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
             rows = tuple(pool.map(run, grid))
     else:
         rows = tuple(run(p) for p in grid)
-    return FlowDomain(scheme, field, rows, opts.horizon, opts)
+    return FlowDomain(scheme, field, rows, opts.horizon)
+
+
+def _probe_times(
+    interval: cv.IntervalRecord, subdivisions: int = CONVEXITY_SUBDIVISIONS
+) -> list[tuple[float, float]]:
+    """(endpoint, a*endpoint) for each nonzero endpoint of ``interval`` and a
+    uniform grid of a in [0, 1]: the times t_convexity_check probes."""
+    return [
+        (endpoint, float(a) * endpoint)
+        for endpoint in sorted({interval.lo, interval.hi} - {0.0})
+        for a in np.linspace(0.0, 1.0, subdivisions)
+    ]
+
+
+_PROBE_ERRORS = (cv.OutsideDefinitionInterval, ex.ExprError, ArithmeticError, ValueError)
+
+
+def _probe_residuals(curve: cv.IntegralCurve, residual) -> dict:
+    out = {}
+    for _, ta in _probe_times(curve.interval):
+        try:
+            out[ta] = residual(cv.evaluate_curve(curve, ta))
+        except _PROBE_ERRORS:
+            pass  # left unrecorded: the check redoes it and reports or raises
+    return out
 
 
 def flow_eval(
@@ -134,17 +165,17 @@ class ConvexityReport:
 
 def t_convexity_check(
     domain: FlowDomain,
-    subdivisions: int = 11,
+    subdivisions: int = CONVEXITY_SUBDIVISIONS,
     opts: Optional[cv.IntegratorOptions] = None,
 ) -> ConvexityReport:
     """For every row and both interval endpoints, membership of the
     trajectory at a*t for a uniform grid of a in [0, 1]; slices of the
     domain are intervals, so honest tables report zero violations.
 
-    A row's stored curve is read when ``opts`` equal the options the domain
-    was built with; otherwise, and for rows without a curve, the curve is
-    integrated again.  The curve keeps its own interval, so a row whose
-    bounds were altered after the fact still shows up as a violation."""
+    Residuals the row recorded while its curve was integrated are read as
+    they are.  A row missing any probe time (other ``subdivisions``, bounds
+    altered after the fact, a hand-built row) has its curve integrated again
+    with ``opts``; a time outside that curve is a violation."""
     opts = opts or cv.IntegratorOptions(horizon=domain.horizon)
     scheme = domain.scheme
     residual = scheme.residual_fn()
@@ -157,37 +188,38 @@ def t_convexity_check(
                 ConvexityViolation(row.point, 0.0, 0.0, f"row error: {row.error}")
             )
             continue
-        endpoints = {row.interval.lo, row.interval.hi} - {0.0}
-        if not endpoints:
+        times = _probe_times(row.interval, subdivisions)
+        if not times:
             checks += 1
             continue
-        curve = row.curve if opts == domain.opts else None
-        if curve is None:
+        residuals = dict(row.residuals)
+        missing = [ta for _, ta in times if ta not in residuals]
+        if missing:
             try:
                 curve = cv.integrate_max_curve(domain.field, row.point, opts)
             except Exception as err:
                 violations.append(ConvexityViolation(row.point, 0.0, 0.0, str(err)))
                 continue
-        for endpoint in sorted(endpoints):
-            for a in np.linspace(0.0, 1.0, subdivisions):
-                ta = float(a) * endpoint
-                checks += 1
+            for ta in missing:
                 try:
-                    state = cv.evaluate_curve(curve, ta)
+                    residuals[ta] = residual(cv.evaluate_curve(curve, ta))
                 except cv.OutsideDefinitionInterval:
-                    violations.append(
-                        ConvexityViolation(
-                            row.point, endpoint, ta, "time outside the row's curve"
-                        )
+                    pass
+        for endpoint, ta in times:
+            checks += 1
+            r = residuals.get(ta)
+            if r is None:
+                violations.append(
+                    ConvexityViolation(
+                        row.point, endpoint, ta, "time outside the recomputed curve"
                     )
-                    continue
-                r = residual(state)
-                if r > tol:
-                    violations.append(
-                        ConvexityViolation(
-                            row.point, endpoint, ta, f"membership residual {r:.3e}"
-                        )
+                )
+            elif r > tol:
+                violations.append(
+                    ConvexityViolation(
+                        row.point, endpoint, ta, f"membership residual {r:.3e}"
                     )
+                )
     return ConvexityReport(tuple(violations), checks)
 
 

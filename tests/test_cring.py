@@ -59,7 +59,7 @@ def _guarded_div():
 _NODE_KIND_SCHEMES = {
     "pow": dict(ideal_gens=(expr_xy("x^3 - y^5"),), region=(expr_xy("x^4 - 2"),)),
     "div": dict(ideal_gens=(_guarded_div(),)),
-    "exp-overflow": dict(ideal_gens=(expr_xy("exp(800*x) - y"),)),
+    "exp": dict(ideal_gens=(expr_xy("exp(300*x) - y"),)),
     "log": dict(ideal_gens=(log(expr_xy("x^2 + 1"), guard=((-3.0, 3.0), (-3.0, 3.0))),)),
     "sin": dict(ideal_gens=(expr_xy("sin(3*x) - y"),)),
     "cos": dict(region=(expr_xy("cos(x*y) - 1/2"),)),
@@ -95,12 +95,19 @@ class TestBatchedResidual:
         np.testing.assert_array_equal(np.isnan(batch), np.isnan(scalar))
         np.testing.assert_allclose(batch, scalar, rtol=1e-13, atol=1e-15)
 
-    def test_exp_overflow_is_infinite_in_both(self):
-        scheme = SchemePresentation(XY, **_NODE_KIND_SCHEMES["exp-overflow"])
-        f = scheme.residual_fn()
-        pts = np.array([[1.0, 0.5], [0.0, 0.0]])
-        assert f(pts)[0] == np.inf and f(pts[:, 0]) == np.inf
-        assert np.isfinite(f(pts)[1])
+    def test_overflow_raises_on_a_batch(self):
+        # point-wise, exp overflows to inf while a power of a Python float
+        # raises; a batch raises on both, so its caller goes point by point
+        grows = SchemePresentation(XY, ideal_gens=(expr_xy("exp(800*x) - y"),)).residual_fn()
+        power = SchemePresentation(XY, ideal_gens=(expr_xy("(x*10^300)^2 - y"),)).residual_fn()
+        assert grows((1.0, 0.0)) == np.inf
+        with pytest.raises(OverflowError):
+            power((1.0, 0.0))
+        pts = np.array([[0.0, 1.0], [0.0, 0.0]])
+        for f in (grows, power):
+            assert f(pts[:, :1]).tolist() == [f((0.0, 0.0))]
+            with pytest.raises(FloatingPointError):
+                f(pts)
 
     def test_nan_constraint_is_skipped_in_both(self):
         # the generator is NaN at x = NaN; max and fmax both skip it, so the
@@ -133,12 +140,26 @@ class TestBatchedResidual:
             g(np.array([[1.0, -1.0], [0.0, 0.0]]))
 
     def test_sine_of_infinity_raises_in_both(self):
-        f = SchemePresentation(XY, ideal_gens=(expr_xy("sin(exp(800*x))"),)).residual_fn()
-        pts = np.array([[0.0, 1.0], [0.0, 0.0]])
+        f = SchemePresentation(XY, ideal_gens=(expr_xy("sin(x) - cos(y)"),)).residual_fn()
+        pts = np.array([[0.0, np.inf], [0.0, 0.0]])
         with pytest.raises(ValueError):
             f(pts[:, 1])
         with pytest.raises(ValueError):
             f(pts)
+        with pytest.raises(ValueError):
+            f(pts[::-1])
+
+    def test_constant_subexpressions_match_pointwise(self):
+        scheme = SchemePresentation(
+            XY,
+            ideal_gens=(expr_xy("sin(2)*x + cos(1)*y - exp(1) + 10^300*x*y"),),
+            region=(expr_xy("cut(1)*x + cut_2(0) - 1/3"),),
+        )
+        f = scheme.residual_fn()
+        pts = np.array([[0.0, 1e-300, -0.5], [0.0, 2.0, 0.25]])
+        batch = f(pts)
+        scalar = [f(pts[:, j]) for j in range(pts.shape[1])]
+        np.testing.assert_allclose(batch, scalar, rtol=1e-13, atol=1e-15)
 
     def test_constant_constraint_broadcasts(self):
         scheme = SchemePresentation(XY, ideal_gens=(expr_xy("y"),), region=(expr_xy("-1"),))

@@ -312,6 +312,28 @@ class TestBatchedScan:
         with pytest.raises(GuardViolation):
             sq.residual_fn()(states)
 
+    def test_later_overflow_does_not_preempt_membership_exit(self):
+        # x <= 1, plus a constraint that always holds but whose power
+        # overflows once x passes about 1.123
+        blowup = expr_xy("0 - (1 + cut(x - 1.12)*10^300)^2")
+        sq = SchemePresentation(XY, region=(expr_xy("x - 1"), blowup))
+        v = LiftedField.from_strings(["1", "0"], sq)
+        c = integrate_max_curve(v, sq.point((0.0, 0.0)), self.OPTS)
+        assert abs(c.interval.hi - 1.0) <= 1e-8 and c.interval.hi_closed
+        seg = c.forward[-1]
+        thetas = np.arange(1, 17) / 16
+        powers = np.vstack([thetas**k for k in range(1, 5)])
+        states = seg.y0[:, None] + seg.h * (seg.coeffs @ powers)
+        with pytest.raises(FloatingPointError):
+            sq.residual_fn()(states)
+        # an overflow before any exit still ends the integration
+        early = SchemePresentation(
+            XY, region=(expr_xy("x - 1"), expr_xy("0 - (1 + cut(x - 0.5)*10^300)^2"))
+        )
+        v = LiftedField.from_strings(["1", "0"], early)
+        with pytest.raises(OverflowError):
+            integrate_max_curve(v, early.point((0.0, 0.0)), self.OPTS)
+
     def test_guard_before_any_exit_still_raises(self):
         sq = self._scheme(guard_hi=0.5)
         v = LiftedField.from_strings(["1", "0"], sq)

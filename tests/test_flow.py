@@ -127,31 +127,35 @@ class TestTConvexity:
         assert not report.ok
         assert any(v.point.coords == (0.9, 0.9) for v in report.violations)
 
-    def test_stored_curves_reused_under_the_same_options(self, monkeypatch):
+    def test_recorded_residuals_read_without_integration(self, monkeypatch):
         _, _, W = square_domain()
-        assert W.opts == OPTS and all(row.curve is not None for row in W.rows)
+        for row in W.rows:
+            # only the probe times are kept, not the curve
+            endpoints = {row.interval.lo, row.interval.hi} - {0.0}
+            probes = {a * e for e in endpoints for a in np.linspace(0.0, 1.0, 11)}
+            assert row.residuals.keys() == probes
         calls = _count_integrations(monkeypatch)
         assert t_convexity_check(W, 11, OPTS).ok
         assert calls == []
 
-    def test_other_options_integrate_again(self, monkeypatch):
+    def test_rows_without_residuals_integrate_again(self, monkeypatch):
         _, _, W = square_domain()
+        bare = replace(W, rows=tuple(replace(r, residuals={}) for r in W.rows))
         calls = _count_integrations(monkeypatch)
-        # a different step limit changes no curve, but the options differ
-        report = t_convexity_check(W, 11, IntegratorOptions(horizon=20.0, max_steps=10**6 - 1))
-        assert report.ok
+        assert t_convexity_check(bare, 11, OPTS) == t_convexity_check(W, 11, OPTS)
         non_singleton = [r for r in W.rows if {r.interval.lo, r.interval.hi} - {0.0}]
         assert len(calls) == len(non_singleton)
-
-    def test_rows_without_curves_integrate_again(self, monkeypatch):
-        _, _, W = square_domain()
-        bare = replace(W, rows=tuple(replace(r, curve=None) for r in W.rows))
-        calls = _count_integrations(monkeypatch)
-        assert t_convexity_check(bare, 11, OPTS).ok
-        assert len(calls) > 0
         # and the fault is found the same way
         report = t_convexity_check(scale_row_bounds(bare, 3, 1.1), 11, OPTS)
         assert any(v.point.coords == (0.9, 0.9) for v in report.violations)
+
+    def test_other_subdivisions_integrate_again(self, monkeypatch):
+        _, _, W = square_domain()
+        calls = _count_integrations(monkeypatch)
+        report = t_convexity_check(W, 7, OPTS)
+        assert report.ok and report.checks > 0
+        non_singleton = [r for r in W.rows if {r.interval.lo, r.interval.hi} - {0.0}]
+        assert len(calls) == len(non_singleton)
 
 
 def _count_integrations(monkeypatch) -> list:
@@ -185,7 +189,7 @@ class TestClosedForm:
         line, field, W = line_domain(9)
         pts = [row.point for row in W.rows]
         times = [-5.0, -1.0, 0.0, 2.0, 5.0]
-        stored = {row.point.coords: row.curve for row in W.rows}
+        stored = {p.coords: integrate_max_curve(field, p, OPTS) for p in pts}
         calls = _count_integrations(monkeypatch)
         with_source = validate_closed_form(
             line, field, self.PSI, pts, times, OPTS, curves=stored.__getitem__
