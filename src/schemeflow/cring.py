@@ -11,6 +11,7 @@ the zero set, which is what all numeric checks sample.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -30,6 +31,7 @@ __all__ = [
     "in_zero_set",
     "membership_residual",
     "sample_zero_set",
+    "box_grid",
 ]
 
 DEFAULT_EPS_Z = 1e-9
@@ -280,6 +282,14 @@ def element_equal(
     )
 
 
+def box_grid(box: Sequence[tuple[float, float]], resolution: int) -> np.ndarray:
+    """The ``resolution``-per-axis grid on an axis-aligned box, one point per
+    row in C order (the last coordinate varies fastest)."""
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 def sample_zero_set(
     scheme: SchemePresentation,
     box: Optional[tuple[tuple[float, float], ...]] = None,
@@ -288,64 +298,124 @@ def sample_zero_set(
 ) -> list[SchemePoint]:
     """Deterministic zero-set sample: grid scan plus damped Gauss-Newton
     polish of near-misses on the squared generator residual, with dedup at
-    half the grid spacing."""
+    half the grid spacing.
+
+    Three batched passes over the grid.  The scan evaluates the residual on
+    every grid point in one call; exact hits come first, in grid order.  The
+    polish moves all misses together, one batched evaluation of the
+    generators and their gradients per step, each point stopping on its own
+    (converged, non-finite, negligible step, or out of steps).  The dedup
+    keeps a candidate unless an earlier kept one lies closer than half the grid
+    spacing in every coordinate, comparing only candidates in neighbouring
+    cells of that side.  Polished coordinates may differ in the last bits
+    from a point-by-point solve (numpy arithmetic, one stacked SVD instead
+    of one least-squares solve per point); where a Jacobian's smallest
+    singular value sits at the rank cutoff, the two can step differently.
+    """
     if resolution < 2:
         raise ValueError("resolution must be at least 2 per axis")
     box = box or scheme.default_box()
     if len(box) != scheme.arity:
         raise ValueError("box dimension mismatch")
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
     spacing = min((hi - lo) / (resolution - 1) for lo, hi in box)
-    dedup_radius = 0.5 * spacing
 
     residual = scheme.residual_fn()
-    gen_fns = [ex.as_callable(g) for g in scheme.ideal_gens]
-    grad_fns = [
-        [ex.as_callable(ex.diff(g, i)) for i in range(scheme.arity)]
+    grid = box_grid(box, resolution).T
+    hit = _within(residual, grid, scheme.eps_z)
+    candidates = [grid[:, hit]]
+    if scheme.ideal_gens:
+        polished = _polish(scheme, grid[:, ~hit], box, polish_steps)
+        candidates.append(polished[:, _within(residual, polished, scheme.eps_z)])
+    points = np.concatenate(candidates, axis=1).T
+    return [SchemePoint(tuple(points[i].tolist())) for i in _dedup(points, 0.5 * spacing)]
+
+
+def _within(residual, points: np.ndarray, eps_z: float) -> np.ndarray:
+    """Mask of the columns of ``points`` on the zero set: one batched residual
+    call, or one call per point when the batch overflows (point by point an
+    overflow gives inf, a miss)."""
+    try:
+        return residual(points) <= eps_z
+    except FloatingPointError:
+        with np.errstate(all="ignore"):
+            return np.array(
+                [residual(points[:, j]) <= eps_z for j in range(points.shape[1])], dtype=bool
+            )
+
+
+def _polish(scheme: SchemePresentation, points: np.ndarray, box, steps: int) -> np.ndarray:
+    """Gauss-Newton on the generator residual vector for every column of
+    ``points`` at once, clipped to the box.  Each step takes the
+    minimum-norm least-squares step with ``lstsq``'s default cutoff."""
+    gens = [ex.as_callable(g, batch=True) for g in scheme.ideal_gens]
+    grads = [
+        [ex.as_callable(ex.diff(g, i), batch=True) for i in range(scheme.arity)]
         for g in scheme.ideal_gens
     ]
-    lows = np.array([lo for lo, _ in box])
-    highs = np.array([hi for _, hi in box])
-
-    accepted: list[np.ndarray] = []
-
-    def consider(p: np.ndarray):
-        if residual(p) > scheme.eps_z:
-            return
-        for q in accepted:
-            if np.max(np.abs(q - p)) < dedup_radius:
-                return
-        accepted.append(p.copy())
-
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=-1)
-    # exact grid hits first so polished near-misses dedup against them
-    misses = []
-    for row in grid:
-        p = np.asarray(row, dtype=float)
-        if residual(p) <= scheme.eps_z:
-            consider(p)
-        else:
-            misses.append(p)
-    for p in misses:
-        if not gen_fns:
-            break
-        # Gauss-Newton on the generator residual vector, projected to the box
-        q = p.copy()
-        ok = False
-        for _ in range(polish_steps):
-            g = np.array([f(q) for f in gen_fns])
-            if np.max(np.abs(g)) <= 0.01 * scheme.eps_z:
-                ok = True
+    lows = np.array([[lo] for lo, _ in box])
+    highs = np.array([[hi] for _, hi in box])
+    rcond = np.finfo(float).eps * max(len(gens), scheme.arity)
+    q = points.copy()
+    active = np.arange(q.shape[1])
+    # an overflow gives inf, and a non-finite g, J or step stops its point
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            if not active.size:
                 break
-            J = np.array([[df(q) for df in row_] for row_ in grad_fns])
-            if not np.all(np.isfinite(J)) or not np.all(np.isfinite(g)):
-                break
-            step, *_ = np.linalg.lstsq(J, -g, rcond=None)
-            if not np.all(np.isfinite(step)) or np.max(np.abs(step)) < 1e-16:
-                break
-            q = np.clip(q + step, lows, highs)
-        if ok or residual(q) <= scheme.eps_z:
-            consider(q)
+            p = q[:, active]
+            g = np.array([np.broadcast_to(f(p), active.shape) for f in gens])
+            moving = ~(np.max(np.abs(g), axis=0) <= 0.01 * scheme.eps_z)
+            p, g, active = p[:, moving], g[:, moving], active[moving]
+            J = np.array(
+                [[np.broadcast_to(df(p), active.shape) for df in row] for row in grads]
+            ).transpose(2, 0, 1)
+            finite = np.isfinite(J).all(axis=(1, 2)) & np.isfinite(g).all(axis=0)
+            p, g, J, active = p[:, finite], g[:, finite], J[finite], active[finite]
+            U, s, Vh = np.linalg.svd(J, full_matrices=False)
+            inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > rcond * s[:, :1])
+            step = np.einsum("arn,ar->na", Vh, inv * np.einsum("akr,ka->ar", U, -g))
+            moving = np.isfinite(step).all(axis=0) & ~(np.max(np.abs(step), axis=0) < 1e-16)
+            active = active[moving]
+            q[:, active] = np.clip(p[:, moving] + step[:, moving], lows, highs)
+    return q
 
-    return [SchemePoint(tuple(float(c) for c in p)) for p in accepted]
+
+# Cells are a hair wider than the dedup radius, so rounding in a cell index
+# never puts two points closer than the radius two cells apart.
+_CELL_WIDENING = 1.0 + 1e-6
+
+
+def _dedup(points: np.ndarray, radius: float) -> list[int]:
+    """Indices of the rows of ``points`` kept by a greedy scan in row order:
+    a row is dropped when an earlier kept row lies closer than ``radius`` in
+    every coordinate.  Kept rows are hashed into cells of side ``radius``,
+    so each row is compared only with those in the 3^n cells around it."""
+    if not len(points) or radius <= 0:
+        # a degenerate box axis gives a zero radius, within which nothing lies
+        return list(range(len(points)))
+    # cell coordinates start at 1 and stay below base - 1, so a neighbour's
+    # coordinates are digits in [0, base) and its key is unique
+    cells = np.floor((points - points.min(axis=0)) / (radius * _CELL_WIDENING)) + 1
+    base = int(cells.max()) + 2
+    weights = [base**i for i in range(points.shape[1])]
+
+    def key(cell):
+        return sum(int(c) * w for c, w in zip(cell, weights))
+
+    # the own cell first, where a duplicate is likeliest
+    deltas = sorted(
+        (key(d) for d in itertools.product((-1, 0, 1), repeat=points.shape[1])), key=abs
+    )
+    kept: dict[int, list[list[float]]] = {}
+    keep = []
+    for i, (p, cell) in enumerate(zip(points.tolist(), cells.tolist())):
+        k = key(cell)
+        if any(
+            all(abs(a - b) < radius for a, b in zip(p, q))
+            for d in deltas
+            for q in kept.get(k + d, ())
+        ):
+            continue
+        kept.setdefault(k, []).append(p)
+        keep.append(i)
+    return keep

@@ -269,7 +269,8 @@ def related(
             continue
         # free source: sample a box grid
         if pts is None:
-            pts = _box_grid(v.vars.arity, box, resolution)
+            w = cring.DEFAULT_BOX_HALFWIDTH
+            pts = cring.box_grid(box or ((-w, w),) * v.vars.arity, resolution)
         worst = max(abs(ex.evaluate(diff, p)) for p in pts)
         sampled = max(sampled, worst)
         if worst > tol:
@@ -294,13 +295,6 @@ def _merge_numeric(status: RelatednessStatus) -> RelatednessStatus:
 def _max_on_samples(e, scheme, box, resolution) -> float:
     pts = cring.sample_zero_set(scheme, box or scheme.default_box(), resolution)
     return max((abs(ex.evaluate(e, p.coords)) for p in pts), default=0.0)
-
-
-def _box_grid(arity: int, box, resolution: int):
-    box = box or tuple((-2.0, 2.0) for _ in range(arity))
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def hadamard_decompose(f: pr.Polynomial) -> list[pr.Polynomial]:

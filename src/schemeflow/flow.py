@@ -371,11 +371,7 @@ def flow_ideal(
 
 def _check_time_zero_identity(scheme, psi, tol):
     fns = [ex.as_callable(c) for c in psi]
-    lows_highs = scheme.default_box()
-    axes = [np.linspace(lo, hi, 5) for lo, hi in lows_highs]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=-1)
-    for row in grid:
+    for row in cring.box_grid(scheme.default_box(), 5):
         args = tuple(float(c) for c in row) + (0.0,)
         for i, f in enumerate(fns):
             if abs(f(args) - args[i]) > tol:

@@ -10,7 +10,10 @@ from __future__ import annotations
 import math
 import random
 
-from schemeflow.cring import SchemePresentation
+import numpy as np
+
+from schemeflow import expr as ex
+from schemeflow.cring import SchemePoint, SchemePresentation
 from schemeflow.derivation import LiftedField
 from schemeflow.expr import (
     SmoothExpr,
@@ -144,3 +147,70 @@ def random_polynomial(rng: random.Random, vl: VarList, degree: int, terms: int =
             rng.randint(-4, 4)
         )
     return Polynomial(body, vl)
+
+
+def reference_dedup(points, radius: float) -> list[int]:
+    """Greedy dedup by an O(n^2) scan: indices of the rows kept when a row is
+    dropped for lying closer than ``radius`` in every coordinate to an
+    earlier kept row."""
+    keep: list[int] = []
+    for i, p in enumerate(points):
+        if all(np.max(np.abs(points[j] - p)) >= radius for j in keep):
+            keep.append(i)
+    return keep
+
+
+def reference_sample_zero_set(scheme, box, resolution, polish_steps=30):
+    """Point-by-point zero-set sampler: grid scan, then one damped
+    Gauss-Newton solve per miss (one ``lstsq`` per step), then dedup against
+    every accepted point.  Oracle for the batched ``sample_zero_set``."""
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
+    spacing = min((hi - lo) / (resolution - 1) for lo, hi in box)
+    dedup_radius = 0.5 * spacing
+    residual = scheme.residual_fn()
+    gen_fns = [ex.as_callable(g) for g in scheme.ideal_gens]
+    grad_fns = [
+        [ex.as_callable(ex.diff(g, i)) for i in range(scheme.arity)]
+        for g in scheme.ideal_gens
+    ]
+    lows = np.array([lo for lo, _ in box])
+    highs = np.array([hi for _, hi in box])
+    accepted: list[np.ndarray] = []
+
+    def consider(p):
+        if residual(p) > scheme.eps_z:
+            return
+        for q in accepted:
+            if np.max(np.abs(q - p)) < dedup_radius:
+                return
+        accepted.append(p.copy())
+
+    mesh = np.meshgrid(*axes, indexing="ij")
+    grid = np.stack([m.ravel() for m in mesh], axis=-1)
+    misses = []
+    for row in grid:
+        p = np.asarray(row, dtype=float)
+        if residual(p) <= scheme.eps_z:
+            consider(p)
+        else:
+            misses.append(p)
+    for p in misses:
+        if not gen_fns:
+            break
+        q = p.copy()
+        ok = False
+        for _ in range(polish_steps):
+            g = np.array([f(q) for f in gen_fns])
+            if np.max(np.abs(g)) <= 0.01 * scheme.eps_z:
+                ok = True
+                break
+            J = np.array([[df(q) for df in row_] for row_ in grad_fns])
+            if not np.all(np.isfinite(J)) or not np.all(np.isfinite(g)):
+                break
+            step, *_ = np.linalg.lstsq(J, -g, rcond=None)
+            if not np.all(np.isfinite(step)) or np.max(np.abs(step)) < 1e-16:
+                break
+            q = np.clip(q + step, lows, highs)
+        if ok or residual(q) <= scheme.eps_z:
+            consider(q)
+    return [SchemePoint(tuple(float(c) for c in p)) for p in accepted]

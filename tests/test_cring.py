@@ -1,18 +1,35 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from schemeflow import expr as ex
 from schemeflow.cring import (
     EqualityStatus,
     PointNotOnScheme,
     SchemePresentation,
+    _dedup,
+    box_grid,
     element_equal,
     in_zero_set,
     membership_residual,
     sample_zero_set,
 )
-from schemeflow.expr import GuardViolation, SmoothExpr, const, evaluate, log
+from schemeflow.expr import GuardViolation, SmoothExpr, VarList, const, evaluate, log, parse_expr
 
-from helpers import XY, crossing_axes, expr_xy, square, thickened_line
+from helpers import (
+    XY,
+    circle,
+    crossing_axes,
+    expr_xy,
+    reference_dedup,
+    reference_sample_zero_set,
+    square,
+    thickened_line,
+)
 
 
 class TestMembership:
@@ -189,6 +206,149 @@ class TestSampling:
         a = sample_zero_set(crossing_axes(), ((-2, 2), (-2, 2)), 9)
         b = sample_zero_set(crossing_axes(), ((-2, 2), (-2, 2)), 9)
         assert [p.coords for p in a] == [p.coords for p in b]
+
+
+    def test_box_grid_is_c_ordered(self):
+        grid = box_grid(((0.0, 1.0), (-2.0, 2.0)), 3)
+        assert grid.tolist() == [
+            [0.0, -2.0], [0.0, 0.0], [0.0, 2.0],
+            [0.5, -2.0], [0.5, 0.0], [0.5, 2.0],
+            [1.0, -2.0], [1.0, 0.0], [1.0, 2.0],
+        ]
+
+
+XYZ = VarList(("x", "y", "z"))
+_BOX2 = ((-2.0, 2.0), (-2.0, 2.0))
+
+# (scheme, box, resolution, every point an exact grid hit or region-only)
+_SAMPLER_CASES = {
+    "sphere-15": (
+        SchemePresentation(XYZ, ideal_gens=(parse_expr("x^2+y^2+z^2-1", XYZ),)),
+        ((-2.0, 2.0),) * 3, 15, False,
+    ),
+    "circle-41": (circle(eps_z=1e-9), _BOX2, 41, False),
+    "y^2-41": (thickened_line(), _BOX2, 41, True),
+    "x*y-9": (SchemePresentation(XY, ideal_gens=(expr_xy("x*y"),)), _BOX2, 9, True),
+    "square-41": (square(), _BOX2, 41, True),
+    # proportional generators: a rank-one Jacobian, so the step needs the cutoff
+    "circle-twice-9": (
+        SchemePresentation(XY, ideal_gens=(expr_xy("x^2+y^2-1"), expr_xy("3*(x^2+y^2-1)"))),
+        _BOX2, 9, False,
+    ),
+}
+
+
+class TestBatchedSampler:
+    """The batched sampler against the point-by-point reference: same points
+    in the same order, polished coordinates within the last bits."""
+
+    @pytest.mark.parametrize("name", sorted(_SAMPLER_CASES))
+    def test_matches_pointwise_reference(self, name, monkeypatch):
+        scheme, box, resolution, exact = _SAMPLER_CASES[name]
+        calls = {g: 0 for g in scheme.ideal_gens}
+        compile_ = ex.as_callable
+
+        def counting(e, batch=False):
+            f = compile_(e, batch)
+            if not (batch and any(e is g for g in calls)):
+                return f
+
+            def counted(p):
+                calls[e] += 1
+                return f(p)
+
+            return counted
+
+        monkeypatch.setattr(ex, "as_callable", counting)
+        got = [p.coords for p in sample_zero_set(scheme, box, resolution)]
+        monkeypatch.undo()
+        want = [p.coords for p in reference_sample_zero_set(scheme, box, resolution)]
+        assert len(got) == len(want) > 0
+        if exact:
+            assert got == want
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        assert all(in_zero_set(scheme, p) for p in got)
+        # one batched evaluation per polish step, plus the grid scan and the
+        # acceptance check inside the residual
+        assert all(0 < n <= 30 + 2 for n in calls.values())
+
+    def test_overflowing_power_finds_nothing_quietly(self):
+        scheme = SchemePresentation(XY, ideal_gens=(expr_xy("x^400 - 1"),))
+        box = ((-1e3, 1e3), (-1e3, 1e3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = sample_zero_set(scheme, box, 5)
+        assert got == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert reference_sample_zero_set(scheme, box, 5) == []
+
+    def test_overflowing_exp_keeps_the_reference_points(self):
+        # exp(800) overflows the batched grid scan, which then goes point by
+        # point; the misses at x <= 0 still polish onto x = ln 2
+        scheme = SchemePresentation(XY, ideal_gens=(expr_xy("exp(x) - 2"),))
+        box = ((-800.0, 800.0), (-800.0, 800.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = sample_zero_set(scheme, box, 5)
+        assert got == reference_sample_zero_set(scheme, box, 5)
+        assert [p.coords[1] for p in got] == [-800.0, -400.0, 0.0, 400.0, 800.0]
+        assert all(math.isclose(p.coords[0], math.log(2.0), abs_tol=1e-9) for p in got)
+
+    def test_guard_violation_propagates(self):
+        outside = SchemePresentation(XY, ideal_gens=(_guarded_div(),))
+        with pytest.raises(GuardViolation):
+            sample_zero_set(outside, ((-4.0, 4.0), (-4.0, 4.0)), 5)
+        quotient = SmoothExpr("div", XY, (const(1, XY), expr_xy("x")))
+        pole = SchemePresentation(XY, ideal_gens=(quotient - const(1, XY),))
+        with pytest.raises(GuardViolation, match="division by zero"):
+            sample_zero_set(pole, _BOX2, 5)
+
+
+@st.composite
+def _dedup_candidates(draw, dim):
+    """Seeded candidates on and one ulp either side of multiples of the
+    radius (cell boundaries), plus copies of earlier rows moved by exactly
+    the radius, by one ulp less, or by a random amount within it."""
+    radius = draw(st.sampled_from([0.25, 0.1, 2.0 / 7.0, 1.0, 3e-4]))
+    count = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.integers(-4, 5, size=(count, dim)) * radius
+    pts = np.nextafter(pts, pts + rng.integers(-1, 2, size=(count, dim)))
+    for i in range(1, count):
+        j = int(rng.integers(0, i))
+        axis = int(rng.integers(0, dim))
+        mode = int(rng.integers(0, 4))
+        if mode == 0:
+            pts[i] = pts[j]
+            pts[i, axis] += radius
+        elif mode == 1:
+            pts[i] = pts[j]
+            pts[i, axis] = np.nextafter(pts[j, axis] + radius, -np.inf)
+        elif mode == 2:
+            pts[i] = pts[j] + rng.uniform(-radius, radius, size=dim)
+    return pts, radius
+
+
+class TestDedup:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=st.one_of(_dedup_candidates(2), _dedup_candidates(3)))
+    def test_matches_quadratic_reference(self, case):
+        pts, radius = case
+        assert _dedup(pts, radius) == reference_dedup(pts, radius)
+
+    def test_degenerate_box_keeps_every_hit(self):
+        # a zero-width axis gives a zero dedup radius, so repeated points stay
+        box = ((0.0, 0.0), (-1.0, 1.0))
+        got = sample_zero_set(square(), box, 3)
+        assert got == reference_sample_zero_set(square(), box, 3)
+        assert len(got) == 9
+
+    def test_distance_exactly_the_radius_is_kept(self):
+        r = 0.25
+        pts = np.array([[0.0, 0.0], [r, 0.0], [0.0, np.nextafter(r, 0.0)], [-r, r]])
+        assert _dedup(pts, r) == reference_dedup(pts, r) == [0, 1, 3]
 
 
 class TestElementEqual:
