@@ -18,16 +18,19 @@ assign a coefficient expression to every variable; "flow_closed_form", when
 present, lists expressions over the variables plus "t".  germ_determined is
 recorded as declared, never verified.
 
-Exit codes: 0 success/certified, 1 I/O or parse error, 2 check failed,
-input not on the scheme, a curve over its step limit or a Groebner basis
-over its degree cap, 3 groupoid refused (field not complete on the sampled
-domain).
+Exit codes: 0 success/certified; 1 I/O or parse error, including a
+malformed ``--point`` or ``--box`` (a box axis needs finite bounds lo < hi);
+2 check failed, input not on the scheme (a ``--point`` whose membership
+residual exceeds the tolerance, an overflow to inf included), a curve over
+its step limit or a Groebner basis over its degree cap; 3 groupoid refused
+(field not complete on the sampled domain).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -210,8 +213,10 @@ def _parse_box(text: Optional[str], arity: int):
         raise ValueError(f"box needs {arity} axis ranges lo:hi")
     out = []
     for span in spans:
-        lo, hi = span.split(":")
-        out.append((float(lo), float(hi)))
+        lo, hi = (float(x) for x in span.split(":"))
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"box axis {span!r} needs finite bounds lo < hi")
+        out.append((lo, hi))
     return tuple(out)
 
 
@@ -251,7 +256,7 @@ def cmd_domain(args) -> int:
     sf = load_scheme(args.scheme, args.tol, args.horizon)
     box = _parse_box(args.box, sf.scheme.arity)
     grid = cring.sample_zero_set(sf.scheme, box, args.grid)
-    domain = fl.flow_domain(sf.field, grid, sf.options, jobs=args.jobs)
+    domain = fl.flow_domain(sf.field, grid, sf.options)
     _write_out(fl.domain_to_csv(domain), args.out)
     report = fl.t_convexity_check(domain, opts=sf.options)
     print(
@@ -339,7 +344,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
         p.add_argument("--horizon", type=float, default=None, help="horizon override")
         p.add_argument("--seed", type=int, default=0, help="sampling seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
     p_check = sub.add_parser("check", help="certify ideal preservation")
     common(p_check)

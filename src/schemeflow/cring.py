@@ -32,6 +32,7 @@ __all__ = [
     "membership_residual",
     "sample_zero_set",
     "box_grid",
+    "batch_values",
 ]
 
 DEFAULT_EPS_Z = 1e-9
@@ -98,13 +99,12 @@ class SchemePresentation:
         A point belongs to the zero set exactly when the residual is <= eps_z.
         The callable takes one point, or an (n, m) array holding m points as
         columns and returning their m residuals.  Both skip a NaN constraint
-        value (``max`` point-wise, ``np.fmax`` on a batch).  A batch runs the
-        constraints compiled with ``expr.as_callable(..., batch=True)`` and
-        raises where one of its points would.  It also raises
-        FloatingPointError on any overflow, because point-wise some
-        overflows raise and others give inf; the caller then evaluates the
-        points one by one.  Batch values may differ from point-wise ones in
-        the last bits.
+        value (``max`` point-wise, ``np.fmax`` on a batch).  The constraints
+        follow ``expr.as_callable``'s rules: an overflow gives +-inf (a
+        generator at inf fails membership, a region constraint at -inf
+        holds), and a batch raises where one of its points would.  A batch
+        runs with numpy's floating-point warnings off, and its values may
+        differ from point-wise ones in the last bits.
         """
         gen_fns = [ex.as_callable(g) for g in self.ideal_gens]
         region_fns = [ex.as_callable(g) for g in self.region]
@@ -113,7 +113,7 @@ class SchemePresentation:
 
         def residual(p: Sequence[float]) -> float:
             if isinstance(p, np.ndarray) and p.ndim == 2:
-                with np.errstate(all="ignore", over="raise"):
+                with np.errstate(all="ignore"):
                     r = np.zeros(p.shape[1])
                     for f in gen_batch:
                         r = np.fmax(r, np.abs(f(p)))
@@ -182,12 +182,8 @@ class RingElement:
 
 
 def membership_residual(scheme: SchemePresentation, point: Sequence[float]) -> float:
-    r = 0.0
-    for g in scheme.ideal_gens:
-        r = max(r, abs(ex.evaluate(g, point)))
-    for g in scheme.region:
-        r = max(r, ex.evaluate(g, point))
-    return r
+    """The scheme's compiled residual (``residual_fn``) at one point."""
+    return scheme.residual_fn()(point)
 
 
 def in_zero_set(scheme: SchemePresentation, point: Sequence[float]) -> bool:
@@ -248,10 +244,14 @@ def element_equal(
     # sampled points satisfy the generators only to eps_z, so a sound value
     # witness needs headroom above what an ideal element could reach there
     value_tol = max(1e-6, 100.0 * scheme.eps_z, scheme.eps_z**0.5 * 10.0)
-    grads = [[ex.diff(g, i) for i in range(scheme.arity)] for g in scheme.ideal_gens]
-    d_grad = [ex.diff(d, i) for i in range(scheme.arity)]
-    for p in pts:
-        val = ex.evaluate(d, p.coords)
+    n = scheme.arity
+    coords = [p.coords for p in pts]
+    # row 0 holds d, rows 1..n its gradient
+    d_values = batch_values([d] + [ex.diff(d, i) for i in range(n)], coords)
+    grads = batch_values([ex.diff(g, i) for g in scheme.ideal_gens for i in range(n)], coords)
+    grads = grads.reshape(len(scheme.ideal_gens), n, len(pts))
+    for j, p in enumerate(pts):
+        val = float(d_values[0, j])
         if abs(val) > value_tol:
             return EqualityResult(
                 EqualityStatus.DISTINCT,
@@ -259,11 +259,11 @@ def element_equal(
                 witness=p.coords,
                 detail=f"value {val:.3e} off the zero set tolerance",
             )
-        v = np.array([ex.evaluate(de, p.coords) for de in d_grad])
+        v = d_values[1:, j]
         if not np.all(np.isfinite(v)):
             continue
-        if grads:
-            span = np.array([[ex.evaluate(ge, p.coords) for ge in row] for row in grads]).T
+        if scheme.ideal_gens:
+            span = grads[:, :, j].T
             coeffs, *_ = np.linalg.lstsq(span, v, rcond=None)
             resid = float(np.linalg.norm(v - span @ coeffs, ord=np.inf))
         else:
@@ -288,6 +288,19 @@ def box_grid(box: Sequence[tuple[float, float]], resolution: int) -> np.ndarray:
     axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def batch_values(exprs: Sequence[ex.SmoothExpr], points) -> np.ndarray:
+    """Values of each expression at each point, one point per row of
+    ``points``, as a (len(exprs), len(points)) array: one batched call per
+    expression, with numpy's floating-point warnings off."""
+    out = np.empty((len(exprs), len(points)))
+    if exprs:
+        cols = np.array(points, dtype=float).reshape(len(points), exprs[0].vars.arity).T
+        with np.errstate(all="ignore"):
+            for i, e in enumerate(exprs):
+                out[i] = ex.as_callable(e, batch=True)(cols)
+    return out
 
 
 def sample_zero_set(
@@ -321,26 +334,13 @@ def sample_zero_set(
 
     residual = scheme.residual_fn()
     grid = box_grid(box, resolution).T
-    hit = _within(residual, grid, scheme.eps_z)
+    hit = residual(grid) <= scheme.eps_z
     candidates = [grid[:, hit]]
     if scheme.ideal_gens:
         polished = _polish(scheme, grid[:, ~hit], box, polish_steps)
-        candidates.append(polished[:, _within(residual, polished, scheme.eps_z)])
+        candidates.append(polished[:, residual(polished) <= scheme.eps_z])
     points = np.concatenate(candidates, axis=1).T
     return [SchemePoint(tuple(points[i].tolist())) for i in _dedup(points, 0.5 * spacing)]
-
-
-def _within(residual, points: np.ndarray, eps_z: float) -> np.ndarray:
-    """Mask of the columns of ``points`` on the zero set: one batched residual
-    call, or one call per point when the batch overflows (point by point an
-    overflow gives inf, a miss)."""
-    try:
-        return residual(points) <= eps_z
-    except FloatingPointError:
-        with np.errstate(all="ignore"):
-            return np.array(
-                [residual(points[:, j]) <= eps_z for j in range(points.shape[1])], dtype=bool
-            )
 
 
 def _polish(scheme: SchemePresentation, points: np.ndarray, box, steps: int) -> np.ndarray:
@@ -363,12 +363,10 @@ def _polish(scheme: SchemePresentation, points: np.ndarray, box, steps: int) -> 
             if not active.size:
                 break
             p = q[:, active]
-            g = np.array([np.broadcast_to(f(p), active.shape) for f in gens])
+            g = np.array([f(p) for f in gens])
             moving = ~(np.max(np.abs(g), axis=0) <= 0.01 * scheme.eps_z)
             p, g, active = p[:, moving], g[:, moving], active[moving]
-            J = np.array(
-                [[np.broadcast_to(df(p), active.shape) for df in row] for row in grads]
-            ).transpose(2, 0, 1)
+            J = np.array([[df(p) for df in row] for row in grads]).transpose(2, 0, 1)
             finite = np.isfinite(J).all(axis=(1, 2)) & np.isfinite(g).all(axis=0)
             p, g, J, active = p[:, finite], g[:, finite], J[finite], active[finite]
             U, s, Vh = np.linalg.svd(J, full_matrices=False)

@@ -11,10 +11,11 @@ crossing, so a threshold test on the max residual is used instead.
 
 Each accepted step is scanned in one batch: the dense-output states at all
 checkpoints come from one matrix product, and the scheme's residual
-callable evaluates them in one call on the (n, checkpoints) array.  A batch
-that raises (a guard, a math domain, an overflow) sends the step back to a
-point-by-point scan, so a failure at a later checkpoint never pre-empts an
-earlier membership exit.  Bisection and the boundary state use the scalar
+callable evaluates them in one call on the (n, checkpoints) array.  An
+overflow gives +-inf there as everywhere (see ``expr.as_callable``), so only
+a guard violation or the sine or cosine of an infinity makes a batch raise;
+such a step goes back to a point-by-point scan, so a failure at a later
+checkpoint never pre-empts an earlier membership exit.  Bisection and the boundary state use the scalar
 dense output.  The batched states may differ from ``DenseSegment.eval`` in
 the last bits (one matrix product instead of one product per point), so a
 checkpoint whose residual sits within rounding of the threshold can start
@@ -70,7 +71,6 @@ class IntegratorOptions:
     event_tol: float = 1e-10
     max_steps: int = 1_000_000
     checkpoints_per_step: int = 16
-    reentry_scan_window: float = 0.0  # > 0: keep integrating to count re-entries
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "horizon", "probe_step", "event_tol"):
@@ -215,7 +215,6 @@ class _DirectionResult:
     bound: float
     closed: bool
     at_horizon: bool
-    reentries: int
 
 
 def _integrate_direction(
@@ -262,7 +261,7 @@ def _integrate_direction(
                 h_abs = next_h
                 if h_abs < 1e-14 * max(1.0, abs(t)):
                     # lifted solution stops existing here: open endpoint
-                    return _DirectionResult(segments, t, False, False, 0)
+                    return _DirectionResult(segments, t, False, False)
 
         seg = DenseSegment(t, h, y.copy(), K.T @ _P)
         steps += 1
@@ -280,12 +279,7 @@ def _integrate_direction(
             boundary_state = seg.eval(bound)
             closed = residual(boundary_state) <= eps_z
             segments.append(seg)
-            reentries = 0
-            if opts.reentry_scan_window > 0:
-                reentries = _scan_reentries(
-                    rhs, seg.eval(t + hi * h), sign, residual, eps_z, opts, abs(bound)
-                )
-            return _DirectionResult(segments, bound, closed, False, reentries)
+            return _DirectionResult(segments, bound, closed, False)
 
         segments.append(seg)
         t = t + h
@@ -293,7 +287,7 @@ def _integrate_direction(
         k1 = K[6]  # first-same-as-last
         h_abs = next_h
 
-    return _DirectionResult(segments, sign * opts.horizon, True, True, 0)
+    return _DirectionResult(segments, sign * opts.horizon, True, True)
 
 
 def _first_exit(seg, thetas, powers, residual, eps_z):
@@ -302,51 +296,16 @@ def _first_exit(seg, thetas, powers, residual, eps_z):
     states = seg.y0[:, None] + seg.h * (seg.coeffs @ powers)
     try:
         failing = residual(states) > eps_z
-    except (ex.GuardViolation, ArithmeticError, ValueError):
-        # some checkpoint is outside a guard, overflows or leaves a math
-        # domain; the scalar scan raises only if no earlier checkpoint exits
+    except (ex.GuardViolation, ValueError):
+        # some checkpoint is outside a guard or takes the sine or cosine of
+        # an infinity; the scalar scan raises only if no earlier checkpoint
+        # exits
         for j, theta in enumerate(thetas):
             if residual(seg.eval(seg.t0 + theta * seg.h)) > eps_z:
                 return j
         return None
     j = int(np.argmax(failing))
     return j if failing[j] else None
-
-
-def _scan_reentries(rhs, y, sign, residual, eps_z, opts, t_start) -> int:
-    """Continue past a membership exit and count inside/outside transitions."""
-    count = 0
-    inside = False
-    t = t_start
-    limit = min(opts.horizon, t_start + opts.reentry_scan_window)
-    k1 = rhs(y)
-    h_abs = min(_initial_step(rhs, y, k1, opts), max(limit - t, 1e-12))
-    steps = 0
-    while t < limit and steps < 10_000:
-        h_abs = min(h_abs, limit - t)
-        h = sign * h_abs
-        y_new, K, err = _rk_step(rhs, t, y, h, k1)
-        if not np.all(np.isfinite(y_new)):
-            break
-        scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.linalg.norm(err / scale) / math.sqrt(len(y)))
-        if err_norm > 1.0:
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err_norm**-0.2)
-            if h_abs < 1e-14 * max(1.0, t):
-                break
-            continue
-        now_inside = residual(y_new) <= eps_z
-        if now_inside and not inside:
-            count += 1
-        inside = now_inside
-        t += h_abs
-        y = y_new
-        k1 = K[6]
-        h_abs *= _MAX_FACTOR if err_norm == 0.0 else min(
-            _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm**-0.2)
-        )
-        steps += 1
-    return count
 
 
 def integrate_max_curve(
@@ -377,9 +336,7 @@ def integrate_max_curve(
     # curve reduces to its initial condition
     if _singleton_probe(rhs, y0, residual, scheme.eps_z, opts):
         interval = IntervalRecord(0.0, 0.0)
-        return IntegralCurve(
-            point, interval, (), (), scheme, CurveClass.SINGLETON, {"reentries": 0}
-        )
+        return IntegralCurve(point, interval, (), (), scheme, CurveClass.SINGLETON)
 
     fwd = _integrate_direction(rhs, y0, +1.0, residual, scheme.eps_z, opts)
     bwd = _integrate_direction(rhs, y0, -1.0, residual, scheme.eps_z, opts)
@@ -398,7 +355,6 @@ def integrate_max_curve(
         tuple(bwd.segments),
         scheme,
         "",
-        {"reentries": fwd.reentries + bwd.reentries},
     )
     return replace(curve, classification=classify_interval(curve))
 

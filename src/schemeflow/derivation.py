@@ -180,9 +180,7 @@ def preserves_ideal(
             numeric_pts = cring.sample_zero_set(
                 scheme, box or scheme.default_box(), resolution
             )
-        worst = 0.0
-        for p in numeric_pts:
-            worst = max(worst, abs(ex.evaluate(image, p.coords)))
+        worst = _max_abs(image, [p.coords for p in numeric_pts])
         checks.append(
             GeneratorCheck(
                 g,
@@ -271,7 +269,7 @@ def related(
         if pts is None:
             w = cring.DEFAULT_BOX_HALFWIDTH
             pts = cring.box_grid(box or ((-w, w),) * v.vars.arity, resolution)
-        worst = max(abs(ex.evaluate(diff, p)) for p in pts)
+        worst = _max_abs(diff, pts)
         sampled = max(sampled, worst)
         if worst > tol:
             status = RelatednessStatus.NOT_CERTIFIED
@@ -294,7 +292,14 @@ def _merge_numeric(status: RelatednessStatus) -> RelatednessStatus:
 
 def _max_on_samples(e, scheme, box, resolution) -> float:
     pts = cring.sample_zero_set(scheme, box or scheme.default_box(), resolution)
-    return max((abs(ex.evaluate(e, p.coords)) for p in pts), default=0.0)
+    return _max_abs(e, [p.coords for p in pts])
+
+
+def _max_abs(e: ex.SmoothExpr, points) -> float:
+    """max |e| over ``points`` (one per row) in one batched call; 0.0 for no
+    points, and a NaN value is skipped."""
+    (values,) = cring.batch_values([e], points)
+    return float(np.fmax.reduce(np.abs(values), initial=0.0))
 
 
 def hadamard_decompose(f: pr.Polynomial) -> list[pr.Polynomial]:

@@ -245,7 +245,7 @@ def _safe_exp(x: float) -> float:
         return math.inf
 
 
-def _cut_eval(s: float, k: int) -> float:
+def _cut_value(s: float, k: int) -> float:
     if s <= 0.0:
         return 0.0
     a = -1.0 / s - k * math.log(s)
@@ -263,54 +263,16 @@ def _guard_check(guard, point) -> None:
 
 
 def evaluate(e: SmoothExpr, point: Sequence[float]) -> float:
-    """Double-precision value of ``e`` at ``point``.
+    """Double-precision value of ``e`` at ``point``: ``as_callable(e)(point)``,
+    with the evaluation rules documented there.
 
     Raises GuardViolation for division by zero, log of a nonpositive value,
-    or a point outside a declared guard box; never returns NaN silently.
+    or a point outside a declared guard box, rather than returning inf or
+    NaN there.
     """
     if len(point) != e.vars.arity:
         raise ValueError(f"point length {len(point)} != arity {e.vars.arity}")
-    return _eval(e, point)
-
-
-def _eval(e: SmoothExpr, p: Sequence[float]) -> float:
-    kind = e.kind
-    if kind == "const":
-        return float(e.value)
-    if kind == "var":
-        return float(p[e.index])
-    if kind == "add":
-        return math.fsum(_eval(c, p) for c in e.children)
-    if kind == "mul":
-        out = 1.0
-        for c in e.children:
-            out *= _eval(c, p)
-        return out
-    if kind == "neg":
-        return -_eval(e.children[0], p)
-    if kind == "pow":
-        return _eval(e.children[0], p) ** e.exponent
-    if kind == "div":
-        _guard_check(e.guard, p)
-        den = _eval(e.children[1], p)
-        if den == 0.0:
-            raise GuardViolation("division by zero")
-        return _eval(e.children[0], p) / den
-    if kind == "exp":
-        return _safe_exp(_eval(e.children[0], p))
-    if kind == "log":
-        _guard_check(e.guard, p)
-        arg = _eval(e.children[0], p)
-        if arg <= 0.0:
-            raise GuardViolation(f"log of nonpositive value {arg}")
-        return math.log(arg)
-    if kind == "sin":
-        return math.sin(_eval(e.children[0], p))
-    if kind == "cos":
-        return math.cos(_eval(e.children[0], p))
-    if kind == "cut":
-        return _cut_eval(_eval(e.children[0], p), e.cut_order)
-    raise AssertionError(f"unhandled node kind {kind!r}")
+    return as_callable(e)(point)
 
 
 # -- differentiation -----------------------------------------------------
@@ -812,18 +774,38 @@ def parse_expr(src: str, vars_: VarList) -> SmoothExpr:
 def as_callable(e: SmoothExpr, batch: bool = False) -> Callable[[Sequence[float]], float]:
     """Compile ``e`` into a fast point -> float function.
 
-    Semantically identical to evaluate(), including guard behavior; intended
-    for hot loops (ODE right-hand sides, grid scans).
+    This is the package's only numeric evaluator (``evaluate`` and every
+    residual run it).  Its rules:
 
-    With ``batch`` the same tree compiles to a function of an (n, m) array
-    holding m points as columns, returning their m values (one float when
-    ``e`` is constant) through numpy instead of ``math``.  It raises
-    GuardViolation (a guard or a zero denominator) or ValueError (sin or cos
-    of an infinity) when one of its points would, though not necessarily
-    naming that point.  Overflow follows numpy's error state: by default it
-    gives inf, where point-wise a power of a Python float raises
-    OverflowError.  numpy and ``math`` may differ in the last bits.
+    - Sums add and products multiply left to right in double precision,
+      with no compensated summation: ``x + 10^16 - 10^16`` at x = 1 is 0.0.
+      Rational constants round to the nearest double where they meet a
+      float.
+    - Overflow gives +-inf and never raises.  ``exp`` and numpy arithmetic
+      give inf already; a call in which a power of a Python float (or a
+      constant too large for a double) overflows, or in which numpy's error
+      state turns a floating-point error into an exception, is evaluated
+      again in numpy float64 with floating-point errors ignored.  numpy
+      scalars and batches still warn as numpy's error state says.
+    - GuardViolation for a point outside a declared guard box, a zero
+      denominator or the log of a nonpositive value; ValueError for the
+      sine or cosine of an infinity.  NaN propagates.
+
+    The point-wise function takes any sequence of n coordinates and uses
+    ``math``.  With ``batch`` the same tree compiles to a function of an
+    (n, m) array holding m points as columns, returning their m values
+    through numpy; it raises where one of its points would, though not
+    necessarily naming that point.  numpy and ``math`` may differ in the
+    last bits.
     """
+    return _compile(e, batch, floats=False)
+
+
+def _compile(e: SmoothExpr, batch: bool, floats: bool):
+    """``floats`` emits every constant as a double and every power through
+    numpy, so under ignored floating-point errors no step of the compiled
+    code can raise OverflowError; it is the fallback of the default
+    emission."""
     counter = [0]
     guards: dict[str, object] = {}
 
@@ -831,6 +813,11 @@ def as_callable(e: SmoothExpr, batch: bool = False) -> Callable[[Sequence[float]
         kind = node.kind
         if kind == "const":
             v = node.value
+            if floats:
+                try:
+                    return f"({float(v)!r})"
+                except OverflowError:
+                    return "_INF" if v > 0 else "(-_INF)"
             if v.denominator == 1:
                 return f"({v.numerator!r})" if isinstance(v.numerator, int) else repr(v)
             return f"({v.numerator}/{v.denominator})"
@@ -843,6 +830,8 @@ def as_callable(e: SmoothExpr, batch: bool = False) -> Callable[[Sequence[float]
         if kind == "neg":
             return f"(-{emit(node.children[0])})"
         if kind == "pow":
+            if floats:
+                return f"_pow({emit(node.children[0])}, {node.exponent})"
             return f"({emit(node.children[0])} ** {node.exponent})"
         if kind == "div":
             g = _register_guard(node)
@@ -868,41 +857,56 @@ def as_callable(e: SmoothExpr, batch: bool = False) -> Callable[[Sequence[float]
         guards[name] = node.guard
         return name
 
-    def _div(a, b, g, p):
-        _guard_check(g, p)
-        if b == 0.0:
-            raise GuardViolation("division by zero")
-        return a / b
-
-    def _log(x, g, p):
-        _guard_check(g, p)
-        if x <= 0.0:
-            raise GuardViolation(f"log of nonpositive value {x}")
-        return math.log(x)
-
-    body = emit(e)  # populates the guard table as a side effect
-    if batch:
-        ns: dict[str, object] = {
-            "_exp": _batch_exp,
-            "_sin": _batch_sin,
-            "_cos": _batch_cos,
-            "_cut": _batch_cut,
-            "_div": _batch_div,
-            "_log": _batch_log,
-        }
-    else:
-        ns = {
-            "_exp": _safe_exp,
-            "_sin": math.sin,
-            "_cos": math.cos,
-            "_cut": _cut_eval,
-            "_div": _div,
-            "_log": _log,
-        }
+    body = f"({emit(e)}) * 1.0"  # populates the guard table as a side effect
+    if batch and not free_variables(e):
+        # a constant tree yields one number; a batch returns one per point
+        body = f"_full(p.shape[1], {body})"
+    ns: dict[str, object] = dict(_BATCH_HELPERS if batch else _POINT_HELPERS)
     ns.update(guards)
-    src = f"def _compiled(p):\n    return ({body}) * 1.0\n"
+    if floats:
+        src = f"def _compiled(p):\n    return {body}\n"
+    else:
+        ns["_overflowed"] = _overflow_fallback(e, batch)
+        src = (
+            "def _compiled(p):\n"
+            "    try:\n"
+            f"        return {body}\n"
+            "    except ArithmeticError:\n"
+            "        return _overflowed(p)\n"
+        )
     exec(src, ns)  # noqa: S102 - generated from a closed AST, no external input
-    return ns["_compiled"]  # type: ignore[return-value]
+    return ns["_compiled"]
+
+
+def _overflow_fallback(e: SmoothExpr, batch: bool):
+    """Evaluation of ``e`` for a call that overflowed (or raised another
+    ArithmeticError): the float emission on a batch (one column for a single
+    point) with floating-point errors ignored, compiled on first use."""
+    compiled = []
+
+    def overflowed(p):
+        if not compiled:
+            compiled.append(_compile(e, batch=True, floats=True))
+        q = p if batch else np.array(p, dtype=float).reshape(-1, 1)
+        with np.errstate(all="ignore"):
+            values = compiled[0](q)
+        return values if batch else float(values[0])
+
+    return overflowed
+
+
+def _point_div(a, b, g, p):
+    _guard_check(g, p)
+    if b == 0.0:
+        raise GuardViolation("division by zero")
+    return a / b
+
+
+def _point_log(x, g, p):
+    _guard_check(g, p)
+    if x <= 0.0:
+        raise GuardViolation(f"log of nonpositive value {x}")
+    return math.log(x)
 
 
 # Helpers of batched compiled expressions.  Each takes an array of values,
@@ -944,8 +948,8 @@ def _finite(x: np.ndarray) -> np.ndarray:
 
 def _batch_cut(s, k: int):
     if not isinstance(s, np.ndarray):
-        return _cut_eval(s, k)
-    # NaN fails both tests below and stays NaN, as in _cut_eval
+        return _cut_value(s, k)
+    # NaN fails both tests below and stays NaN, as in _cut_value
     safe = np.where(s <= 0.0, 1.0, s)
     return np.where(s <= 0.0, 0.0, np.exp(-1.0 / safe - k * np.log(safe)))
 
@@ -967,3 +971,28 @@ def _batch_log(x, g, p):
     if bad.any():
         raise GuardViolation(f"log of nonpositive value {x[bad][0]}")
     return np.log(x)
+
+
+def _batch_pow(x, k: int):
+    return np.asarray(x, dtype=float) ** k
+
+
+_POINT_HELPERS = {
+    "_exp": _safe_exp,
+    "_sin": math.sin,
+    "_cos": math.cos,
+    "_cut": _cut_value,
+    "_div": _point_div,
+    "_log": _point_log,
+}
+_BATCH_HELPERS = {
+    "_exp": _batch_exp,
+    "_sin": _batch_sin,
+    "_cos": _batch_cos,
+    "_cut": _batch_cut,
+    "_div": _batch_div,
+    "_log": _batch_log,
+    "_pow": _batch_pow,
+    "_full": np.full,
+    "_INF": math.inf,
+}

@@ -20,7 +20,6 @@ are not constructible in closed form.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -81,7 +80,6 @@ def flow_domain(
     field: dv.LiftedField,
     grid: Sequence[cring.SchemePoint],
     opts: cv.IntegratorOptions = cv.IntegratorOptions(),
-    jobs: int = 1,
 ) -> FlowDomain:
     """Integrate every grid point; per-point failures are recorded in the
     row rather than aborting the table."""
@@ -100,12 +98,7 @@ def flow_domain(
             p, c.interval, c.classification, residuals=_probe_residuals(c, residual)
         )
 
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = tuple(pool.map(run, grid))
-    else:
-        rows = tuple(run(p) for p in grid)
-    return FlowDomain(scheme, field, rows, opts.horizon)
+    return FlowDomain(scheme, field, tuple(run(p) for p in grid), opts.horizon)
 
 
 def _probe_times(
@@ -334,7 +327,8 @@ class FlowIdealPresentation:
         if poly is not None and ideal is not None:
             return ideal.normal_form(poly).is_zero()
         pts = cring.sample_zero_set(self.scheme, self.scheme.default_box(), 9)
-        return all(abs(ex.evaluate(at_unit, p.coords)) <= tol for p in pts)
+        (values,) = cring.batch_values([at_unit], [p.coords for p in pts])
+        return bool(np.all(np.abs(values) <= tol))
 
 
 def flow_ideal(

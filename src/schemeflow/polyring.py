@@ -1,7 +1,7 @@
 """Exact sparse multivariate polynomials and Groebner-basis ideal arithmetic.
 
 Coefficients are rationals (fractions.Fraction) throughout; floating point
-enters only at evaluation.  Monomial orders: grevlex (default) and lex, with
+enters only when a polynomial is evaluated as an expression (``to_expr``).  Monomial orders: grevlex (default) and lex, with
 variable precedence given by declaration order.  Basis computation is
 Buchberger with the normal selection strategy and a degree cap that aborts
 runaway runs with a diagnostic.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -181,19 +180,7 @@ class Polynomial:
             return self
         return Polynomial({m: c / lc for m, c in self.terms.items()}, self.vars)
 
-    # -- evaluation / conversion -------------------------------------------
-
-    def eval(self, point: Sequence[float]) -> float:
-        if len(point) != self.vars.arity:
-            raise ValueError("point length mismatch")
-        out = 0.0
-        for m, c in self.terms.items():
-            term = float(c)
-            for x, e in zip(point, m):
-                if e:
-                    term *= float(x) ** e
-            out += term
-        return out
+    # -- conversion ---------------------------------------------------------
 
     def compose(self, args: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute args[i] for variable i; result lives over args' variables."""
@@ -377,7 +364,6 @@ class PolyIdeal:
     order: MonomialOrder = MonomialOrder.GREVLEX
     degree_cap: int = DEFAULT_DEGREE_CAP
     _basis: Optional[list[Polynomial]] = field(default=None, repr=False, compare=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def __post_init__(self):
         self.gens = tuple(self.gens)
@@ -394,11 +380,8 @@ class PolyIdeal:
         return self.gens[0].vars
 
     def groebner(self) -> list[Polynomial]:
-        # double-checked lock so concurrent readers see absent or complete
         if self._basis is None:
-            with self._lock:
-                if self._basis is None:
-                    self._basis = groebner_basis(self.gens, self.order, self.degree_cap)
+            self._basis = groebner_basis(self.gens, self.order, self.degree_cap)
         return self._basis
 
     def normal_form(self, p: Polynomial) -> Polynomial:

@@ -63,6 +63,82 @@ def rotation_field(scheme: SchemePresentation) -> LiftedField:
 # -- oracles ---------------------------------------------------------------
 
 
+def reference_evaluate(e: SmoothExpr, point) -> float:
+    """Tree-walk evaluation, the oracle for the compiled evaluator: sums are
+    compensated (``math.fsum``) rather than left to right, every other node
+    follows the compiled rules on Python floats (guards raise
+    GuardViolation, exp and the cutoffs overflow to inf).  A power that
+    overflows raises OverflowError here; the compiled code gives +-inf."""
+    if len(point) != e.vars.arity:
+        raise ValueError(f"point length {len(point)} != arity {e.vars.arity}")
+    return _walk(e, point)
+
+
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _check_guard(guard, p) -> None:
+    if guard is not None and not all(lo <= x <= hi for (lo, hi), x in zip(guard, p)):
+        raise ex.GuardViolation(f"point {tuple(p)} outside declared guard box {guard}")
+
+
+def _walk(e: SmoothExpr, p) -> float:
+    kind = e.kind
+    if kind == "const":
+        return float(e.value)
+    if kind == "var":
+        return float(p[e.index])
+    if kind == "add":
+        return math.fsum(_walk(c, p) for c in e.children)
+    if kind == "mul":
+        out = 1.0
+        for c in e.children:
+            out *= _walk(c, p)
+        return out
+    if kind == "neg":
+        return -_walk(e.children[0], p)
+    if kind == "pow":
+        return _walk(e.children[0], p) ** e.exponent
+    if kind == "div":
+        _check_guard(e.guard, p)
+        den = _walk(e.children[1], p)
+        if den == 0.0:
+            raise ex.GuardViolation("division by zero")
+        return _walk(e.children[0], p) / den
+    if kind == "exp":
+        return _exp_or_inf(_walk(e.children[0], p))
+    if kind == "log":
+        _check_guard(e.guard, p)
+        arg = _walk(e.children[0], p)
+        if arg <= 0.0:
+            raise ex.GuardViolation(f"log of nonpositive value {arg}")
+        return math.log(arg)
+    if kind == "sin":
+        return math.sin(_walk(e.children[0], p))
+    if kind == "cos":
+        return math.cos(_walk(e.children[0], p))
+    if kind == "cut":
+        s = _walk(e.children[0], p)
+        if s <= 0.0:
+            return 0.0
+        return _exp_or_inf(-1.0 / s - e.cut_order * math.log(s))
+    raise AssertionError(f"unhandled node kind {kind!r}")
+
+
+def forbid_evaluate(monkeypatch) -> None:
+    """Make ``expr.evaluate`` raise, so a test shows that the code it runs
+    evaluates its sample points in batches, not one by one."""
+
+    def refuse(e, point):
+        raise AssertionError("point-by-point evaluate called")
+
+    monkeypatch.setattr(ex, "evaluate", refuse)
+
+
 def central_fd(e: SmoothExpr, index: int, point, h: float = 1e-6) -> float:
     up = list(point)
     dn = list(point)

@@ -40,6 +40,14 @@ def line_path(tmp_path):
 
 
 @pytest.fixture
+def power_path(tmp_path):
+    # x^400 overflows a double at x = 1000
+    p = tmp_path / "power.json"
+    p.write_text(json.dumps(dict(LINE_SCHEME, ideal=["x^400 - 1"])))
+    return str(p)
+
+
+@pytest.fixture
 def square_path(tmp_path):
     p = tmp_path / "square.json"
     p.write_text(json.dumps(SQUARE_SCHEME))
@@ -156,6 +164,11 @@ class TestCurveCommand:
     def test_point_off_scheme_exits_two(self, line_path):
         assert main(["curve", "--scheme", line_path, "--point", "0,0.5"]) == EXIT_FAILED
 
+    def test_overflowing_point_exits_two(self, power_path, capsys):
+        assert main(["curve", "--scheme", power_path, "--point=1000,0"]) == EXIT_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "residual inf" in err
+
     def test_step_limit_exits_two(self, tmp_path, capsys):
         p = tmp_path / "short.json"
         p.write_text(json.dumps(dict(LINE_SCHEME, options={"horizon": 20.0, "max_steps": 2})))
@@ -174,6 +187,12 @@ class TestFlowCommand:
     def test_corner_time_exits_two(self, square_path):
         code = main(["flow", "--scheme", square_path, "--point", "1,1", "--time", "0.5"])
         assert code == EXIT_FAILED
+
+    def test_overflowing_point_exits_two(self, power_path, capsys):
+        code = main(["flow", "--scheme", power_path, "--point=1000,0", "--time", "1"])
+        assert code == EXIT_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "residual inf" in err
 
     def test_step_limit_exits_two(self, tmp_path, capsys):
         p = tmp_path / "short.json"
@@ -215,6 +234,12 @@ class TestDomainCommand:
         assert len(rows) == 9
         assert {"singleton", "closed", "horizon-complete"} <= {r.split(",")[-1] for r in rows}
         assert len(calls) == len(rows) == len(set(calls))
+
+    @pytest.mark.parametrize("box", ["0:0,-1:1", "1:-1,-1:1", "-1:inf,-1:1", "nan:1,-1:1"])
+    def test_empty_or_reversed_box_exits_one(self, square_path, box, capsys):
+        code = main(["domain", "--scheme", square_path, "--grid", "3", f"--box={box}"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: box axis")
 
     def test_deterministic_bytes(self, line_path, tmp_path):
         a = tmp_path / "a.csv"

@@ -15,7 +15,7 @@ from schemeflow.curves import (
     integrate_max_curve,
 )
 from schemeflow.derivation import LiftedField
-from schemeflow.expr import GuardViolation, SmoothExpr, const, parse_expr
+from schemeflow.expr import GuardViolation, SmoothExpr, as_callable, const, parse_expr
 
 from helpers import (
     XY,
@@ -90,13 +90,18 @@ class TestSquareRotation:
             assert c.classification == CurveClass.HORIZON_COMPLETE
 
     def test_first_exit_rule_despite_reentry(self):
-        # the chord trajectory re-enters the square later; the interval must
-        # stop at the first localized exit anyway
+        # the exact rotation of (0.9, 0.9) leaves the square, then re-enters
+        # it within the horizon; the interval must stop at the first exit
         sq = square()
-        opts = IntegratorOptions(horizon=20.0, reentry_scan_window=7.0)
-        c = integrate_max_curve(rotation_field(sq), sq.point((0.9, 0.9)), opts)
+
+        def rotated(t):
+            x, y = 0.9, 0.9
+            return (x * math.cos(t) - y * math.sin(t), x * math.sin(t) + y * math.cos(t))
+
+        inside = [sq.residual_fn()(rotated(t)) <= sq.eps_z for t in (0.0, math.pi / 4, math.pi / 2)]
+        assert inside == [True, False, True] and math.pi / 2 < OPTS.horizon
+        c = integrate_max_curve(rotation_field(sq), sq.point((0.9, 0.9)), OPTS)
         assert c.interval.hi < 0.2
-        assert c.diagnostics["reentries"] > 0
 
 
 class TestCircleIdeal:
@@ -324,15 +329,18 @@ class TestBatchedScan:
         thetas = np.arange(1, 17) / 16
         powers = np.vstack([thetas**k for k in range(1, 5)])
         states = seg.y0[:, None] + seg.h * (seg.coeffs @ powers)
-        with pytest.raises(FloatingPointError):
-            sq.residual_fn()(states)
-        # an overflow before any exit still ends the integration
+        # the last checkpoint's constraint overflows to -inf, which holds;
+        # x <= 1 fails there
+        with np.errstate(all="raise"):
+            assert as_callable(blowup, batch=True)(states)[-1] == -np.inf
+            assert sq.residual_fn()(states)[-1] == states[0, -1] - 1.0 > 0.0
+        # an overflow before the exit neither raises nor ends the curve
         early = SchemePresentation(
             XY, region=(expr_xy("x - 1"), expr_xy("0 - (1 + cut(x - 0.5)*10^300)^2"))
         )
         v = LiftedField.from_strings(["1", "0"], early)
-        with pytest.raises(OverflowError):
-            integrate_max_curve(v, early.point((0.0, 0.0)), self.OPTS)
+        c = integrate_max_curve(v, early.point((0.0, 0.0)), self.OPTS)
+        assert abs(c.interval.hi - 1.0) <= 1e-8 and c.interval.hi_closed
 
     def test_guard_before_any_exit_still_raises(self):
         sq = self._scheme(guard_hi=0.5)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from schemeflow.cring import EqualityStatus, SchemePresentation
+from schemeflow.cring import EqualityStatus, SchemePresentation, sample_zero_set
 from schemeflow.derivation import (
     GeneratorStatus,
     LiftedField,
@@ -25,7 +25,9 @@ from helpers import (
     XY,
     crossing_axes,
     expr_xy,
+    forbid_evaluate,
     random_polynomial,
+    reference_evaluate,
     shear_field,
     square,
     thickened_line,
@@ -79,6 +81,43 @@ class TestPreservesIdeal:
         assert GeneratorStatus.NUMERIC in statuses
         numeric = [c for c in report.checks if c.status is GeneratorStatus.NUMERIC]
         assert all(c.numeric_residual <= 1e-7 for c in numeric)
+
+
+
+class TestSampledChecksAreBatched:
+    """The sampled fallbacks evaluate all their points in one batch and
+    agree with the tree walk point by point."""
+
+    def test_numeric_preservation_residual(self, monkeypatch):
+        forbid_evaluate(monkeypatch)
+        scheme = SchemePresentation(XY, ideal_gens=(expr_xy("exp(x) - 1 - y"),))
+        (check,) = preserves_ideal(LiftedField.from_strings(["1", "0"], scheme)).checks
+        pts = sample_zero_set(scheme, scheme.default_box(), 9)
+        want = max(abs(reference_evaluate(check.image, p.coords)) for p in pts)
+        assert check.status is GeneratorStatus.NUMERIC and check.sample_count == len(pts) > 0
+        assert check.numeric_residual == pytest.approx(want, rel=1e-13)
+
+    def test_free_source_grid(self, monkeypatch):
+        forbid_evaluate(monkeypatch)
+        tvl = VarList(("s",))
+        d_dt = LiftedField((parse_expr("1", tvl),), None)
+        target = LiftedField(shear_field(thickened_line()).coeffs, None)
+        phi = (parse_expr("s^2", tvl), parse_expr("0", tvl))
+        # v(phi_1) - w_1(phi) = 2*s - 1, largest at s = -2 on the grid of [-2, 2]
+        assert related(phi, target, d_dt).max_sampled == 5.0
+
+    def test_samples_of_an_unknown_coordinate(self, monkeypatch):
+        forbid_evaluate(monkeypatch)
+        # (y - x^2/3)^2 vanishes to second order on the parabola, so neither
+        # witness fires; the polished samples leave it small but nonzero
+        cubic = SchemePresentation(XY, ideal_gens=(expr_xy("(y - x^2/3)^3"),))
+        v = LiftedField.from_strings(["1", "(y - x^2/3)^2"], cubic)
+        w = LiftedField((expr_xy("1"), expr_xy("0")), None)
+        r = related(tuple(variables("x y")), w, v)
+        pts = sample_zero_set(cubic, cubic.default_box(), 9)
+        want = max(abs(reference_evaluate(expr_xy("(y - x^2/3)^2"), p.coords)) for p in pts)
+        assert r.per_coordinate[1].status is EqualityStatus.UNKNOWN
+        assert r.max_sampled == pytest.approx(want, rel=1e-13) and want > 0
 
 
 class TestApply:

@@ -1,9 +1,12 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from schemeflow.cring import SchemePresentation
 from schemeflow.expr import (
     GuardViolation,
     NonSmoothError,
@@ -22,7 +25,7 @@ from schemeflow.expr import (
     variables,
 )
 
-from helpers import central_fd, random_smooth_expr
+from helpers import central_fd, random_smooth_expr, reference_evaluate
 
 XY = VarList(("x", "y"))
 XYT = VarList(("x", "y", "t"))
@@ -128,14 +131,23 @@ class TestEval:
         with pytest.raises(ValueError):
             evaluate(parse_expr("x", XY), (1,))
 
+    @staticmethod
+    def _check_against_tree_walk(e, points, tol):
+        f = as_callable(e)
+        batch = as_callable(e, batch=True)(np.array(points).T)
+        assert batch.shape == (len(points),)
+        for p, b in zip(points, batch):
+            want = reference_evaluate(e, p)
+            assert f(p) == pytest.approx(want, rel=tol, abs=tol)
+            assert evaluate(e, p) == f(p)
+            assert b == pytest.approx(want, rel=tol, abs=tol)
+
     def test_compiled_matches_tree_walk(self):
         rng = random.Random(7)
         for _ in range(50):
             e = random_smooth_expr(rng, XY)
-            f = as_callable(e)
-            for _ in range(5):
-                p = (rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-                assert f(p) == pytest.approx(evaluate(e, p), rel=1e-13, abs=1e-13)
+            points = [(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(5)]
+            self._check_against_tree_walk(e, points, 1e-13)
 
     def test_compiled_matches_tree_walk_on_derivatives(self):
         # derivatives introduce the higher cutoff kernels; the compiled path
@@ -143,10 +155,99 @@ class TestEval:
         rng = random.Random(8)
         for _ in range(30):
             e = diff(random_smooth_expr(rng, XY), rng.randrange(2))
-            f = as_callable(e)
-            for _ in range(4):
-                p = (rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-                assert f(p) == pytest.approx(evaluate(e, p), rel=1e-12, abs=1e-12)
+            points = [(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(4)]
+            self._check_against_tree_walk(e, points, 1e-12)
+
+    def test_sums_add_left_to_right(self):
+        # no compensated summation: 1 + 10^16 rounds to 10^16 first
+        e = parse_expr("x + 10^16 - 10^16", XY)
+        assert evaluate(e, (1.0, 0.0)) == 0.0
+        assert as_callable(e, batch=True)(np.array([[1.0], [0.0]])).tolist() == [0.0]
+        assert reference_evaluate(e, (1.0, 0.0)) == 1.0
+
+    def test_constant_batch_gives_one_value_per_point(self):
+        f = as_callable(parse_expr("sin(2) + 1/3", XY), batch=True)
+        assert f(np.zeros((2, 3))).tolist() == [math.sin(2) + 1 / 3] * 3
+
+
+def _overflow_evaluators(e, point):
+    """The value of ``e`` at ``point`` through every evaluator that takes
+    one: evaluate, point-wise and batch compiled code, and the residual of
+    a scheme whose only generator (or region constraint) is ``e``."""
+    col = np.array([point], dtype=float).T
+    gen = SchemePresentation(e.vars, ideal_gens=(e,)).residual_fn()
+    region = SchemePresentation(e.vars, region=(e,)).residual_fn()
+    return {
+        "evaluate": evaluate(e, point),
+        "pointwise": as_callable(e)(point),
+        "batch": as_callable(e, batch=True)(col)[0],
+        "residual": gen(point),
+        "residual-batch": gen(col)[0],
+        "region": region(point),
+        "region-batch": region(col)[0],
+    }
+
+
+# (expression, point, value): every evaluator gives the value, and the
+# residual its absolute value (a region constraint max(value, 0))
+_OVERFLOW_TABLE = [
+    ("x^400 - 1", (1e3, 0.0), math.inf),
+    ("x^400 - 1", (np.float64(1e3), np.float64(0.0)), math.inf),
+    ("x^401", (-1e3, 0.0), -math.inf),
+    ("x^401", (np.float64(-1e3), np.float64(0.0)), -math.inf),
+    ("exp(800*x) - y", (1.0, 0.0), math.inf),
+    ("exp(800*x) - y", (np.float64(1.0), np.float64(0.0)), math.inf),
+    ("0 - (x*10^300)^2", (1.0, 0.0), -math.inf),
+    ("10^400*x - 1", (1.0, 0.0), math.inf),
+]
+
+
+class TestOverflow:
+    """Overflow gives +-inf from every evaluator and raises nothing, also
+    under a numpy error state that raises."""
+
+    @pytest.mark.parametrize("src, point, value", _OVERFLOW_TABLE)
+    @pytest.mark.parametrize("errors", ["ignore", "warn", "raise"])
+    def test_every_evaluator_gives_inf(self, src, point, value, errors):
+        e = parse_expr(src, XY)
+        with warnings.catch_warnings(), np.errstate(all=errors):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = _overflow_evaluators(e, point)
+        want = {
+            "evaluate": value,
+            "pointwise": value,
+            "batch": value,
+            "residual": abs(value),
+            "residual-batch": abs(value),
+            "region": max(value, 0.0),
+            "region-batch": max(value, 0.0),
+        }
+        assert got == want
+
+    def test_python_floats_neither_warn_nor_raise(self):
+        e = parse_expr("x^400 - 1", XY)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert evaluate(e, (1e3, 0.0)) == math.inf
+            assert as_callable(e)((1e3, 0.0)) == math.inf
+
+    def test_constants_beyond_double_range_give_inf(self):
+        # simplify folds 10^400 into one constant, which no double holds
+        for src, value in (("10^400*x - 1", math.inf), ("0 - 10^400*x", -math.inf)):
+            e = simplify(parse_expr(src, XY))
+            assert Fraction(10**400) in {c.value for c in e.children[0].children}
+            assert evaluate(e, (1.0, 0.0)) == value
+            assert as_callable(e, batch=True)(np.array([[1.0], [0.0]])).tolist() == [value]
+
+    def test_overflow_keeps_guards_and_math_domains(self):
+        # the overflow fallback still raises what the point would raise
+        with pytest.raises(ValueError):
+            evaluate(parse_expr("sin(x^400)", XY), (1e3, 0.0))
+        with pytest.raises(GuardViolation):
+            evaluate(parse_expr("x^400/y", XY), (1e3, 0.0))
+        assert evaluate(parse_expr("1/x^400", XY), (1e3, 0.0)) == 0.0
+        assert evaluate(parse_expr("exp(0 - x^400)", XY), (1e3, 0.0)) == 0.0
+        assert math.isnan(evaluate(parse_expr("x^400 - y^400", XY), (1e3, 1e3)))
 
 
 class TestDiff:
@@ -256,7 +357,7 @@ class TestAsPolynomial:
     def test_rational_coefficients_survive(self):
         p = as_polynomial(parse_expr("x/2 + y/3", XY))
         assert p is not None
-        assert p.eval((2.0, 3.0)) == pytest.approx(2.0)
+        assert evaluate(p.to_expr(), (2.0, 3.0)) == pytest.approx(2.0)
 
 
 class TestSimplifyAndRoundTrip:

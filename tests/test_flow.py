@@ -19,7 +19,7 @@ from schemeflow.flow import (
     validate_closed_form,
 )
 
-from helpers import XY, rotation_field, shear_field, square, thickened_line
+from helpers import XY, forbid_evaluate, rotation_field, shear_field, square, thickened_line
 
 OPTS = IntegratorOptions(horizon=20.0)
 XYT = XY.extended("t")
@@ -66,12 +66,6 @@ class TestFlowDomain:
         _, _, W = square_domain()
         for row in W.rows:
             assert row.interval.contains(0.0)
-
-    def test_parallel_matches_serial(self):
-        line, field, W = line_domain(9)
-        grid = [row.point for row in W.rows]
-        W2 = flow_domain(field, grid, OPTS, jobs=4)
-        assert [r.interval for r in W2.rows] == [r.interval for r in W.rows]
 
     def test_csv_format(self):
         _, _, W = square_domain()
@@ -258,6 +252,15 @@ class TestFlowIdeal:
         assert not fip.iprime_member(parse_expr("x", XYT))
         # y vanishes on the domain sample but its restriction y is not in <y^2>
         assert not fip.iprime_member(parse_expr("y", XYT))
+
+    def test_iprime_restriction_sampled_in_one_batch(self, monkeypatch):
+        # a restriction to t = 0 that is not polynomial is checked on the
+        # zero-set sample, in one batched call
+        forbid_evaluate(monkeypatch)
+        line, _, _ = line_domain(9)
+        fip = flow_ideal(line, TestClosedForm.PSI)
+        assert fip.iprime_member(parse_expr("y*exp(x) + t*x", XYT))
+        assert not fip.iprime_member(parse_expr("exp(x) - 1 + t", XYT))
 
     def test_pullback_zero_set_is_preimage_of_zero_set(self):
         # sampled form of the pullback law for the closed-form flow map

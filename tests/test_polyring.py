@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from schemeflow.expr import VarList, as_polynomial, parse_expr
+from schemeflow.expr import VarList, as_polynomial, evaluate, parse_expr
 from schemeflow.polyring import (
     DegreeCapExceeded,
     MonomialOrder,
@@ -150,7 +150,7 @@ class TestIdealOps:
         for x in grid:
             for y in grid:
                 for t in grid:
-                    member = all(abs(g.eval((x, y, t))) <= 1e-9 for g in s.gens)
+                    member = all(abs(evaluate(g.to_expr(), (x, y, t))) <= 1e-9 for g in s.gens)
                     expected = abs(x) <= 1e-9 and abs(y) <= 1e-9
                     assert member == expected
 
@@ -174,14 +174,14 @@ class TestIdealOps:
         for x in grid:
             for y in (-2.0, -0.5, 0.0, 0.5, 2.0):
                 for t in (-2.0, 0.0, 1.0):
-                    lhs = all(abs(g.eval((x, y, t))) <= 1e-9 for g in pulled.gens)
-                    rhs = abs(target.eval((x + t, y))) <= 1e-9
+                    lhs = all(abs(evaluate(g.to_expr(), (x, y, t))) <= 1e-9 for g in pulled.gens)
+                    rhs = abs(evaluate(target.to_expr(), (x + t, y))) <= 1e-9
                     assert lhs == rhs
 
 
 class TestPolynomialBasics:
     def test_eval(self):
-        assert P("x^2*y + 1/2").eval((2.0, 3.0)) == pytest.approx(12.5)
+        assert evaluate(P("x^2*y + 1/2").to_expr(), (2.0, 3.0)) == pytest.approx(12.5)
 
     def test_compose_matches_pointwise(self):
         rng = random.Random(9)
@@ -192,8 +192,9 @@ class TestPolynomialBasics:
             comp = f.compose([a, b])
             for _ in range(3):
                 p = tuple(rng.uniform(-1, 1) for _ in range(3))
-                assert comp.eval(p) == pytest.approx(
-                    f.eval((a.eval(p), b.eval(p))), rel=1e-9, abs=1e-9
+                inner = (evaluate(a.to_expr(), p), evaluate(b.to_expr(), p))
+                assert evaluate(comp.to_expr(), p) == pytest.approx(
+                    evaluate(f.to_expr(), inner), rel=1e-9, abs=1e-9
                 )
 
     def test_prints_in_expression_grammar(self):
