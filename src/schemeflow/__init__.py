@@ -22,6 +22,7 @@ from .curves import (
     OutsideDefinitionInterval,
     evaluate_curve,
     integrate_max_curve,
+    integrate_max_curves,
 )
 from .derivation import (
     LiftedField,

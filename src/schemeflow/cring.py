@@ -104,15 +104,22 @@ class SchemePresentation:
         generator at inf fails membership, a region constraint at -inf
         holds), and a batch raises where one of its points would.  A batch
         runs with numpy's floating-point warnings off, and its values may
-        differ from point-wise ones in the last bits.
+        differ from point-wise ones in the last bits.  The batch code is
+        compiled on the first batch call, so a residual used only point by
+        point compiles only the point-wise code.
         """
         gen_fns = [ex.as_callable(g) for g in self.ideal_gens]
         region_fns = [ex.as_callable(g) for g in self.region]
-        gen_batch = [ex.as_callable(g, batch=True) for g in self.ideal_gens]
-        region_batch = [ex.as_callable(g, batch=True) for g in self.region]
+        batch_fns = []  # (generators, region constraints), on first use
 
         def residual(p: Sequence[float]) -> float:
             if isinstance(p, np.ndarray) and p.ndim == 2:
+                if not batch_fns:
+                    batch_fns.append((
+                        [ex.as_callable(g, batch=True) for g in self.ideal_gens],
+                        [ex.as_callable(g, batch=True) for g in self.region],
+                    ))
+                gen_batch, region_batch = batch_fns[0]
                 with np.errstate(all="ignore"):
                     r = np.zeros(p.shape[1])
                     for f in gen_batch:

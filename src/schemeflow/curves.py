@@ -9,23 +9,62 @@ threshold crossing is localized by bisection.  Sign-based event detection is
 not enough here because the membership residual can touch zero without
 crossing, so a threshold test on the max residual is used instead.
 
-Each accepted step is scanned in one batch: the dense-output states at all
-checkpoints come from one matrix product, and the scheme's residual
-callable evaluates them in one call on the (n, checkpoints) array.  An
-overflow gives +-inf there as everywhere (see ``expr.as_callable``), so only
-a guard violation or the sine or cosine of an infinity makes a batch raise;
-such a step goes back to a point-by-point scan, so a failure at a later
-checkpoint never pre-empts an earlier membership exit.  Bisection and the boundary state use the scalar
-dense output.  The batched states may differ from ``DenseSegment.eval`` in
-the last bits (one matrix product instead of one product per point), so a
-checkpoint whose residual sits within rounding of the threshold can start
-the bisection one checkpoint earlier or later than a point-wise scan would.
+Lanes and rounds.  Curves are integrated in lockstep by
+``integrate_max_curves``; ``integrate_max_curve`` is a batch of one point.
+A lane is one (base point, direction) pair.  At most ``MAX_LANES`` lanes are
+live; the other points wait in a queue and start as lanes finish.  Starting
+a point evaluates the field at the base point once: that value serves the
+singleton probe, the initial step size and both lanes' first stage.  A round
+then takes one Dormand-Prince attempt on every live lane: each of the six
+stages is one call of the batched field (``derivation.lift(field,
+batch=True)``) on an (n, lanes) array; the stage sums, error estimates and
+dense-output coefficients are stacked matrix products; and the dense-output
+states at all checkpoints of every accepted attempt go through the scheme's
+residual in one call.  Whatever one curve decides stays per lane, with the
+rules of one curve: step size and controller, rejection, step-size
+underflow, the horizon, the step limit, the first failing checkpoint and
+its bisection.  Bisection and the boundary state use the scalar dense
+output ``DenseSegment.eval``.
+
+Per-lane errors.  A batched attempt that raises is made again lane by
+lane, so the exception is charged to the lane whose state raised it; the
+other lanes repeat their attempt in the next round.  A batched residual call
+that raises sends each lane's step to a point-by-point scan
+(``_first_exit``), so a failure at a later checkpoint never pre-empts an
+earlier membership exit; an overflow gives +-inf (see
+``expr.as_callable``), so only a guard violation or the sine or cosine of an
+infinity makes a batch raise.  A point's result is its forward lane's
+exception if that lane raised, otherwise its backward lane's, otherwise its
+curve: what integrating the point alone, forward then backward, raises or
+returns.
+
+Last bits.  The stacked products, a stacked dot product for the error norm
+and a per-lane Python power in the step controller repeat, lane by lane,
+the arithmetic of a curve integrated alone, so a curve depends on its batch
+only if numpy's elementwise evaluation of the field or the residual does.
+Sums, products and negation never do (rotations, translations); powers,
+quotients, exp, log, sin, cos and the cutoffs go through numpy functions
+that nothing documents to be independent of the array's length.  The field is evaluated
+by numpy, which may differ from ``math`` in the last bits, so with such
+operations a curve can also differ at rounding level from one integrated
+with the point-wise field.  The checkpoint states of a step come from one
+matrix product and may differ from ``DenseSegment.eval`` in the last bits,
+so a checkpoint whose residual sits within rounding of the threshold can
+start the bisection one checkpoint earlier or later than a point-wise scan
+would.
 
 Interval endpoints carry three epistemic flags: reached the horizon (no
 claim of completeness), closed (the localized boundary state itself passes
 membership; always the case when the exit is a membership exit, since zero
 sets are closed), or open (the lifted solution stopped existing: step-size
 underflow or non-finite state, i.e. finite-time blow-up).
+
+``IntegralCurve.diagnostics`` holds, for "forward" and "backward", the
+accepted and rejected steps, the smallest and largest accepted |h|
+("min_h", "max_h") and the reason the direction ended: "horizon",
+"underflow" (with "last_h", the step that fell below the floor), "exit"
+(with "checkpoint", the index of the first failing checkpoint of the last
+step) or "singleton".
 """
 
 from __future__ import annotations
@@ -33,6 +72,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -48,6 +88,7 @@ __all__ = [
     "OutsideDefinitionInterval",
     "StepLimitExceeded",
     "integrate_max_curve",
+    "integrate_max_curves",
     "evaluate_curve",
     "classify_interval",
     "curve_to_csv",
@@ -137,12 +178,17 @@ _P = np.array(
     ]
 )
 
+# At most this many lanes, two per point, are integrated at once.  A live
+# point keeps its dense output until both its lanes end, so this bounds the
+# memory of a batch; more lanes share each round's fixed cost more widely.
+MAX_LANES = 32
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DenseSegment:
     """Quartic interpolant over one accepted step from t0 to t0 + h (h signed)."""
 
@@ -176,20 +222,22 @@ class IntegralCurve:
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
-def _rk_step(f, t, y, h, k1):
-    """One Dormand-Prince step; returns (y_new, k_stages, err_vector).
+def _attempt(rhs, y, h, k1):
+    """One Dormand-Prince attempt on every lane: ``y`` (lanes, n) states,
+    ``h`` (lanes,) signed steps, ``k1`` (lanes, n) the field at ``y``.
+    Returns (y_new, stages, err) with stages (lanes, 7, n).
 
     Overflow is tolerated: non-finite results are rejected by the caller's
     error control, which is how finite-time blow-up is detected.
     """
-    n = len(y)
-    K = np.empty((7, n))
-    K[0] = k1
+    K = np.empty((len(y), 7, y.shape[1]))
+    K[:, 0] = k1
+    hc = h[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(1, 7):
-            K[s] = f(y + h * (_A[s] @ K[:s]))
-        y_new = y + h * (_B @ K)
-        err = h * (_E @ K)
+            K[:, s] = rhs((y + hc * (_A[s] @ K[:, :s])).T).T
+        y_new = y + hc * (_B @ K)
+        err = hc * (_E @ K)
     return y_new, K, err
 
 
@@ -215,79 +263,310 @@ class _DirectionResult:
     bound: float
     closed: bool
     at_horizon: bool
+    diagnostics: dict
 
 
-def _integrate_direction(
-    rhs, y0: np.ndarray, sign: float, residual, eps_z: float, opts: IntegratorOptions
-) -> _DirectionResult:
-    t = 0.0
-    y = y0.copy()
-    k1 = rhs(y)
-    if not np.all(np.isfinite(k1)):
-        raise ex.GuardViolation("field not finite at the base point")
-    h_abs = min(_initial_step(rhs, y, k1, opts), opts.horizon)
-    segments: list[DenseSegment] = []
-    steps = 0
-    thetas = [
-        (j + 1) / opts.checkpoints_per_step for j in range(opts.checkpoints_per_step)
-    ]
-    powers = np.array([[th**k for th in thetas] for k in range(1, 5)])
+class _Lane:
+    """One (base point, direction) pair; its numeric state lives in the
+    packed arrays of ``_Lockstep``, at the lane's position in ``lanes``."""
 
-    while abs(t) < opts.horizon:
-        if steps >= opts.max_steps:
-            raise StepLimitExceeded(f"exceeded {opts.max_steps} accepted steps")
-        h_abs = min(h_abs, opts.horizon - abs(t))
-        accepted = False
-        while not accepted:
-            h = sign * h_abs
-            y_new, K, err = _rk_step(rhs, t, y, h, k1)
-            finite = np.all(np.isfinite(y_new)) and np.all(np.isfinite(err))
-            if finite:
-                scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-                err_norm = float(np.linalg.norm(err / scale) / math.sqrt(len(y)))
-            else:
-                err_norm = math.inf
-            if err_norm <= 1.0:
-                accepted = True
-                factor = (
-                    _MAX_FACTOR
-                    if err_norm == 0.0
-                    else min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm**-0.2))
-                )
-            else:
-                factor = max(_MIN_FACTOR, _SAFETY * err_norm**-0.2)
-            next_h = h_abs * factor
-            if not accepted:
-                h_abs = next_h
-                if h_abs < 1e-14 * max(1.0, abs(t)):
-                    # lifted solution stops existing here: open endpoint
-                    return _DirectionResult(segments, t, False, False)
+    __slots__ = ("index", "sign", "segments", "rejected", "result", "live")
 
-        seg = DenseSegment(t, h, y.copy(), K.T @ _P)
-        steps += 1
+    def __init__(self, index: int, sign: float):
+        self.index = index
+        self.sign = sign
+        self.segments: list[DenseSegment] = []
+        self.rejected = 0
+        self.result = None  # _DirectionResult or exception, once finished
+        self.live = True
 
-        bad = _first_exit(seg, thetas, powers, residual, eps_z)
-        if bad is not None:
-            lo, hi = (thetas[bad - 1] if bad else 0.0), thetas[bad]
-            while (hi - lo) * abs(h) > opts.event_tol:
-                mid = 0.5 * (lo + hi)
-                if residual(seg.eval(t + mid * h)) > eps_z:
-                    hi = mid
+    def finish(self, end: str, bound, closed, at_horizon, **extra) -> None:
+        hs = [abs(seg.h) for seg in self.segments]
+        diagnostics = {
+            "accepted": len(hs),
+            "rejected": self.rejected,
+            "end": end,
+            "min_h": min(hs, default=None),
+            "max_h": max(hs, default=None),
+            **extra,
+        }
+        self.result = _DirectionResult(self.segments, bound, closed, at_horizon, diagnostics)
+        self.live = False
+
+
+class _Lockstep:
+    """The lanes of one ``integrate_max_curves`` call.  Live lanes hold their
+    time, state, field value, next |h| and sign in packed arrays, one row
+    per lane in ``lanes`` order."""
+
+    def __init__(self, field: dv.LiftedField, scheme, opts: IntegratorOptions):
+        self.scheme = scheme
+        self.opts = opts
+        self.rhs = dv.lift(field, batch=True)
+        self.residual = scheme.residual_fn()
+        self.eps_z = scheme.eps_z
+        self.n = scheme.arity
+        m = opts.checkpoints_per_step
+        self.thetas = [(j + 1) / m for j in range(m)]
+        self.powers = np.array([[th**k for th in self.thetas] for k in range(1, 5)])
+        self.lanes: list[_Lane] = []
+        self.t = np.zeros(0)
+        self.y = np.zeros((0, self.n))
+        self.k1 = np.zeros((0, self.n))
+        self.h_abs = np.zeros(0)
+        self.signs = np.zeros(0)
+        self.pending: dict[int, tuple] = {}  # index -> (point, forward, backward)
+        self.finished: list[tuple[int, object]] = []
+
+    def run(self, points):
+        queue = iter(enumerate(points))
+        while True:
+            self._refill(queue)
+            done, self.finished = self.finished, []
+            yield from done
+            if not self.lanes:
+                return
+            self._round()
+
+    # -- points ------------------------------------------------------------
+
+    def _field_at(self, y: np.ndarray) -> np.ndarray:
+        return self.rhs(y[:, None])[:, 0]
+
+    def _refill(self, queue) -> None:
+        """Start waiting points while two more lanes fit under MAX_LANES."""
+        new = []
+        while len(self.lanes) + 2 <= MAX_LANES:
+            item = next(queue, None)
+            if item is None:
+                break
+            index, point = item
+            try:
+                started = self._start(point)
+            except Exception as err:
+                self.finished.append((index, err))
+                continue
+            if isinstance(started, IntegralCurve):
+                self.finished.append((index, started))
+                continue
+            lanes = (_Lane(index, 1.0), _Lane(index, -1.0))
+            self.pending[index] = (point, *lanes)
+            self.lanes.extend(lanes)
+            new.append(started)
+        if new:
+            y0 = np.repeat([y for y, _, _ in new], 2, axis=0)
+            k1 = np.repeat([k for _, k, _ in new], 2, axis=0)
+            h = np.repeat([h for _, _, h in new], 2)
+            self.t = np.concatenate([self.t, np.zeros(len(h))])
+            self.y = np.concatenate([self.y, y0])
+            self.k1 = np.concatenate([self.k1, k1])
+            self.h_abs = np.concatenate([self.h_abs, h])
+            self.signs = np.concatenate([self.signs, np.tile([1.0, -1.0], len(new))])
+
+    def _start(self, point: cring.SchemePoint):
+        """A singleton curve, or (y0, field at y0, initial |h|) for the two
+        lanes of ``point``; raises what integrating the point raises before
+        its first step."""
+        y0 = np.array(point.coords, dtype=float)
+        if self.residual(y0) > self.eps_z:
+            raise cring.PointNotOnScheme(
+                f"base point {point.coords} is not on the zero set"
+            )
+        if y0.shape != (self.n,):
+            raise ValueError(f"point length {len(y0)} != arity {self.n}")
+        k1 = self._field_at(y0)
+        # singleton probe: all short probes failing on both sides means the
+        # curve reduces to its initial condition
+        if self._singleton_probe(y0, k1):
+            interval = IntervalRecord(0.0, 0.0)
+            end = {"accepted": 0, "rejected": 0, "end": "singleton"}
+            diagnostics = {"forward": end, "backward": dict(end)}
+            return IntegralCurve(
+                point, interval, (), (), self.scheme, CurveClass.SINGLETON, diagnostics
+            )
+        if not np.all(np.isfinite(k1)):
+            raise ex.GuardViolation("field not finite at the base point")
+        if self.opts.max_steps <= 0:
+            raise StepLimitExceeded(f"exceeded {self.opts.max_steps} accepted steps")
+        return y0, k1, _initial_step(self._field_at, y0, k1, self.opts)
+
+    def _singleton_probe(self, y0, k1) -> bool:
+        h0 = self.opts.probe_step
+        for sign in (+1.0, -1.0):
+            h = sign * 4 * h0
+            _, K, _ = _attempt(self.rhs, y0[None], np.array([h]), k1[None])
+            seg = DenseSegment(0.0, h, y0, K[0].T @ _P)
+            for m in (1, 2, 4):
+                if self.residual(seg.eval(sign * m * h0)) <= self.eps_z:
+                    return False
+        return True
+
+    def _settle(self, lane: _Lane) -> None:
+        """Report the point of a lane that just finished, if its result is
+        known: the forward lane's exception, else the backward lane's, else
+        the curve."""
+        if lane.index not in self.pending:
+            return  # the point already failed
+        point, fwd, bwd = self.pending[lane.index]
+        if isinstance(fwd.result, Exception):
+            result = fwd.result
+            bwd.live = False
+        elif fwd.result is None or bwd.result is None:
+            return
+        elif isinstance(bwd.result, Exception):
+            result = bwd.result
+        else:
+            f, b = fwd.result, bwd.result
+            interval = IntervalRecord(
+                lo=b.bound,
+                hi=f.bound,
+                lo_closed=b.closed,
+                hi_closed=f.closed,
+                lo_at_horizon=b.at_horizon,
+                hi_at_horizon=f.at_horizon,
+            )
+            curve = IntegralCurve(
+                point,
+                interval,
+                tuple(f.segments),
+                tuple(b.segments),
+                self.scheme,
+                "",
+                {"forward": f.diagnostics, "backward": b.diagnostics},
+            )
+            result = replace(curve, classification=classify_interval(curve))
+        del self.pending[lane.index]
+        self.finished.append((lane.index, result))
+
+    def _fail(self, lane: _Lane, err: Exception) -> None:
+        lane.result = err
+        lane.live = False
+        self._settle(lane)
+
+    # -- rounds ------------------------------------------------------------
+
+    def _round(self) -> None:
+        """One attempt on every live lane, then per-lane bookkeeping."""
+        opts, lanes = self.opts, self.lanes
+        t, y, k1 = self.t, self.y, self.k1
+        h_abs = np.minimum(self.h_abs, opts.horizon - np.abs(t))
+        h = self.signs * h_abs
+        try:
+            y_new, K, err = _attempt(self.rhs, y, h, k1)
+        except Exception as err:
+            self._charge_attempt_errors(err)
+            return
+
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(y_new).all(axis=1) & np.isfinite(err).all(axis=1)
+            x = err / (opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
+            # a stacked dot product: the same sum as np.linalg.norm of one lane
+            err_norm = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]) / math.sqrt(self.n)
+        err_norm[~finite] = math.inf
+        accepted = err_norm <= 1.0
+        # Python's power, as for one curve: numpy's differs in the last bits
+        power = np.array([e**-0.2 if e else math.inf for e in err_norm.tolist()])
+        factor = np.maximum(_MIN_FACTOR, _SAFETY * power)
+        factor = np.where(accepted, np.minimum(_MAX_FACTOR, factor), factor)
+        next_h = h_abs * factor
+
+        for j in np.flatnonzero(~accepted).tolist():
+            lane = lanes[j]
+            if not lane.live:
+                continue
+            lane.rejected += 1
+            if next_h[j] < 1e-14 * max(1.0, abs(float(t[j]))):
+                # lifted solution stops existing here: open endpoint
+                lane.finish("underflow", float(t[j]), False, False, last_h=float(next_h[j]))
+                self._settle(lane)
+
+        acc = np.flatnonzero(accepted)
+        if len(acc):
+            self._accept(acc, t, y, h, K)
+        self.t = np.where(accepted, t + h, t)
+        self.y = np.where(accepted[:, None], y_new, y)
+        self.k1 = np.where(accepted[:, None], K[:, 6], k1)  # first-same-as-last
+        self.h_abs = next_h
+        self._compact()
+
+    def _charge_attempt_errors(self, batch_error: Exception) -> None:
+        """After a batched attempt raised ``batch_error``: attempt each lane
+        alone, so an exception ends the lane whose state raised it.  The
+        other lanes attempt the same step again next round."""
+        h = self.signs * np.minimum(self.h_abs, self.opts.horizon - np.abs(self.t))
+        failed = False
+        for j, lane in enumerate(self.lanes):
+            try:
+                _attempt(self.rhs, self.y[j : j + 1], h[j : j + 1], self.k1[j : j + 1])
+            except Exception as err:
+                self._fail(lane, err)
+                failed = True
+        if not failed:
+            raise batch_error  # no lane raises alone: not a per-point failure
+        self._compact()
+
+    def _accept(self, acc, t, y, h, K) -> None:
+        """Store the accepted steps, scan their checkpoints in one residual
+        call, and end the lanes that exit, reach the horizon or run out of
+        steps."""
+        opts = self.opts
+        coeffs = K[acc].transpose(0, 2, 1) @ _P
+        ya, ha = y[acc], h[acc]
+        states = ya[:, :, None] + ha[:, None, None] * (coeffs @ self.powers)
+        try:
+            r = self.residual(states.transpose(1, 0, 2).reshape(self.n, -1))
+            failing = r.reshape(len(acc), -1) > self.eps_z
+            first = failing.argmax(axis=1).tolist()
+            exits = [f if row[f] else None for f, row in zip(first, failing)]
+        except (ex.GuardViolation, ValueError):
+            exits = None  # some lane's checkpoints raise: scan lane by lane
+        for a, (j, t0, hj) in enumerate(zip(acc.tolist(), t[acc].tolist(), ha.tolist())):
+            lane = self.lanes[j]
+            if not lane.live:
+                continue
+            seg = DenseSegment(t0, hj, ya[a].copy(), coeffs[a].copy())
+            lane.segments.append(seg)
+            try:
+                if exits is None:
+                    bad = _first_exit(seg, self.thetas, self.powers, self.residual, self.eps_z)
                 else:
-                    lo = mid
-            bound = t + lo * h
-            boundary_state = seg.eval(bound)
-            closed = residual(boundary_state) <= eps_z
-            segments.append(seg)
-            return _DirectionResult(segments, bound, closed, False)
+                    bad = exits[a]
+                if bad is not None:
+                    bound, closed = self._bisect(seg, bad)
+            except Exception as err:
+                self._fail(lane, err)
+                continue
+            if bad is not None:
+                lane.finish("exit", bound, closed, False, checkpoint=bad)
+                self._settle(lane)
+            elif abs(t0 + hj) >= opts.horizon:
+                lane.finish("horizon", lane.sign * opts.horizon, True, True)
+                self._settle(lane)
+            elif len(lane.segments) >= opts.max_steps:
+                self._fail(lane, StepLimitExceeded(f"exceeded {opts.max_steps} accepted steps"))
 
-        segments.append(seg)
-        t = t + h
-        y = y_new
-        k1 = K[6]  # first-same-as-last
-        h_abs = next_h
+    def _bisect(self, seg: DenseSegment, bad: int) -> tuple[float, bool]:
+        """(bound, closed) of the first membership failure inside the step
+        ``seg``, whose checkpoint ``bad`` is the first to fail."""
+        thetas, residual, eps_z = self.thetas, self.residual, self.eps_z
+        t, h = seg.t0, seg.h
+        lo, hi = (thetas[bad - 1] if bad else 0.0), thetas[bad]
+        while (hi - lo) * abs(h) > self.opts.event_tol:
+            mid = 0.5 * (lo + hi)
+            if residual(seg.eval(t + mid * h)) > eps_z:
+                hi = mid
+            else:
+                lo = mid
+        bound = t + lo * h
+        return bound, residual(seg.eval(bound)) <= eps_z
 
-    return _DirectionResult(segments, sign * opts.horizon, True, True)
+    def _compact(self) -> None:
+        keep = [lane.live for lane in self.lanes]
+        if all(keep):
+            return
+        self.lanes = [lane for lane in self.lanes if lane.live]
+        self.t, self.y, self.k1 = self.t[keep], self.y[keep], self.k1[keep]
+        self.h_abs, self.signs = self.h_abs[keep], self.signs[keep]
 
 
 def _first_exit(seg, thetas, powers, residual, eps_z):
@@ -308,6 +587,29 @@ def _first_exit(seg, thetas, powers, residual, eps_z):
     return j if failing[j] else None
 
 
+def integrate_max_curves(
+    field: dv.LiftedField,
+    points: Iterable[cring.SchemePoint],
+    opts: IntegratorOptions = IntegratorOptions(),
+) -> Iterator[tuple[int, Union[IntegralCurve, Exception]]]:
+    """Maximal integral curves of the field through many points, integrated
+    in lockstep (see the module docstring).
+
+    Yields ``(i, result)`` for the i-th point as soon as its curve is done,
+    so in the order the points finish, not their order in ``points``.
+    ``result`` is the point's ``IntegralCurve``, or the exception that
+    ``integrate_max_curve`` raises for that point alone (PointNotOnScheme,
+    StepLimitExceeded, GuardViolation, ...); one point's failure leaves the
+    others' curves unchanged.  At most ``MAX_LANES`` lanes, two per point,
+    are live at once, and a yielded curve is not kept, so memory is bounded
+    by the lane count, not by the number of points.
+    """
+    scheme = field.home
+    if scheme is None:
+        raise ValueError("the field needs a home presentation to restrict to")
+    return _Lockstep(field, scheme, opts).run(points)
+
+
 def integrate_max_curve(
     field: dv.LiftedField,
     point: cring.SchemePoint,
@@ -319,56 +621,13 @@ def integrate_max_curve(
     backward to the horizon; the definition interval is the connected
     component of 0 where membership holds, cut at the first localized
     membership failure in each direction even if the lifted trajectory
-    later re-enters the zero set.
+    later re-enters the zero set.  This is ``integrate_max_curves`` on a
+    batch of one point.
     """
-    scheme = field.home
-    if scheme is None:
-        raise ValueError("the field needs a home presentation to restrict to")
-    residual = scheme.residual_fn()
-    y0 = np.array(point.coords, dtype=float)
-    if residual(y0) > scheme.eps_z:
-        raise cring.PointNotOnScheme(
-            f"base point {point.coords} is not on the zero set"
-        )
-    rhs = dv.lift(field)
-
-    # singleton probe: all short probes failing on both sides means the
-    # curve reduces to its initial condition
-    if _singleton_probe(rhs, y0, residual, scheme.eps_z, opts):
-        interval = IntervalRecord(0.0, 0.0)
-        return IntegralCurve(point, interval, (), (), scheme, CurveClass.SINGLETON)
-
-    fwd = _integrate_direction(rhs, y0, +1.0, residual, scheme.eps_z, opts)
-    bwd = _integrate_direction(rhs, y0, -1.0, residual, scheme.eps_z, opts)
-    interval = IntervalRecord(
-        lo=bwd.bound,
-        hi=fwd.bound,
-        lo_closed=bwd.closed,
-        hi_closed=fwd.closed,
-        lo_at_horizon=bwd.at_horizon,
-        hi_at_horizon=fwd.at_horizon,
-    )
-    curve = IntegralCurve(
-        point,
-        interval,
-        tuple(fwd.segments),
-        tuple(bwd.segments),
-        scheme,
-        "",
-    )
-    return replace(curve, classification=classify_interval(curve))
-
-
-def _singleton_probe(rhs, y0, residual, eps_z, opts) -> bool:
-    h0 = opts.probe_step
-    for sign in (+1.0, -1.0):
-        k1 = rhs(y0)
-        _, K, _ = _rk_step(rhs, 0.0, y0, sign * 4 * h0, k1)
-        seg = DenseSegment(0.0, sign * 4 * h0, y0, K.T @ _P)
-        for m in (1, 2, 4):
-            if residual(seg.eval(sign * m * h0)) <= eps_z:
-                return False
-    return True
+    ((_, result),) = integrate_max_curves(field, [point], opts)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def evaluate_curve(curve: IntegralCurve, t: float) -> np.ndarray:

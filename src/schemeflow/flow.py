@@ -81,24 +81,24 @@ def flow_domain(
     grid: Sequence[cring.SchemePoint],
     opts: cv.IntegratorOptions = cv.IntegratorOptions(),
 ) -> FlowDomain:
-    """Integrate every grid point; per-point failures are recorded in the
-    row rather than aborting the table."""
+    """Integrate every grid point, all in one lockstep batch; per-point
+    failures are recorded in the row rather than aborting the table.  Each
+    curve is dropped once its row has its probe residuals."""
     scheme = field.home
     if scheme is None:
         raise ValueError("the field needs a home presentation")
     residual = scheme.residual_fn()
-
-    def run(p: cring.SchemePoint) -> DomainRow:
-        try:
-            c = cv.integrate_max_curve(field, p, opts)
-        except Exception as err:  # recorded, not fatal
+    grid = list(grid)
+    rows: list[Optional[DomainRow]] = [None] * len(grid)
+    for i, c in cv.integrate_max_curves(field, grid, opts):
+        if isinstance(c, Exception):  # recorded, not fatal
             empty = cv.IntervalRecord(0.0, 0.0)
-            return DomainRow(p, empty, cv.CurveClass.SINGLETON, error=str(err))
-        return DomainRow(
-            p, c.interval, c.classification, residuals=_probe_residuals(c, residual)
-        )
-
-    return FlowDomain(scheme, field, tuple(run(p) for p in grid), opts.horizon)
+            rows[i] = DomainRow(grid[i], empty, cv.CurveClass.SINGLETON, error=str(c))
+        else:
+            rows[i] = DomainRow(
+                grid[i], c.interval, c.classification, residuals=_probe_residuals(c, residual)
+            )
+    return FlowDomain(scheme, field, tuple(rows), opts.horizon)
 
 
 def _probe_times(
@@ -168,14 +168,23 @@ def t_convexity_check(
     Residuals the row recorded while its curve was integrated are read as
     they are.  A row missing any probe time (other ``subdivisions``, bounds
     altered after the fact, a hand-built row) has its curve integrated again
-    with ``opts``; a time outside that curve is a violation."""
+    with ``opts``, all such rows in one batch; a time outside that curve is a
+    violation."""
     opts = opts or cv.IntegratorOptions(horizon=domain.horizon)
     scheme = domain.scheme
     residual = scheme.residual_fn()
     tol = 10.0 * scheme.eps_z
+    missing = {}
+    for i, row in enumerate(domain.rows):
+        if row.error is None:
+            times = _probe_times(row.interval, subdivisions)
+            gaps = [ta for _, ta in times if ta not in row.residuals]
+            if gaps:
+                missing[i] = gaps
+    recomputed = _recompute_residuals(domain, missing, opts, residual)
     violations = []
     checks = 0
-    for row in domain.rows:
+    for i, row in enumerate(domain.rows):
         if row.error is not None:
             violations.append(
                 ConvexityViolation(row.point, 0.0, 0.0, f"row error: {row.error}")
@@ -186,18 +195,11 @@ def t_convexity_check(
             checks += 1
             continue
         residuals = dict(row.residuals)
-        missing = [ta for _, ta in times if ta not in residuals]
-        if missing:
-            try:
-                curve = cv.integrate_max_curve(domain.field, row.point, opts)
-            except Exception as err:
-                violations.append(ConvexityViolation(row.point, 0.0, 0.0, str(err)))
+        if i in recomputed:
+            if isinstance(recomputed[i], Exception):
+                violations.append(ConvexityViolation(row.point, 0.0, 0.0, str(recomputed[i])))
                 continue
-            for ta in missing:
-                try:
-                    residuals[ta] = residual(cv.evaluate_curve(curve, ta))
-                except cv.OutsideDefinitionInterval:
-                    pass
+            residuals.update(recomputed[i])
         for endpoint, ta in times:
             checks += 1
             r = residuals.get(ta)
@@ -214,6 +216,30 @@ def t_convexity_check(
                     )
                 )
     return ConvexityReport(tuple(violations), checks)
+
+
+def _recompute_residuals(domain: FlowDomain, missing: dict, opts, residual) -> dict:
+    """Residuals at the probe times ``missing`` lists per row index, from
+    the rows' curves integrated again in one batch, each dropped once read.
+    Maps a row index to its residuals (a time outside the curve left out),
+    or to the exception integrating its curve raised."""
+    if not missing:
+        return {}
+    index = list(missing)
+    points = [domain.rows[i].point for i in index]
+    out = {}
+    for j, curve in cv.integrate_max_curves(domain.field, points, opts):
+        i = index[j]
+        if isinstance(curve, Exception):
+            out[i] = curve
+            continue
+        out[i] = {}
+        for ta in missing[i]:
+            try:
+                out[i][ta] = residual(cv.evaluate_curve(curve, ta))
+            except cv.OutsideDefinitionInterval:
+                pass
+    return out
 
 
 @dataclass(frozen=True)
@@ -261,16 +287,18 @@ def validate_closed_form(
     sample; the closed form is never reconstructed, only validated.
 
     ``curves``, when given, maps a point's coordinates to its maximal curve
-    (already integrated with ``opts``); otherwise each curve is integrated
-    here."""
+    (already integrated with ``opts``); otherwise the points' curves are
+    integrated here, in one batch."""
     phi = closed_form_flow(scheme, psi)
+    points = list(points)
+    if curves is None:
+        batch = dict(cv.integrate_max_curves(field, points, opts))
     worst = 0.0
     count = 0
-    for p in points:
-        if curves is not None:
-            curve = curves(p.coords)
-        else:
-            curve = cv.integrate_max_curve(field, p, opts)
+    for i, p in enumerate(points):
+        curve = curves(p.coords) if curves is not None else batch[i]
+        if isinstance(curve, Exception):
+            raise curve
         for t in times:
             slack = 1e-12 * max(1.0, abs(t))
             if not curve.interval.contains(t, slack):

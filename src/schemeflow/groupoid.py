@@ -69,21 +69,35 @@ FlowFn = Callable[[Sequence[float], float], np.ndarray]
 
 
 class MemoFlow:
-    """Flow evaluation through integrate_max_curve with one curve per base
-    point; identical code path to flow_eval, cached for the completeness
-    gate, the axiom sweep and closed-form validation."""
+    """Flow evaluation through the maximal curves with one curve per base
+    point; the same integrator and curve evaluation as flow_eval, cached for
+    the completeness gate, the axiom sweep and closed-form validation.
+
+    ``fill`` integrates many base points in one lockstep batch.  A point
+    whose integration raises caches the exception, and ``curve`` raises it
+    each time the point is asked for."""
 
     def __init__(self, field: dv.LiftedField, opts: cv.IntegratorOptions):
         self.field = field
         self.opts = opts
-        self._curves: dict[tuple[float, ...], cv.IntegralCurve] = {}
+        self._curves: dict[tuple[float, ...], object] = {}
+
+    def fill(self, keys: Sequence[tuple[float, ...]]) -> None:
+        """Integrate the curves of the base points ``keys`` not cached yet,
+        in one batch."""
+        missing = [k for k in dict.fromkeys(keys) if k not in self._curves]
+        if not missing:
+            return
+        points = [cring.SchemePoint(k) for k in missing]
+        for i, result in cv.integrate_max_curves(self.field, points, self.opts):
+            self._curves[missing[i]] = result
 
     def curve(self, coords: tuple[float, ...]) -> cv.IntegralCurve:
-        c = self._curves.get(coords)
-        if c is None:
-            point = cring.SchemePoint(coords)
-            c = cv.integrate_max_curve(self.field, point, self.opts)
-            self._curves[coords] = c
+        if coords not in self._curves:
+            self.fill([coords])
+        c = self._curves[coords]
+        if isinstance(c, Exception):
+            raise c
         return c
 
     def __call__(self, coords: Sequence[float], t: float) -> np.ndarray:
@@ -177,9 +191,14 @@ class GroupoidReport:
         return "\n".join(lines)
 
 
+def _key(coords) -> tuple[float, ...]:
+    return tuple(float(c) for c in coords)
+
+
 def _completeness_gate(memo: MemoFlow, arrows) -> None:
+    memo.fill([_key(a.point.coords) for a in arrows])
     for a in arrows:
-        coords = tuple(float(c) for c in a.point.coords)
+        coords = _key(a.point.coords)
         curve = memo.curve(coords)
         if curve.classification != cv.CurveClass.HORIZON_COMPLETE:
             raise IncompleteFieldError(
@@ -187,6 +206,26 @@ def _completeness_gate(memo: MemoFlow, arrows) -> None:
                 f"[{curve.interval.lo:g}, {curve.interval.hi:g}]; groupoid "
                 "structure requires horizon-complete curves"
             )
+
+
+def _fill_sweep(memo: MemoFlow, arrows) -> None:
+    """Integrate, one batch per wave, the curves the axiom sweep reads beyond
+    the sources: through the targets q1 = phi(p, t1) of the arrows, then
+    through q12 = phi(q1, t2)."""
+    n = len(arrows)
+    q1 = [_reached(memo, a.point.coords, a.t) for a in arrows]
+    memo.fill([_key(q) for q in q1 if q is not None])
+    q12 = [
+        _reached(memo, q, arrows[(i + 1) % n].t) for i, q in enumerate(q1) if q is not None
+    ]
+    memo.fill([_key(q) for q in q12 if q is not None])
+
+
+def _reached(memo: MemoFlow, coords, t) -> Optional[np.ndarray]:
+    try:
+        return memo(coords, t)
+    except Exception:
+        return None  # left to the sweep, which raises it in its own order
 
 
 def check_axioms(
@@ -202,13 +241,18 @@ def check_axioms(
     Refuses with IncompleteFieldError if any sampled base point's curve is
     not horizon-complete, mirroring the completeness hypothesis.  The gate's
     curves serve the sweep; a MemoFlow passed as ``flow`` holds them
-    afterwards, so callers can reuse them.
+    afterwards, so callers can reuse them.  The curves are integrated in
+    three batches before the sweep (the sources, their targets, and the
+    targets' targets), and a curve whose integration raised raises when the
+    sweep first reads it, so errors surface in the sweep's order.
     """
     if not arrows:
         raise ValueError("need at least one arrow")
     memo = flow if isinstance(flow, MemoFlow) else MemoFlow(field, opts)
     _completeness_gate(memo, arrows)
     phi = flow or memo
+    if phi is memo:
+        _fill_sweep(memo, arrows)
 
     r = {
         "flow_law": 0.0,

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 
+from schemeflow import curves as cv
+from schemeflow import derivation as dv
 from schemeflow import expr as ex
-from schemeflow.cring import SchemePoint, SchemePresentation
+from schemeflow.cring import PointNotOnScheme, SchemePoint, SchemePresentation
 from schemeflow.derivation import LiftedField
 from schemeflow.expr import (
     SmoothExpr,
@@ -290,3 +293,138 @@ def reference_sample_zero_set(scheme, box, resolution, polish_steps=30):
         if ok or residual(q) <= scheme.eps_z:
             consider(q)
     return [SchemePoint(tuple(float(c) for c in p)) for p in accepted]
+
+
+# -- the per-curve integrator, as the oracle for the lockstep one -----------
+
+
+def _reference_rk_step(f, y, h, k1):
+    n = len(y)
+    K = np.empty((7, n))
+    K[0] = k1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(1, 7):
+            K[s] = f(y + h * (cv._A[s] @ K[:s]))
+        y_new = y + h * (cv._B @ K)
+        err = h * (cv._E @ K)
+    return y_new, K, err
+
+
+def reference_integrate_direction(rhs, y0, sign, residual, eps_z, opts):
+    """One direction of one curve, one Dormand-Prince step at a time with
+    the point-wise field ``rhs``: the step loop ``curves`` ran before it
+    integrated lanes in lockstep.  Returns (segments, bound, closed,
+    at_horizon)."""
+    t = 0.0
+    y = y0.copy()
+    k1 = rhs(y)
+    if not np.all(np.isfinite(k1)):
+        raise ex.GuardViolation("field not finite at the base point")
+    h_abs = min(cv._initial_step(rhs, y, k1, opts), opts.horizon)
+    segments = []
+    thetas = [(j + 1) / opts.checkpoints_per_step for j in range(opts.checkpoints_per_step)]
+    powers = np.array([[th**k for th in thetas] for k in range(1, 5)])
+    while abs(t) < opts.horizon:
+        if len(segments) >= opts.max_steps:
+            raise cv.StepLimitExceeded(f"exceeded {opts.max_steps} accepted steps")
+        h_abs = min(h_abs, opts.horizon - abs(t))
+        while True:
+            h = sign * h_abs
+            y_new, K, err = _reference_rk_step(rhs, y, h, k1)
+            if np.all(np.isfinite(y_new)) and np.all(np.isfinite(err)):
+                scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+                err_norm = float(np.linalg.norm(err / scale) / math.sqrt(len(y)))
+            else:
+                err_norm = math.inf
+            if err_norm <= 1.0:
+                factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm**-0.2))
+                h_next = h_abs * factor
+                break
+            h_abs = h_abs * max(0.2, 0.9 * err_norm**-0.2)
+            if h_abs < 1e-14 * max(1.0, abs(t)):
+                return segments, t, False, False
+        seg = cv.DenseSegment(t, h, y.copy(), K.T @ cv._P)
+        segments.append(seg)
+        bad = cv._first_exit(seg, thetas, powers, residual, eps_z)
+        if bad is not None:
+            lo, hi = (thetas[bad - 1] if bad else 0.0), thetas[bad]
+            while (hi - lo) * abs(h) > opts.event_tol:
+                mid = 0.5 * (lo + hi)
+                if residual(seg.eval(t + mid * h)) > eps_z:
+                    hi = mid
+                else:
+                    lo = mid
+            bound = t + lo * h
+            return segments, bound, residual(seg.eval(bound)) <= eps_z, False
+        t = t + h
+        y = y_new
+        k1 = K[6]
+        h_abs = h_next
+    return segments, sign * opts.horizon, True, True
+
+
+def reference_integrate_max_curve(field, point, opts=cv.IntegratorOptions()):
+    """A maximal curve from the per-curve loop above, with the point-wise
+    field: the singleton probe, then the forward and the backward direction."""
+    scheme = field.home
+    residual = scheme.residual_fn()
+    y0 = np.array(point.coords, dtype=float)
+    if residual(y0) > scheme.eps_z:
+        raise PointNotOnScheme(f"base point {point.coords} is not on the zero set")
+    rhs = dv.lift(field)
+    h0 = opts.probe_step
+    singleton = True
+    for sign in (1.0, -1.0):
+        _, K, _ = _reference_rk_step(rhs, y0, sign * 4 * h0, rhs(y0))
+        seg = cv.DenseSegment(0.0, sign * 4 * h0, y0, K.T @ cv._P)
+        if any(residual(seg.eval(sign * m * h0)) <= scheme.eps_z for m in (1, 2, 4)):
+            singleton = False
+            break
+    if singleton:
+        interval = cv.IntervalRecord(0.0, 0.0)
+        return cv.IntegralCurve(point, interval, (), (), scheme, cv.CurveClass.SINGLETON)
+    fwd = reference_integrate_direction(rhs, y0, 1.0, residual, scheme.eps_z, opts)
+    bwd = reference_integrate_direction(rhs, y0, -1.0, residual, scheme.eps_z, opts)
+    interval = cv.IntervalRecord(
+        bwd[1], fwd[1], bwd[2], fwd[2], lo_at_horizon=bwd[3], hi_at_horizon=fwd[3]
+    )
+    curve = cv.IntegralCurve(point, interval, tuple(fwd[0]), tuple(bwd[0]), scheme, "")
+    return replace(curve, classification=cv.classify_interval(curve))
+
+
+def curves_identical(a, b) -> bool:
+    """Same interval, flags, class and dense output, bit for bit."""
+    if (a.interval, a.classification) != (b.interval, b.classification):
+        return False
+    segs_a, segs_b = a.forward + a.backward, b.forward + b.backward
+    return len(segs_a) == len(segs_b) and all(
+        (s.t0, s.h) == (r.t0, r.h)
+        and s.y0.tobytes() == r.y0.tobytes()
+        and s.coeffs.tobytes() == r.coeffs.tobytes()
+        for s, r in zip(segs_a, segs_b)
+    )
+
+
+class IntegrationLog:
+    """The base points ``curves.integrate_max_curves`` is asked for, one list
+    per call (``integrate_max_curve`` is a call with one point)."""
+
+    def __init__(self):
+        self.batches: list[list[tuple]] = []
+
+    @property
+    def points(self) -> list[tuple]:
+        return [c for batch in self.batches for c in batch]
+
+
+def count_integrations(monkeypatch) -> IntegrationLog:
+    log = IntegrationLog()
+    real = cv.integrate_max_curves
+
+    def counting(field, points, opts=cv.IntegratorOptions()):
+        points = list(points)
+        log.batches.append([p.coords for p in points])
+        return real(field, points, opts)
+
+    monkeypatch.setattr(cv, "integrate_max_curves", counting)
+    return log

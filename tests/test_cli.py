@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from schemeflow import curves as cv
 from schemeflow import polyring as pr
 from schemeflow.cli import (
     EXIT_ERROR,
@@ -13,6 +12,8 @@ from schemeflow.cli import (
     load_scheme,
     main,
 )
+
+from helpers import count_integrations
 
 LINE_SCHEME = {
     "variables": ["x", "y"],
@@ -216,14 +217,7 @@ class TestDomainCommand:
         assert all("horizon-complete" in ln for ln in lines[1:])
 
     def test_one_integration_per_row(self, square_path, tmp_path, monkeypatch):
-        calls = []
-        real = cv.integrate_max_curve
-
-        def counting(field, point, opts=cv.IntegratorOptions()):
-            calls.append(point.coords)
-            return real(field, point, opts)
-
-        monkeypatch.setattr(cv, "integrate_max_curve", counting)
+        log = count_integrations(monkeypatch)
         out = tmp_path / "domain.csv"
         code = main([
             "domain", "--scheme", square_path, "--grid", "3",
@@ -233,7 +227,8 @@ class TestDomainCommand:
         rows = out.read_text().strip().splitlines()[1:]
         assert len(rows) == 9
         assert {"singleton", "closed", "horizon-complete"} <= {r.split(",")[-1] for r in rows}
-        assert len(calls) == len(rows) == len(set(calls))
+        assert len(log.points) == len(rows) == len(set(log.points))
+        assert len(log.batches) == 1
 
     @pytest.mark.parametrize("box", ["0:0,-1:1", "1:-1,-1:1", "-1:inf,-1:1", "nan:1,-1:1"])
     def test_empty_or_reversed_box_exits_one(self, square_path, box, capsys):

@@ -185,6 +185,28 @@ class TestBatchedResidual:
         assert scheme.residual_fn()(np.array([[0.0, 0.0], [0.0, -0.5]])).tolist() == [0.0, 0.5]
 
 
+class TestResidualCompile:
+    def test_point_use_compiles_point_code_only(self, monkeypatch):
+        scheme = SchemePresentation(XY, ideal_gens=(expr_xy("x^2+y^2-1"),), region=(expr_xy("x"),))
+        compiled = []
+        real = ex.as_callable
+
+        def counting(e, batch=False):
+            compiled.append(batch)
+            return real(e, batch)
+
+        monkeypatch.setattr(ex, "as_callable", counting)
+        residual = scheme.residual_fn()
+        assert residual((-1.0, 0.0)) == 0.0 and in_zero_set(scheme, (0.0, -1.0))
+        assert compiled and not any(compiled)
+        compiled.clear()
+        batch = np.array([[-1.0, 0.0], [0.0, -1.0]])
+        assert residual(batch).tolist() == [0.0, 0.0]
+        assert compiled == [True, True]
+        residual(batch)
+        assert compiled == [True, True]  # compiled on the first batch call only
+
+
 class TestSampling:
     def test_line_grid(self):
         pts = sorted(p.coords for p in sample_zero_set(thickened_line(), ((-1, 1), (-1, 1)), 5))

@@ -1,26 +1,36 @@
 import math
 import random
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from schemeflow.cring import PointNotOnScheme, SchemePresentation
+from schemeflow import curves as cv
+from schemeflow import derivation as dv
+from schemeflow.cring import PointNotOnScheme, SchemePoint, SchemePresentation
 from schemeflow.curves import (
     CurveClass,
     IntegratorOptions,
     OutsideDefinitionInterval,
     classify_interval,
     curve_to_csv,
+    StepLimitExceeded,
     evaluate_curve,
     integrate_max_curve,
+    integrate_max_curves,
 )
 from schemeflow.derivation import LiftedField
-from schemeflow.expr import GuardViolation, SmoothExpr, as_callable, const, parse_expr
+from schemeflow.expr import GuardViolation, SmoothExpr, VarList, as_callable, const, parse_expr
 
 from helpers import (
     XY,
     circle,
+    curves_identical,
     expr_xy,
+    reference_integrate_max_curve,
     rotation_field,
     shear_field,
     square,
@@ -391,6 +401,280 @@ class TestCsvExport:
         line = thickened_line()
         c = integrate_max_curve(shear_field(line), line.point((2.0, 0.0)), OPTS)
         assert curve_to_csv(c) == curve_to_csv(c)
+
+
+
+XYZ = VarList(("x", "y", "z"))
+SQUARE_POINTS = [
+    (1.0, 1.0),  # singleton
+    (0.9, 0.9),  # closed: exits both ways
+    (1.0, -0.2),  # closed, on an edge
+    (0.5, 0.1),  # horizon-complete
+    (-0.3, -0.2),
+    (0.0, 0.0),  # a zero of the field
+    (-0.95, 0.6),
+]
+
+
+def _sphere():
+    scheme = SchemePresentation(XYZ, ideal_gens=(parse_expr("x^2 + y^2 + z^2 - 1", XYZ),))
+    return scheme, LiftedField.from_strings(["-y", "x", "0"], scheme)
+
+
+def _fenced(lo: float, hi: float, value: int = 1) -> SmoothExpr:
+    """``value``, defined only for x in [lo, hi]: a field coefficient or
+    constraint that raises GuardViolation outside that strip."""
+    return SmoothExpr(
+        "div", XY, (const(value, XY), const(1, XY)), guard=((lo, hi), (-10.0, 10.0))
+    )
+
+
+def _batch(field_, points, opts):
+    out = dict(integrate_max_curves(field_, points, opts))
+    assert sorted(out) == list(range(len(points)))
+    return [out[i] for i in range(len(points))]
+
+
+def _outcome(field_, point, opts):
+    try:
+        return integrate_max_curve(field_, point, opts)
+    except Exception as err:
+        return err
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return curves_identical(a, b)
+
+
+class TestLockstepMatchesPerCurve:
+    """Bit for bit against the per-curve step loop (tests/helpers.py) on
+    fields without powers or transcendentals, where batched and point-wise
+    field values agree."""
+
+    def test_square_rotation_rows(self):
+        sq = square()
+        v = rotation_field(sq)
+        points = [sq.point(p) for p in SQUARE_POINTS]
+        got = _batch(v, points, OPTS)
+        assert {c.classification for c in got} == {
+            CurveClass.SINGLETON, CurveClass.CLOSED, CurveClass.HORIZON_COMPLETE
+        }
+        for p, c in zip(points, got):
+            assert curves_identical(c, reference_integrate_max_curve(v, p, OPTS))
+
+    def test_thickened_line(self):
+        line = thickened_line()
+        v = shear_field(line)
+        points = [line.point((x, 0.0)) for x in (-3.0, -0.5, 0.0, 2.0)]
+        for p, c in zip(points, _batch(v, points, OPTS)):
+            assert curves_identical(c, reference_integrate_max_curve(v, p, OPTS))
+
+    def test_sphere(self):
+        scheme, v = _sphere()
+        opts = IntegratorOptions(horizon=5.0)
+        points = [scheme.point(p) for p in ((1.0, 0.0, 0.0), (0.6, 0.0, 0.8), (0.0, 0.0, 1.0))]
+        for p, c in zip(points, _batch(v, points, opts)):
+            assert curves_identical(c, reference_integrate_max_curve(v, p, opts))
+
+    def test_blowup_open_ends(self):
+        plane = SchemePresentation(XY, region=(expr_xy("0 - 1"),))
+        v = LiftedField.from_strings(["1 + x*x", "0"], plane)
+        opts = IntegratorOptions(horizon=5.0)
+        points = [plane.point((1.0, 0.0))]
+        for p, c in zip(points, _batch(v, points, opts)):
+            assert not c.interval.hi_closed and not c.interval.lo_closed
+            assert c.diagnostics["forward"]["end"] == "underflow"
+            assert curves_identical(c, reference_integrate_max_curve(v, p, opts))
+
+
+class TestLockstepBatches:
+    SQ_OPTS = IntegratorOptions(horizon=5.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        order=st.lists(st.integers(0, len(SQUARE_POINTS) - 1), min_size=1, max_size=8),
+        lanes=st.integers(2, 9),
+    )
+    def test_curve_independent_of_batch(self, order, lanes):
+        sq = square()
+        v = rotation_field(sq)
+        alone = self._alone(v, sq)
+        old = cv.MAX_LANES
+        cv.MAX_LANES = lanes
+        try:
+            got = _batch(v, [sq.point(SQUARE_POINTS[k]) for k in order], self.SQ_OPTS)
+        finally:
+            cv.MAX_LANES = old
+        for k, c in zip(order, got):
+            assert curves_identical(c, alone[k])
+
+    _cache: dict = {}
+
+    def _alone(self, v, sq):
+        if not self._cache:
+            for k, p in enumerate(SQUARE_POINTS):
+                self._cache[k] = integrate_max_curve(v, sq.point(p), self.SQ_OPTS)
+        return self._cache
+
+    def test_live_lanes_bounded_by_constant(self, monkeypatch):
+        sq = square()
+        v = rotation_field(sq)
+        widths = []
+        real_lift = dv.lift
+
+        def recording_lift(field_, batch=False):
+            rhs = real_lift(field_, batch)
+
+            def recorded(p):
+                widths.append(p.shape[1])
+                return rhs(p)
+
+            return recorded
+
+        points = [sq.point(p) for p in SQUARE_POINTS * 2]
+        free = _batch(v, points, self.SQ_OPTS)
+        monkeypatch.setattr(dv, "lift", recording_lift)
+        monkeypatch.setattr(cv, "MAX_LANES", 4)
+        capped = _batch(v, points, self.SQ_OPTS)
+        assert max(widths) == 4
+        assert all(curves_identical(a, b) for a, b in zip(free, capped))
+
+    def test_results_arrive_as_points_finish(self):
+        sq = square()
+        v = rotation_field(sq)
+        points = [sq.point(p) for p in ((0.5, 0.1), (0.9, 0.9), (1.0, 1.0))]
+        order = [i for i, _ in integrate_max_curves(v, points, self.SQ_OPTS)]
+        assert order == [2, 1, 0]  # singleton at once, then the exit, then the horizon
+
+    def test_field_evaluated_once_at_each_base_point(self, monkeypatch):
+        sq = square()
+        v = rotation_field(sq)
+        base = [(0.9, 0.9), (0.5, 0.1), (1.0, 1.0)]
+        seen = []
+        real_lift = dv.lift
+
+        def recording_lift(field_, batch=False):
+            rhs = real_lift(field_, batch)
+
+            def recorded(p):
+                seen.extend(tuple(col) for col in np.asarray(p, dtype=float).T)
+                return rhs(p)
+
+            return recorded
+
+        monkeypatch.setattr(dv, "lift", recording_lift)
+        _batch(v, [sq.point(p) for p in base], self.SQ_OPTS)
+        assert all(seen.count(p) == 1 for p in base)
+
+
+class TestLockstepErrors:
+    """A lane's exception stays with its point; the other points' curves are
+    what they would be alone."""
+
+    def test_guard_violation_and_step_limit_isolated(self):
+        line = thickened_line()
+        v = LiftedField((_fenced(-8.0, 8.0), expr_xy("y")), line)
+        opts = IntegratorOptions(horizon=5.0, max_steps=40)
+        xs = (0.0, 4.0, -4.5, 7.9, 2.0)
+        points = [line.point((x, 0.0)) for x in xs]
+        got = _batch(v, points, opts)
+        kinds = {type(r) for r in got}
+        assert GuardViolation in kinds
+        for p, r in zip(points, got):
+            assert _same(r, _outcome(v, p, opts))
+        # with room for every step, the curves that stay inside the strip
+        # are the same as without the failing neighbours
+        roomy = IntegratorOptions(horizon=5.0)
+        got = _batch(v, points, roomy)
+        assert isinstance(got[1], GuardViolation) and isinstance(got[2], GuardViolation)
+        for p, r in zip(points, got):
+            assert _same(r, _outcome(v, p, roomy))
+        assert curves_identical(got[0], reference_integrate_max_curve(v, points[0], roomy))
+
+    def test_step_limit_in_one_lane(self):
+        sq = square()
+        v = rotation_field(sq)
+        opts = IntegratorOptions(horizon=5.0, max_steps=30)
+        points = [sq.point(p) for p in SQUARE_POINTS]
+        got = _batch(v, points, opts)
+        assert any(isinstance(r, StepLimitExceeded) for r in got)
+        classes = [getattr(r, "classification", None) for r in got]
+        assert CurveClass.CLOSED in classes
+        for p, r in zip(points, got):
+            assert _same(r, _outcome(v, p, opts))
+        errors = {str(r) for r in got if isinstance(r, Exception)}
+        assert errors == {"exceeded 30 accepted steps"}
+
+    def test_forward_error_wins(self):
+        # the backward lane leaves the strip first (x < -1), the forward one
+        # later (x > 3): the point reports the forward lane's exception
+        line = thickened_line()
+        v = LiftedField((_fenced(-1.0, 3.0), expr_xy("y")), line)
+        opts = IntegratorOptions(horizon=5.0)
+        point = line.point((0.0, 0.0))
+        (got,) = _batch(v, [point], opts)
+        assert isinstance(got, GuardViolation)
+        x = float(re.search(r"point \((\S+),", str(got)).group(1))
+        assert x > 3.0
+        with pytest.raises(GuardViolation) as alone:
+            reference_integrate_max_curve(v, point, opts)
+        assert float(re.search(r"point \(np.float64\((\S+)\)", str(alone.value)).group(1)) > 3.0
+
+    def test_residual_guard_in_a_batch(self):
+        # checkpoints past x = 1.12 make the batched residual raise; each
+        # lane is then scanned alone and the exits are those of one curve
+        fenced = SchemePresentation(XY, region=(expr_xy("x - 1"), _fenced(-100.0, 1.12, -1)))
+        v = LiftedField.from_strings(["1", "0"], fenced)
+        opts = IntegratorOptions(horizon=5.0)
+        starts = ((0.0, 0.0), (0.5, 0.3), (-2.0, 0.0), (0.99, 0.0))
+        points = [fenced.point(p) for p in starts]
+        got = _batch(v, points, opts)
+        for p, r in zip(points, got):
+            assert _same(r, _outcome(v, p, opts))
+            assert curves_identical(r, reference_integrate_max_curve(v, p, opts))
+            assert abs(r.interval.hi - (1.0 - p.coords[0])) <= 1e-8
+
+    def test_point_off_scheme_among_others(self):
+        line = thickened_line()
+        v = shear_field(line)
+        points = [line.point((0.0, 0.0)), SchemePoint((0.0, 0.5)), line.point((1.0, 0.0))]
+        got = _batch(v, points, OPTS)
+        assert isinstance(got[1], PointNotOnScheme)
+        assert str(got[1]) == "base point (0.0, 0.5) is not on the zero set"
+        assert curves_identical(got[2], integrate_max_curve(v, points[2], OPTS))
+
+
+class TestDiagnostics:
+    def test_end_reasons_and_counts(self):
+        sq = square()
+        v = rotation_field(sq)
+        closed = integrate_max_curve(v, sq.point((0.9, 0.9)), OPTS)
+        for side, segs in (("forward", closed.forward), ("backward", closed.backward)):
+            d = closed.diagnostics[side]
+            assert d["end"] == "exit" and 0 <= d["checkpoint"] < 16
+            assert d["accepted"] == len(segs) and d["rejected"] >= 0
+            assert d["min_h"] == min(abs(s.h) for s in segs)
+            assert d["max_h"] == max(abs(s.h) for s in segs)
+        whole = integrate_max_curve(v, sq.point((0.5, 0.1)), OPTS)
+        assert whole.diagnostics["forward"]["end"] == "horizon"
+        assert whole.diagnostics["backward"]["end"] == "horizon"
+        corner = integrate_max_curve(v, sq.point((1.0, 1.0)), OPTS)
+        assert corner.diagnostics["forward"] == {"accepted": 0, "rejected": 0, "end": "singleton"}
+
+    def test_underflow_records_last_step(self):
+        plane = SchemePresentation(XY, region=(expr_xy("0 - 1"),))
+        v = LiftedField.from_strings(["1 + x*x", "0"], plane)
+        c = integrate_max_curve(v, plane.point((0.0, 0.0)), IntegratorOptions(horizon=5.0))
+        d = c.diagnostics["forward"]
+        assert d["end"] == "underflow" and d["rejected"] > 0
+        assert d["last_h"] < 1e-14 * max(1.0, abs(c.interval.hi))
+
+    def test_diagnostics_stay_out_of_the_csv(self):
+        sq = square()
+        c = integrate_max_curve(rotation_field(sq), sq.point((0.9, 0.9)), OPTS)
+        assert "exit" not in curve_to_csv(c)
 
 
 def _raw_point(x, y):

@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from schemeflow import curves as cv
 from schemeflow.cring import sample_zero_set
 from schemeflow.curves import CurveClass, IntegratorOptions, integrate_max_curve, evaluate_curve
 from schemeflow.expr import evaluate, parse_expr
@@ -19,7 +18,15 @@ from schemeflow.flow import (
     validate_closed_form,
 )
 
-from helpers import XY, forbid_evaluate, rotation_field, shear_field, square, thickened_line
+from helpers import (
+    XY,
+    count_integrations,
+    forbid_evaluate,
+    rotation_field,
+    shear_field,
+    square,
+    thickened_line,
+)
 
 OPTS = IntegratorOptions(horizon=20.0)
 XYT = XY.extended("t")
@@ -128,40 +135,30 @@ class TestTConvexity:
             endpoints = {row.interval.lo, row.interval.hi} - {0.0}
             probes = {a * e for e in endpoints for a in np.linspace(0.0, 1.0, 11)}
             assert row.residuals.keys() == probes
-        calls = _count_integrations(monkeypatch)
+        log = count_integrations(monkeypatch)
         assert t_convexity_check(W, 11, OPTS).ok
-        assert calls == []
+        assert log.points == []
 
     def test_rows_without_residuals_integrate_again(self, monkeypatch):
         _, _, W = square_domain()
         bare = replace(W, rows=tuple(replace(r, residuals={}) for r in W.rows))
-        calls = _count_integrations(monkeypatch)
+        log = count_integrations(monkeypatch)
         assert t_convexity_check(bare, 11, OPTS) == t_convexity_check(W, 11, OPTS)
         non_singleton = [r for r in W.rows if {r.interval.lo, r.interval.hi} - {0.0}]
-        assert len(calls) == len(non_singleton)
+        assert len(log.points) == len(non_singleton)
+        assert len(log.batches) == 1
         # and the fault is found the same way
         report = t_convexity_check(scale_row_bounds(bare, 3, 1.1), 11, OPTS)
         assert any(v.point.coords == (0.9, 0.9) for v in report.violations)
 
     def test_other_subdivisions_integrate_again(self, monkeypatch):
         _, _, W = square_domain()
-        calls = _count_integrations(monkeypatch)
+        log = count_integrations(monkeypatch)
         report = t_convexity_check(W, 7, OPTS)
         assert report.ok and report.checks > 0
         non_singleton = [r for r in W.rows if {r.interval.lo, r.interval.hi} - {0.0}]
-        assert len(calls) == len(non_singleton)
-
-
-def _count_integrations(monkeypatch) -> list:
-    calls = []
-    real = cv.integrate_max_curve
-
-    def counting(field, point, opts=cv.IntegratorOptions()):
-        calls.append(point.coords)
-        return real(field, point, opts)
-
-    monkeypatch.setattr(cv, "integrate_max_curve", counting)
-    return calls
+        assert len(log.points) == len(non_singleton)
+        assert len(log.batches) == 1
 
 
 class TestClosedForm:
@@ -184,13 +181,13 @@ class TestClosedForm:
         pts = [row.point for row in W.rows]
         times = [-5.0, -1.0, 0.0, 2.0, 5.0]
         stored = {p.coords: integrate_max_curve(field, p, OPTS) for p in pts}
-        calls = _count_integrations(monkeypatch)
+        log = count_integrations(monkeypatch)
         with_source = validate_closed_form(
             line, field, self.PSI, pts, times, OPTS, curves=stored.__getitem__
         )
-        assert calls == []
+        assert log.points == []
         without = validate_closed_form(line, field, self.PSI, pts, times, OPTS)
-        assert len(calls) == len(pts)
+        assert len(log.points) == len(pts) and len(log.batches) == 1
         assert with_source == without
 
     def test_broken_form_flagged(self):

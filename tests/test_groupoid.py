@@ -3,11 +3,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from schemeflow import curves as cv
 from schemeflow import groupoid as gp
 from schemeflow.cring import SchemePoint
-from schemeflow.curves import IntegratorOptions
-from schemeflow.expr import parse_expr
+from schemeflow.curves import IntegratorOptions, integrate_max_curve
+from schemeflow.derivation import LiftedField
+from schemeflow.expr import GuardViolation, SmoothExpr, const, parse_expr
 from schemeflow.flow import closed_form_flow
 from schemeflow.groupoid import (
     Arrow,
@@ -24,7 +24,7 @@ from schemeflow.groupoid import (
     unit,
 )
 
-from helpers import XY, rotation_field, shear_field, square, thickened_line
+from helpers import XY, count_integrations, rotation_field, shear_field, square, thickened_line
 
 OPTS = IntegratorOptions(horizon=20.0)
 XYT = XY.extended("t")
@@ -141,24 +141,58 @@ class TestAxioms:
     def test_each_base_point_integrated_once(self, monkeypatch):
         line, v = line_setup()
         arrows = sample_arrows(line, 12, seed=3, box=LINE_BOX)
-        calls = Counter()
-        real = cv.integrate_max_curve
-
-        def counting(field, point, opts=cv.IntegratorOptions()):
-            calls[tuple(point.coords)] += 1
-            return real(field, point, opts)
-
-        monkeypatch.setattr(cv, "integrate_max_curve", counting)
+        log = count_integrations(monkeypatch)
         assert check_axioms(v, arrows, opts=OPTS).passed
+        calls = Counter(log.points)
         assert max(calls.values()) == 1
         assert {a.point.coords for a in arrows} <= set(calls)
+        # three batches: the sources, their targets, the targets' targets
+        assert len(log.batches) == 3
         # a MemoFlow passed in keeps the gate's curves for the caller
         memo = MemoFlow(v, OPTS)
         check_axioms(v, arrows, opts=OPTS, flow=memo)
-        before = sum(calls.values())
+        before = len(log.points)
         for a in arrows:
             memo.curve(a.point.coords)
-        assert sum(calls.values()) == before
+        assert len(log.points) == before
+
+    def test_sweep_wave_errors_raise_in_sweep_order(self):
+        # the field is defined only for x in [-7.5, 7.5]; horizon 5 keeps the
+        # sources' curves (through x = 0) inside, but the curve through the
+        # target q1 = 3 of arrow 1 leaves it (second wave), and so does the
+        # curve through q12 = 1 + 3 of arrow 0 (third wave).  The sweep reads
+        # q12 of arrow 0 first, so its error is the one raised.
+        line = thickened_line()
+        fenced = SmoothExpr(
+            "div", XY, (const(1, XY), const(1, XY)), guard=((-7.5, 7.5), (-10.0, 10.0))
+        )
+        v = LiftedField((fenced, parse_expr("y", XY)), line)
+        opts = IntegratorOptions(horizon=5.0)
+        origin = line.point((0.0, 0.0))
+        arrows = [Arrow(origin, 1.0), Arrow(origin, 3.0), Arrow(origin, 0.5)]
+        with pytest.raises(GuardViolation) as swept:
+            check_axioms(v, arrows, opts=opts)
+        memo = MemoFlow(v, opts)
+        q12 = memo(memo((0.0, 0.0), 1.0), 3.0)
+        assert abs(q12[0] - 4.0) <= 1e-9
+        with pytest.raises(GuardViolation) as alone:
+            integrate_max_curve(v, SchemePoint(tuple(float(c) for c in q12)), opts)
+        assert str(swept.value) == str(alone.value)
+        # and the second-wave failure alone is a different error
+        with pytest.raises(GuardViolation) as other:
+            memo.curve(tuple(float(c) for c in memo((0.0, 0.0), 3.0)))
+        assert str(other.value) != str(swept.value)
+
+    def test_cached_failure_raises_every_time(self):
+        line = thickened_line()
+        fenced = SmoothExpr(
+            "div", XY, (const(1, XY), const(1, XY)), guard=((-2.0, 2.0), (-10.0, 10.0))
+        )
+        memo = MemoFlow(LiftedField((fenced, parse_expr("y", XY)), line), OPTS)
+        memo.fill([(0.0, 0.0), (1.0, 0.0)])
+        for _ in range(2):
+            with pytest.raises(GuardViolation):
+                memo.curve((0.0, 0.0))
 
     def test_deterministic_sampling(self):
         line, _ = line_setup()
