@@ -11,6 +11,7 @@ the zero set, which is what all numeric checks sample.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -82,7 +83,12 @@ class SchemePresentation:
         return self.vars.arity
 
     def poly_ideal(self) -> Optional[pr.PolyIdeal]:
-        """The ideal as polynomials, when every generator converts; else None."""
+        """The ideal as polynomials, when every generator converts; else None.
+        Built once per presentation, so its Groebner basis is computed once."""
+        return self._poly_ideal
+
+    @functools.cached_property
+    def _poly_ideal(self) -> Optional[pr.PolyIdeal]:
         polys = []
         for g in self.ideal_gens:
             p = ex.as_polynomial(g)
@@ -106,8 +112,13 @@ class SchemePresentation:
         runs with numpy's floating-point warnings off, and its values may
         differ from point-wise ones in the last bits.  The batch code is
         compiled on the first batch call, so a residual used only point by
-        point compiles only the point-wise code.
+        point compiles only the point-wise code.  The callable is built once
+        per presentation.
         """
+        return self._residual
+
+    @functools.cached_property
+    def _residual(self) -> Callable[[Sequence[float]], float]:
         gen_fns = [ex.as_callable(g) for g in self.ideal_gens]
         region_fns = [ex.as_callable(g) for g in self.region]
         batch_fns = []  # (generators, region constraints), on first use

@@ -558,7 +558,7 @@ class _Lockstep:
             else:
                 lo = mid
         bound = t + lo * h
-        return bound, residual(seg.eval(bound)) <= eps_z
+        return bound, bool(residual(seg.eval(bound)) <= eps_z)
 
     def _compact(self) -> None:
         keep = [lane.live for lane in self.lanes]

@@ -109,6 +109,9 @@ class GeneratorCheck:
     image: ex.SmoothExpr
     status: GeneratorStatus
     residual: Optional[pr.Polynomial] = None  # nonzero normal form, if any
+    # certificate of a certified check: image == sum(q_k * G_k) over the
+    # reduced Groebner basis G of the home ideal (``poly_ideal().groebner()``)
+    quotients: Optional[tuple[pr.Polynomial, ...]] = None
     numeric_residual: Optional[float] = None  # max |V(g)| over zero-set samples
     sample_count: int = 0  # points behind a numeric residual
 
@@ -171,9 +174,13 @@ def preserves_ideal(
         image = field.directional(g)
         image_poly = ex.as_polynomial(image)
         if ideal is not None and image_poly is not None:
-            nf = ideal.normal_form(image_poly)
+            quotients, nf = pr.normal_form(image_poly, ideal, quotients=True)
             if nf.is_zero():
-                checks.append(GeneratorCheck(g, image, GeneratorStatus.CERTIFIED))
+                checks.append(
+                    GeneratorCheck(
+                        g, image, GeneratorStatus.CERTIFIED, quotients=tuple(quotients)
+                    )
+                )
             else:
                 checks.append(
                     GeneratorCheck(g, image, GeneratorStatus.NOT_CERTIFIED, residual=nf)
@@ -324,33 +331,13 @@ def hadamard_decompose(f: pr.Polynomial) -> list[pr.Polynomial]:
     for i in range(n):
         numerator = mixed(i) - mixed(i + 1)
         divisor = xs[i] - ys[i]
-        quotient, remainder = _poly_divide(numerator, divisor)
+        (quotient,), remainder = pr.normal_form(
+            numerator, [divisor], pr.MonomialOrder.GREVLEX, quotients=True
+        )
         if not remainder.is_zero():
             raise AssertionError("telescoping difference not divisible; check inputs")
         out.append(quotient)
     return out
-
-
-def _poly_divide(p: pr.Polynomial, d: pr.Polynomial):
-    """Single-divisor multivariate division returning (quotient, remainder)."""
-    order = pr.MonomialOrder.GREVLEX
-    lead = d.leading_monomial(order)
-    lc = d.leading_coeff(order)
-    quotient = pr.Polynomial({}, p.vars)
-    remainder = pr.Polynomial({}, p.vars)
-    work = p
-    while not work.is_zero():
-        m = work.leading_monomial(order)
-        c = work.terms[m]
-        if all(me >= le for me, le in zip(m, lead)):
-            q = pr.Polynomial({tuple(a - b for a, b in zip(m, lead)): c / lc}, p.vars)
-            quotient = quotient + q
-            work = work - q * d
-        else:
-            t = pr.Polynomial({m: c}, p.vars)
-            remainder = remainder + t
-            work = work - t
-    return quotient, remainder
 
 
 def derivation_equal(

@@ -399,13 +399,16 @@ def as_polynomial(e: SmoothExpr):
         if kind == "var":
             return polyring.Polynomial.variable(node.index, node.vars)
         if kind == "add":
-            out = polyring.Polynomial.constant(0, node.vars)
+            # one dict for the whole sum: adding Polynomials copies the
+            # accumulated sum at every child
+            terms: dict = {}
             for c in node.children:
-                out = out + conv(c)
-            return out
+                for m, v in conv(c).terms.items():
+                    terms[m] = terms.get(m, 0) + v
+            return polyring.Polynomial(terms, node.vars)
         if kind == "mul":
-            out = polyring.Polynomial.constant(1, node.vars)
-            for c in node.children:
+            out = conv(node.children[0])
+            for c in node.children[1:]:
                 out = out * conv(c)
             return out
         if kind == "neg":

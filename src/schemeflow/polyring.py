@@ -1,16 +1,28 @@
 """Exact sparse multivariate polynomials and Groebner-basis ideal arithmetic.
 
 Coefficients are rationals (fractions.Fraction) throughout; floating point
-enters only when a polynomial is evaluated as an expression (``to_expr``).  Monomial orders: grevlex (default) and lex, with
-variable precedence given by declaration order.  Basis computation is
-Buchberger with the normal selection strategy and a degree cap that aborts
-runaway runs with a diagnostic.
+enters only when a polynomial is evaluated as an expression (``to_expr``).
+Monomial orders: grevlex (default) and lex, with variable precedence given
+by declaration order.
+
+Basis computation is Buchberger's algorithm with the Gebauer-Moeller
+update (Gebauer & Moeller 1988): when an element joins the basis, criterion
+B drops the old pairs it makes redundant, criteria M and F keep one new
+pair per minimal lcm, and pairs with coprime leading monomials are dropped.
+The surviving pairs wait in a heap (a pair queue as in Giovini et al. 1991,
+"One sugar cube, please") under the normal selection strategy, and a degree
+cap aborts runaway runs with a diagnostic.  Division (``normal_form``) pops
+the working terms from a heap keyed once per monomial, largest first, and
+can return the quotients beside the remainder, which makes an ideal
+membership a checkable certificate.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -114,15 +126,13 @@ class Polynomial:
             other = Polynomial.constant(other, self.vars)
         self._check(other)
         out: dict[tuple[int, ...], Fraction] = {}
+        add = operator.add
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return Polynomial(out, self.vars)
+                m = tuple(map(add, m1, m2))
+                old = out.get(m)
+                out[m] = c1 * c2 if old is None else old + c1 * c2
+        return Polynomial(out, self.vars)  # drops the terms that cancelled
 
     __rmul__ = __mul__
 
@@ -230,69 +240,114 @@ class Polynomial:
 
 
 def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def _mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _mono_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def _mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
+
+
+def _heap_key(order: MonomialOrder):
+    """Key under which heapq's min-heap pops monomials largest-first: the
+    order key with every entry negated, flattened."""
+    if order is MonomialOrder.LEX:
+        return lambda m: tuple(-e for e in m)
+    return lambda m: (-sum(m),) + m[::-1]
 
 
 def normal_form(
-    p: Polynomial, divisors: Sequence[Polynomial] | "PolyIdeal", order: MonomialOrder | None = None
-) -> Polynomial:
+    p: Polynomial,
+    divisors: Sequence[Polynomial] | "PolyIdeal",
+    order: MonomialOrder | None = None,
+    quotients: bool = False,
+) -> Polynomial | tuple[list[Polynomial], Polynomial]:
     """Remainder of multivariate division of ``p`` by ``divisors``.
 
     Against a reduced Groebner basis this is the canonical normal form:
-    zero exactly when ``p`` lies in the (algebraic) ideal.
+    zero exactly when ``p`` lies in the (algebraic) ideal.  Terms leave a
+    heap largest first; each is reduced by the first divisor whose leading
+    monomial divides it, else it joins the remainder.  With ``quotients``
+    the result is ``(quotients, remainder)``, one quotient per divisor (per
+    element of the reduced basis, for an ideal), with
+    ``p == sum(q * g) + remainder`` exactly.
     """
     if isinstance(divisors, PolyIdeal):
         order = divisors.order
-        basis = divisors.groebner()
+        divisors = divisors.groebner()
     else:
         order = order or MonomialOrder.GREVLEX
-        basis = [g for g in divisors if not g.is_zero()]
-    for g in basis:
+    lead = []  # (leading monomial, leading coefficient, negated tail, index)
+    for k, g in enumerate(divisors):
+        if g.is_zero():
+            continue
         if g.vars != p.vars:
             raise ValueError("incompatible variable lists")
-    lead = [(g.leading_monomial(order), g.leading_coeff(order), g) for g in basis]
+        lm = g.leading_monomial(order)
+        tail = [(m, -c) for m, c in g.terms.items() if m != lm]
+        lead.append((lm, g.terms[lm], tail, k))
 
-    remainder: dict[tuple[int, ...], Fraction] = {}
+    hkey = _heap_key(order)
     work = dict(p.terms)
-    while work:
-        m = max(work, key=order.key)
-        c = work[m]
-        for lm, lc, g in lead:
-            if _divides(lm, m):
-                q = _mono_div(m, lm)
-                factor = c / lc
-                for gm, gc in g.terms.items():
-                    mm = _mono_mul(gm, q)
-                    s = work.get(mm, Fraction(0)) - factor * gc
-                    if s == 0:
-                        work.pop(mm, None)
-                    else:
-                        work[mm] = s
+    heap = [(hkey(m), m) for m in work]
+    heapq.heapify(heap)
+    remainder: dict[tuple[int, ...], Fraction] = {}
+    quots = [{} for _ in divisors] if quotients else None
+    le, add, sub = operator.le, operator.add, operator.sub
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue  # cancelled, or a second heap entry of a reduced term
+        for lm, lc, tail, k in lead:
+            if all(map(le, lm, m)):
                 break
         else:
             remainder[m] = c
-            del work[m]
-    return Polynomial(remainder, p.vars)
+            continue
+        q = tuple(map(sub, m, lm))
+        factor = c if lc == 1 else c / lc
+        if quots is not None:
+            quots[k][q] = factor  # q falls as m falls, so it is new
+        for gm, gc in tail:
+            mm = tuple(map(add, gm, q))
+            old = work.get(mm)
+            if old is None:
+                work[mm] = factor * gc
+                heapq.heappush(heap, (hkey(mm), mm))
+            else:
+                s = old + factor * gc
+                if s:
+                    work[mm] = s
+                else:
+                    del work[mm]
+    r = Polynomial(remainder, p.vars)
+    if quots is None:
+        return r
+    return [Polynomial(q, p.vars) for q in quots], r
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     lf, lg = f.leading_monomial(order), g.leading_monomial(order)
     lcm = _mono_lcm(lf, lg)
-    mf = Polynomial({_mono_div(lcm, lf): Fraction(1) / f.leading_coeff(order)}, f.vars)
-    mg = Polynomial({_mono_div(lcm, lg): Fraction(1) / g.leading_coeff(order)}, g.vars)
-    return mf * f - mg * g
+    uf, ug = _mono_div(lcm, lf), _mono_div(lcm, lg)
+    cf, cg = 1 / f.terms[lf], 1 / g.terms[lg]
+    out = {_mono_mul(m, uf): c * cf for m, c in f.terms.items()}
+    for m, c in g.terms.items():
+        mm = _mono_mul(m, ug)
+        s = out.get(mm, 0) - c * cg
+        if s:
+            out[mm] = s
+        else:
+            out.pop(mm, None)
+    return Polynomial(out, f.vars)
 
 
 def groebner_basis(
@@ -302,31 +357,57 @@ def groebner_basis(
 ) -> list[Polynomial]:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
-    Deterministic: normal selection strategy (ascending S-pair lcm degree,
-    then first-index tie-break) and a final inter-reduction sorted by leading
-    monomial.  Raises DegreeCapExceeded if an intermediate polynomial climbs
-    above ``degree_cap``.
+    Buchberger's algorithm with the Gebauer-Moeller update; the inputs,
+    made monic and sorted by leading monomial, enter through it too.  Pairs
+    wait in a heap and leave by the normal selection strategy, smallest lcm
+    first: by lcm degree in grevlex (ties to the lowest indices), by the lcm
+    itself in lex.  Each new element drops the old pairs it makes redundant
+    (criterion B), keeps one new pair per minimal lcm (criteria M and F) and
+    drops new pairs with coprime leading monomials; S-polynomials are
+    reduced by the elements no newer leading monomial divides.  A final
+    inter-reduction sorts the basis by leading monomial.  Raises
+    DegreeCapExceeded if an intermediate polynomial climbs above
+    ``degree_cap``.
     """
-    basis = [g.monic(order) for g in gens if not g.is_zero()]
-    if not basis:
-        return []
-    vl = basis[0].vars
+    polys = [g.monic(order) for g in gens if not g.is_zero()]
+    polys.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    lms = [g.leading_monomial(order) for g in polys]
+    active: list[int] = []  # indices of the current basis, ascending
+    pairs: list[tuple] = []  # heap of (selection key, i, j), i < j
+    select = sum if order is MonomialOrder.GREVLEX else tuple
 
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    def update(h: int) -> None:
+        mh = lms[h]
+        lcms = {g: _mono_lcm(lms[g], mh) for g in active}
+        coprime = {g for g in active if _mono_mul(lms[g], mh) == lcms[g]}
+        # criteria M and F: a new pair survives when no later new pair and no
+        # kept one has an lcm dividing its own; coprime pairs take part in
+        # this test and are dropped after it
+        kept: list[int] = []
+        for n, g in enumerate(active):
+            rivals = itertools.chain(active[n + 1 :], kept)
+            if g in coprime or not any(_divides(lcms[o], lcms[g]) for o in rivals):
+                kept.append(g)
 
-    def pair_key(ij):
-        i, j = ij
-        lcm = _mono_lcm(basis[i].leading_monomial(order), basis[j].leading_monomial(order))
-        return (sum(lcm), i, j)
+        def redundant(i: int, j: int) -> bool:  # criterion B
+            lij = _mono_lcm(lms[i], lms[j])
+            return (
+                _divides(mh, lij)
+                and _mono_lcm(lms[i], mh) != lij
+                and _mono_lcm(lms[j], mh) != lij
+            )
 
+        pairs[:] = [p for p in pairs if not redundant(p[1], p[2])]
+        pairs.extend((select(lcms[g]), g, h) for g in kept if g not in coprime)
+        heapq.heapify(pairs)
+        active[:] = [g for g in active if not _divides(mh, lms[g])] + [h]
+
+    for h in range(len(polys)):
+        update(h)
     while pairs:
-        pairs.sort(key=pair_key)
-        i, j = pairs.pop(0)
-        li = basis[i].leading_monomial(order)
-        lj = basis[j].leading_monomial(order)
-        if _mono_lcm(li, lj) == _mono_mul(li, lj):
-            continue  # coprime leading monomials: S-polynomial reduces to zero
-        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        _, i, j = heapq.heappop(pairs)
+        basis = [polys[k] for k in active]
+        r = normal_form(s_polynomial(polys[i], polys[j], order), basis, order)
         if r.is_zero():
             continue
         if r.total_degree() > degree_cap:
@@ -334,25 +415,23 @@ def groebner_basis(
                 f"intermediate degree {r.total_degree()} exceeds cap {degree_cap}; "
                 "raise the cap to continue"
             )
-        basis.append(r.monic(order))
-        pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+        polys.append(r.monic(order))
+        lms.append(polys[-1].leading_monomial(order))
+        update(len(polys) - 1)
 
     # minimalize: drop elements whose leading monomial is divisible by another's
-    basis.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    minimal: list[Polynomial] = []
-    for g in basis:
-        lg = g.leading_monomial(order)
-        if not any(_divides(h.leading_monomial(order), lg) for h in minimal):
-            minimal.append(g)
+    minimal: list[int] = []
+    for k in sorted(active, key=lambda k: order.key(lms[k])):
+        if not any(_divides(lms[j], lms[k]) for j in minimal):
+            minimal.append(k)
     # fully reduce each element against the others
     reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        r = normal_form(g, others, order) if others else g
+    for k in minimal:
+        others = [polys[j] for j in minimal if j != k]
+        r = normal_form(polys[k], others, order) if others else polys[k]
         if not r.is_zero():
             reduced.append(r.monic(order))
     reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    _ = vl
     return reduced
 
 

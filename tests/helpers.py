@@ -228,6 +228,127 @@ def random_polynomial(rng: random.Random, vl: VarList, degree: int, terms: int =
     return Polynomial(body, vl)
 
 
+def reference_normal_form(p, divisors, order, quotients=False):
+    """Multivariate division by a full ``max`` scan of the working terms at
+    every step, each term reduced by the first divisor whose leading
+    monomial divides it.  Oracle for the heap-ordered ``normal_form``; with
+    ``quotients`` it returns ``(quotients, remainder)`` like it."""
+    from fractions import Fraction
+
+    from schemeflow.polyring import Polynomial
+
+    lead = [
+        (k, g.leading_monomial(order), g.leading_coeff(order), g)
+        for k, g in enumerate(divisors)
+        if not g.is_zero()
+    ]
+    quots = [{} for _ in divisors]
+    remainder = {}
+    work = dict(p.terms)
+    while work:
+        m = max(work, key=order.key)
+        c = work[m]
+        for k, lm, lc, g in lead:
+            if all(x <= y for x, y in zip(lm, m)):
+                q = tuple(x - y for x, y in zip(m, lm))
+                factor = c / lc
+                quots[k][q] = quots[k].get(q, Fraction(0)) + factor
+                for gm, gc in g.terms.items():
+                    mm = tuple(a + b for a, b in zip(gm, q))
+                    s = work.get(mm, Fraction(0)) - factor * gc
+                    if s == 0:
+                        work.pop(mm, None)
+                    else:
+                        work[mm] = s
+                break
+        else:
+            remainder[m] = c
+            del work[m]
+    r = Polynomial(remainder, p.vars)
+    if not quotients:
+        return r
+    return [Polynomial(q, p.vars) for q in quots], r
+
+
+def reference_groebner_basis(gens, order, degree_cap=40):
+    """Plain Buchberger: every pair re-sorted by (lcm degree, i, j) each
+    round, pruned only by coprime leading monomials, each S-polynomial
+    reduced by ``reference_normal_form`` against every element so far, then
+    the same minimalization and inter-reduction.  Oracle for
+    ``groebner_basis``."""
+    from schemeflow.polyring import DegreeCapExceeded, s_polynomial
+
+    def lm(g):
+        return g.leading_monomial(order)
+
+    def lcm(a, b):
+        return tuple(max(x, y) for x, y in zip(a, b))
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    basis = [g.monic(order) for g in gens if not g.is_zero()]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        pairs.sort(key=lambda ij: (sum(lcm(lm(basis[ij[0]]), lm(basis[ij[1]]))),) + ij)
+        i, j = pairs.pop(0)
+        li, lj = lm(basis[i]), lm(basis[j])
+        if lcm(li, lj) == tuple(a + b for a, b in zip(li, lj)):
+            continue
+        r = reference_normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        if r.is_zero():
+            continue
+        if r.total_degree() > degree_cap:
+            raise DegreeCapExceeded(f"intermediate degree {r.total_degree()}")
+        basis.append(r.monic(order))
+        pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+
+    basis.sort(key=lambda g: order.key(lm(g)))
+    minimal = []
+    for g in basis:
+        if not any(divides(lm(h), lm(g)) for h in minimal):
+            minimal.append(g)
+    reduced = []
+    for idx, g in enumerate(minimal):
+        others = minimal[:idx] + minimal[idx + 1 :]
+        r = reference_normal_form(g, others, order) if others else g
+        if not r.is_zero():
+            reduced.append(r.monic(order))
+    reduced.sort(key=lambda g: order.key(lm(g)))
+    return reduced
+
+
+def katsura(n: int):
+    """The katsura-n system over u0..un, as Polynomials."""
+    from schemeflow.expr import as_polynomial
+
+    names = tuple(f"u{i}" for i in range(n + 1))
+    vl = VarList(names)
+
+    def u(l):
+        return names[abs(l)] if abs(l) <= n else None
+
+    gens = [" + ".join([names[0]] + [f"2*{names[l]}" for l in range(1, n + 1)]) + " - 1"]
+    for m in range(n):
+        terms = [f"{u(l)}*{u(m - l)}" for l in range(-n, n + 1) if u(l) and u(m - l)]
+        gens.append(" + ".join(terms) + f" - {names[m]}")
+    return [as_polynomial(parse_expr(g, vl)) for g in gens]
+
+
+def cyclic(n: int):
+    """The cyclic-n system over x0..x(n-1), as Polynomials."""
+    from schemeflow.expr import as_polynomial
+
+    names = tuple(f"x{i}" for i in range(n))
+    vl = VarList(names)
+    gens = []
+    for d in range(1, n):
+        terms = ["*".join(names[(i + k) % n] for k in range(d)) for i in range(n)]
+        gens.append(" + ".join(terms))
+    gens.append("*".join(names) + " - 1")
+    return [as_polynomial(parse_expr(g, vl)) for g in gens]
+
+
 def reference_dedup(points, radius: float) -> list[int]:
     """Greedy dedup by an O(n^2) scan: indices of the rows kept when a row is
     dropped for lying closer than ``radius`` in every coordinate to an

@@ -1,12 +1,15 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schemeflow import derivation as dv
 from schemeflow import expr as ex
+from schemeflow import polyring as pr
 from schemeflow.cring import (
     EqualityStatus,
     PointNotOnScheme,
@@ -205,6 +208,52 @@ class TestResidualCompile:
         assert compiled == [True, True]
         residual(batch)
         assert compiled == [True, True]  # compiled on the first batch call only
+
+
+class TestComputedOncePerPresentation:
+    def test_second_poly_ideal_computes_no_basis(self, monkeypatch):
+        bases = []
+        real = pr.groebner_basis
+
+        def counting(*args):
+            bases.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pr, "groebner_basis", counting)
+        scheme = circle()
+        first = scheme.poly_ideal().groebner()
+        assert scheme.poly_ideal() is scheme.poly_ideal()
+        assert scheme.poly_ideal().groebner() is first and len(bases) == 1
+        v = dv.LiftedField.from_strings(["-y", "x"], scheme)
+        dv.apply(v, scheme.element("x*y"))
+        dv.apply(v, scheme.element("x"))
+        element_equal(scheme.element("x^2"), scheme.element("1 - y^2"))
+        assert len(bases) == 1
+
+    def test_second_in_zero_set_compiles_nothing(self, monkeypatch):
+        scheme = SchemePresentation(XY, ideal_gens=(expr_xy("x^2+y^2-1"),), region=(expr_xy("x"),))
+        compiled = []
+        real = ex.as_callable
+
+        def counting(e, batch=False):
+            compiled.append(batch)
+            return real(e, batch)
+
+        monkeypatch.setattr(ex, "as_callable", counting)
+        assert in_zero_set(scheme, (-1.0, 0.0))
+        assert compiled
+        compiled.clear()
+        assert in_zero_set(scheme, (0.0, -1.0)) and not in_zero_set(scheme, (1.0, 0.0))
+        assert membership_residual(scheme, (0.0, 1.0)) == 0.0
+        scheme.point((0.0, 1.0))
+        assert compiled == []
+
+    def test_copies_keep_their_own_cache(self):
+        scheme = circle()
+        scheme.poly_ideal()
+        other = replace(scheme, ideal_gens=(expr_xy("x^2+y^2-4"),))
+        assert other.poly_ideal().gens != scheme.poly_ideal().gens
+        assert not in_zero_set(other, (1.0, 0.0)) and in_zero_set(scheme, (1.0, 0.0))
 
 
 class TestSampling:

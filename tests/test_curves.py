@@ -677,6 +677,32 @@ class TestDiagnostics:
         assert "exit" not in curve_to_csv(c)
 
 
+class TestIntervalFlagsArePlainBool:
+    def _flags(self, curve):
+        rec = curve.interval
+        return (rec.lo_closed, rec.hi_closed, rec.lo_at_horizon, rec.hi_at_horizon)
+
+    def test_closed_horizon_and_singleton_ends(self):
+        sq = square()
+        v = rotation_field(sq)
+        for p, cls in (
+            ((0.9, 0.9), CurveClass.CLOSED),
+            ((0.5, 0.1), CurveClass.HORIZON_COMPLETE),
+            ((1.0, 1.0), CurveClass.SINGLETON),
+        ):
+            c = integrate_max_curve(v, sq.point(p), OPTS)
+            assert c.classification == cls
+            assert all(type(flag) is bool for flag in self._flags(c))
+
+    def test_open_end(self):
+        # x' = x^3 from 1 blows up at t = 1/2 and reaches the horizon backwards
+        plane = SchemePresentation(XY, region=(expr_xy("0 - 1"),))
+        v = LiftedField.from_strings(["x*x*x", "0"], plane)
+        c = integrate_max_curve(v, plane.point((1.0, 0.0)), IntegratorOptions(horizon=5.0))
+        assert self._flags(c) == (True, False, True, False)
+        assert all(type(flag) is bool for flag in self._flags(c))
+
+
 def _raw_point(x, y):
     from schemeflow.cring import SchemePoint
 

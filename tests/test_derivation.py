@@ -23,11 +23,14 @@ from schemeflow.polyring import Polynomial
 
 from helpers import (
     XY,
+    circle,
     crossing_axes,
     expr_xy,
     forbid_evaluate,
+    katsura,
     random_polynomial,
     reference_evaluate,
+    rotation_field,
     shear_field,
     square,
     thickened_line,
@@ -82,6 +85,45 @@ class TestPreservesIdeal:
         numeric = [c for c in report.checks if c.status is GeneratorStatus.NUMERIC]
         assert all(c.numeric_residual <= 1e-7 for c in numeric)
 
+
+    def test_certificates_reexpand_exactly(self):
+        for field_ in _certified_fields():
+            report = preserves_ideal(field_)
+            assert report.certified and report.checks
+            basis = field_.home.poly_ideal().groebner()
+            for check in report.checks:
+                assert len(check.quotients) == len(basis)
+                total = Polynomial({}, field_.vars)
+                for q, g in zip(check.quotients, basis):
+                    total = total + q * g
+                assert total == as_polynomial(check.image)
+
+    def test_certificate_is_not_printed(self):
+        report = preserves_ideal(shear_field(thickened_line()))
+        assert report.summary().splitlines()[0] == "generator y^2: certified (normal form 0)"
+
+    def test_refuted_check_carries_no_certificate(self):
+        v = LiftedField.from_strings(["0", "1"], thickened_line())
+        (check,) = preserves_ideal(v).checks
+        assert check.status is GeneratorStatus.NOT_CERTIFIED and check.quotients is None
+
+
+def _certified_fields():
+    """Fields whose ideal preservation has an exact certificate."""
+    yield LiftedField.from_strings(["x", "y"], crossing_axes())
+    yield shear_field(thickened_line())
+    yield rotation_field(circle())
+    rng = random.Random(7)
+    gens = katsura(3)
+    vl = gens[0].vars
+    scheme = SchemePresentation(vl, ideal_gens=tuple(g.to_expr() for g in gens))
+    coeffs = []
+    for _ in vl.names:
+        combo = Polynomial({}, vl)
+        for g in gens:
+            combo = combo + rng.choice((-2, -1, 1, 2)) * g * random_polynomial(rng, vl, 1, 2)
+        coeffs.append(combo.to_expr())
+    yield LiftedField(tuple(coeffs), scheme)
 
 
 class TestSampledChecksAreBatched:
