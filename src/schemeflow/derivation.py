@@ -10,6 +10,7 @@ normal forms; the Leibniz rule makes the generator check sufficient.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -66,6 +67,13 @@ class LiftedField:
     @property
     def vars(self) -> ex.VarList:
         return self.coeffs[0].vars
+
+    @functools.cached_property
+    def poly_coeffs(self) -> Optional[tuple[pr.Polynomial, ...]]:
+        """The coefficients as exact polynomials, or None when one of them
+        does not convert (``expr.as_polynomial``).  Computed once per field."""
+        polys = tuple(ex.as_polynomial(a) for a in self.coeffs)
+        return None if None in polys else polys
 
     @classmethod
     def from_strings(
@@ -163,16 +171,29 @@ def preserves_ideal(
     on the zero set (necessary, not sufficient).  Region-only presentations
     have nothing to check: every smooth field preserves the vanishing ideal
     of a full-dimensional closed region.
+
+    When the ideal and every coefficient are polynomial, V(g) is computed in
+    ``polyring`` as sum(a_i * dg/dx_i) over ``poly_ideal().gens``, in exact
+    rational arithmetic, and ``GeneratorCheck.image`` is its ``to_expr()``.
+    Otherwise (a non-polynomial generator or coefficient) V(g) is
+    ``field.directional(g)``, converted by ``expr.as_polynomial`` where it
+    can be.  Both give the same polynomial wherever both apply.
     """
     scheme = field.home
     if scheme is None:
         raise ValueError("free fields have no ideal to preserve")
     ideal = scheme.poly_ideal()
+    coeffs = None if ideal is None else field.poly_coeffs
     checks = []
     numeric_pts = None
-    for g in scheme.ideal_gens:
-        image = field.directional(g)
-        image_poly = ex.as_polynomial(image)
+    for k, g in enumerate(scheme.ideal_gens):
+        if coeffs is not None:
+            gen = ideal.gens[k]
+            image_poly = sum(a * gen.diff(i) for i, a in enumerate(coeffs))
+            image = image_poly.to_expr()
+        else:
+            image = field.directional(g)
+            image_poly = ex.as_polynomial(image)
         if ideal is not None and image_poly is not None:
             quotients, nf = pr.normal_form(image_poly, ideal, quotients=True)
             if nf.is_zero():

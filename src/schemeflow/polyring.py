@@ -62,13 +62,22 @@ class MonomialOrder(enum.Enum):
 
 
 class Polynomial:
-    """Sparse map exponent-vector -> nonzero rational coefficient."""
+    """Sparse map exponent-vector -> nonzero rational coefficient.
 
-    __slots__ = ("terms", "vars")
+    ``int`` and ``float`` coefficients are stored as ``Fraction`` (a float as
+    its exact binary rational), so arithmetic stays exact.  ``terms`` is
+    never written after construction (nothing in the package does), which
+    is what lets a polynomial keep its reduction data (``_reducer``).
+    """
+
+    __slots__ = ("terms", "vars", "_reducers")
 
     def __init__(self, terms: dict[tuple[int, ...], Fraction], vars_: VarList):
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        self.terms = {
+            m: c if type(c) is Fraction else Fraction(c) for m, c in terms.items() if c != 0
+        }
         self.vars = vars_
+        self._reducers = None  # monomial order -> ``_reducer`` entry, on first use
 
     # -- constructors ----------------------------------------------------
 
@@ -182,6 +191,17 @@ class Polynomial:
     def leading_coeff(self, order: MonomialOrder) -> Fraction:
         return self.terms[self.leading_monomial(order)]
 
+    def diff(self, index: int) -> "Polynomial":
+        """Exact partial derivative with respect to variable ``index``."""
+        if not 0 <= index < self.vars.arity:
+            raise ValueError(f"variable index {index} out of range")
+        out = {}
+        for m, c in self.terms.items():
+            e = m[index]
+            if e:
+                out[m[:index] + (e - 1,) + m[index + 1 :]] = c * e
+        return Polynomial(out, self.vars)
+
     def monic(self, order: MonomialOrder) -> "Polynomial":
         if not self.terms:
             return self
@@ -263,6 +283,21 @@ def _heap_key(order: MonomialOrder):
     return lambda m: (-sum(m),) + m[::-1]
 
 
+def _reducer(g: Polynomial, order: MonomialOrder) -> tuple:
+    """What division by the nonzero ``g`` and S-polynomials read: (leading
+    monomial, leading coefficient, negated tail).  Built once per polynomial
+    and order, and kept on the polynomial."""
+    cache = g._reducers
+    if cache is None:
+        cache = g._reducers = {}
+    entry = cache.get(order)
+    if entry is None:
+        lm = g.leading_monomial(order)
+        tail = tuple((m, -c) for m, c in g.terms.items() if m != lm)
+        entry = cache[order] = (lm, g.terms[lm], tail)
+    return entry
+
+
 def normal_form(
     p: Polynomial,
     divisors: Sequence[Polynomial] | "PolyIdeal",
@@ -277,7 +312,8 @@ def normal_form(
     monomial divides it, else it joins the remainder.  With ``quotients``
     the result is ``(quotients, remainder)``, one quotient per divisor (per
     element of the reduced basis, for an ideal), with
-    ``p == sum(q * g) + remainder`` exactly.
+    ``p == sum(q * g) + remainder`` exactly.  Each divisor's reduction data
+    is built on its first division and reused after (``_reducer``).
     """
     if isinstance(divisors, PolyIdeal):
         order = divisors.order
@@ -290,9 +326,7 @@ def normal_form(
             continue
         if g.vars != p.vars:
             raise ValueError("incompatible variable lists")
-        lm = g.leading_monomial(order)
-        tail = [(m, -c) for m, c in g.terms.items() if m != lm]
-        lead.append((lm, g.terms[lm], tail, k))
+        lead.append((*_reducer(g, order), k))
 
     hkey = _heap_key(order)
     work = dict(p.terms)
@@ -335,10 +369,11 @@ def normal_form(
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    lf, lg = f.leading_monomial(order), g.leading_monomial(order)
+    lf, lcf, _ = _reducer(f, order)
+    lg, lcg, _ = _reducer(g, order)
     lcm = _mono_lcm(lf, lg)
     uf, ug = _mono_div(lcm, lf), _mono_div(lcm, lg)
-    cf, cg = 1 / f.terms[lf], 1 / g.terms[lg]
+    cf, cg = 1 / lcf, 1 / lcg
     out = {_mono_mul(m, uf): c * cf for m, c in f.terms.items()}
     for m, c in g.terms.items():
         mm = _mono_mul(m, ug)
@@ -365,13 +400,13 @@ def groebner_basis(
     (criterion B), keeps one new pair per minimal lcm (criteria M and F) and
     drops new pairs with coprime leading monomials; S-polynomials are
     reduced by the elements no newer leading monomial divides.  A final
-    inter-reduction sorts the basis by leading monomial.  Raises
+    inter-reduction leaves the basis sorted by leading monomial.  Raises
     DegreeCapExceeded if an intermediate polynomial climbs above
     ``degree_cap``.
     """
     polys = [g.monic(order) for g in gens if not g.is_zero()]
-    polys.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    lms = [g.leading_monomial(order) for g in polys]
+    polys.sort(key=lambda g: order.key(_reducer(g, order)[0]))
+    lms = [_reducer(g, order)[0] for g in polys]
     active: list[int] = []  # indices of the current basis, ascending
     pairs: list[tuple] = []  # heap of (selection key, i, j), i < j
     select = sum if order is MonomialOrder.GREVLEX else tuple
@@ -416,7 +451,7 @@ def groebner_basis(
                 "raise the cap to continue"
             )
         polys.append(r.monic(order))
-        lms.append(polys[-1].leading_monomial(order))
+        lms.append(_reducer(polys[-1], order)[0])
         update(len(polys) - 1)
 
     # minimalize: drop elements whose leading monomial is divisible by another's
@@ -424,20 +459,21 @@ def groebner_basis(
     for k in sorted(active, key=lambda k: order.key(lms[k])):
         if not any(_divides(lms[j], lms[k]) for j in minimal):
             minimal.append(k)
-    # fully reduce each element against the others
+    # fully reduce each element against the others: no other leading
+    # monomial divides its own, so it keeps its monic leading term, and the
+    # basis keeps the ascending order of ``minimal``
     reduced = []
     for k in minimal:
         others = [polys[j] for j in minimal if j != k]
-        r = normal_form(polys[k], others, order) if others else polys[k]
-        if not r.is_zero():
-            reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
+        reduced.append(normal_form(polys[k], others, order) if others else polys[k])
     return reduced
 
 
 @dataclass
 class PolyIdeal:
-    """Finitely generated ideal with a lazily cached reduced Groebner basis."""
+    """Finitely generated ideal with a lazily cached reduced Groebner basis.
+    The basis elements keep their reduction data, so normal forms against
+    the ideal rebuild none of it."""
 
     gens: tuple[Polynomial, ...]
     order: MonomialOrder = MonomialOrder.GREVLEX
@@ -464,7 +500,7 @@ class PolyIdeal:
         return self._basis
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        return normal_form(p, self.groebner(), self.order)
+        return normal_form(p, self)
 
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()

@@ -228,6 +228,13 @@ def random_polynomial(rng: random.Random, vl: VarList, degree: int, terms: int =
     return Polynomial(body, vl)
 
 
+def reference_image(field: LiftedField, g: SmoothExpr):
+    """V(g) by the expression route: ``field.directional(g)`` (a simplified
+    tree), converted by ``as_polynomial``; None when it does not convert.
+    Oracle for the image ``preserves_ideal`` builds in the polynomial ring."""
+    return ex.as_polynomial(field.directional(g))
+
+
 def reference_normal_form(p, divisors, order, quotients=False):
     """Multivariate division by a full ``max`` scan of the working terms at
     every step, each term reduced by the first divisor whose leading

@@ -1,8 +1,10 @@
 import random
-from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schemeflow.cring import EqualityStatus, SchemePresentation, sample_zero_set
 from schemeflow.derivation import (
@@ -19,7 +21,7 @@ from schemeflow.derivation import (
     related,
 )
 from schemeflow.expr import VarList, as_polynomial, parse_expr, simplify, variables
-from schemeflow.polyring import Polynomial
+from schemeflow.polyring import Polynomial, normal_form
 
 from helpers import (
     XY,
@@ -30,6 +32,7 @@ from helpers import (
     katsura,
     random_polynomial,
     reference_evaluate,
+    reference_image,
     rotation_field,
     shear_field,
     square,
@@ -124,6 +127,103 @@ def _certified_fields():
             combo = combo + rng.choice((-2, -1, 1, 2)) * g * random_polynomial(rng, vl, 1, 2)
         coeffs.append(combo.to_expr())
     yield LiftedField(tuple(coeffs), scheme)
+
+
+@st.composite
+def polynomial_fields(draw):
+    """A polynomial field on a polynomial scheme in 2-4 variables.  Each
+    coefficient is zero, a rational constant, a polynomial with rational
+    coefficients or a multiple of the first generator; each generator
+    ignores one variable."""
+    n = draw(st.integers(2, 4))
+    vl = VarList(tuple(f"x{i}" for i in range(n)))
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+    def polys(degree, max_terms, ignored=None):
+        exps = st.tuples(
+            *[st.integers(0, 0 if i == ignored else degree) for i in range(n)]
+        ).filter(lambda e: sum(e) <= degree)
+        return st.dictionaries(exps, rationals, max_size=max_terms).map(
+            lambda t: Polynomial(t, vl)
+        )
+
+    gens = draw(
+        st.lists(st.integers(0, n - 1).flatmap(lambda j: polys(2, 3, j)), min_size=1, max_size=2)
+    )
+    coeff = st.one_of(
+        st.just(Polynomial({}, vl)),
+        rationals.map(lambda c: Polynomial.constant(c, vl)),
+        polys(2, 4),
+        polys(1, 2).map(lambda q: q * gens[0]),
+    )
+    coeffs = draw(st.lists(coeff, min_size=n, max_size=n))
+    scheme = SchemePresentation(vl, ideal_gens=tuple(g.to_expr() for g in gens))
+    return LiftedField(tuple(c.to_expr() for c in coeffs), scheme)
+
+
+class TestPolynomialImage:
+    """With a polynomial ideal and polynomial coefficients, V(g) is built in
+    the polynomial ring and equals the expression route's polynomial; any
+    other input still takes the expression route."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(polynomial_fields())
+    def test_matches_expression_route(self, field_):
+        scheme = field_.home
+        want = [reference_image(field_, g) for g in scheme.ideal_gens]
+        with mock.patch.object(LiftedField, "directional", side_effect=AssertionError):
+            report = preserves_ideal(field_)
+        ideal = scheme.poly_ideal()
+        for check, image in zip(report.checks, want, strict=True):
+            assert as_polynomial(check.image) == image
+            quotients, nf = normal_form(image, ideal, quotients=True)
+            if nf.is_zero():
+                assert check.status is GeneratorStatus.CERTIFIED
+                assert check.quotients == tuple(quotients)
+            else:
+                assert check.status is GeneratorStatus.NOT_CERTIFIED and check.residual == nf
+
+    @pytest.mark.parametrize(
+        "scheme, coeffs, summary",
+        [
+            # the image converts although a coefficient does not: exp(x)*0 folds
+            (
+                thickened_line(),
+                ["exp(x)", "y"],
+                "generator y^2: certified (normal form 0)\noverall: certified",
+            ),
+            (
+                circle(),
+                ["exp(x)", "0"],
+                "generator x^2 + y^2 - 1: numeric only, max residual 5.437e+00 over "
+                "16 samples\noverall: not certified",
+            ),
+            (
+                SchemePresentation(XY, ideal_gens=(expr_xy("y^2"), expr_xy("y*exp(x)"))),
+                ["x", "1"],
+                "generator y^2: numeric only, max residual 0.000e+00 over 9 samples\n"
+                "generator y*exp(x): numeric only, max residual 7.389e+00 over 9 samples\n"
+                "overall: not certified",
+            ),
+        ],
+    )
+    def test_non_polynomial_input_takes_expression_route(
+        self, monkeypatch, scheme, coeffs, summary
+    ):
+        field_ = LiftedField.from_strings(coeffs, scheme)
+        seen = []
+        real = LiftedField.directional
+        monkeypatch.setattr(
+            LiftedField, "directional", lambda self, g: seen.append(g) or real(self, g)
+        )
+        assert preserves_ideal(field_).summary() == summary
+        assert seen == list(scheme.ideal_gens)
+
+    def test_poly_coeffs(self):
+        assert LiftedField.from_strings(["exp(x)", "y"], thickened_line()).poly_coeffs is None
+        v = shear_field(thickened_line())
+        assert v.poly_coeffs == (Polynomial.constant(1, XY), as_polynomial(expr_xy("y")))
+        assert v.poly_coeffs is v.poly_coeffs
 
 
 class TestSampledChecksAreBatched:
@@ -304,7 +404,7 @@ class TestAlgebraicProperties:
             lhs = as_polynomial(apply(v, line.element(composite.to_expr())).rep)
             partials = []
             for j, aj in enumerate((a1, a2)):
-                df = _poly_partial(f, j).compose([a1, a2])
+                df = f.diff(j).compose([a1, a2])
                 va = as_polynomial(apply(v, line.element(aj.to_expr())).rep)
                 partials.append(df * va)
             rhs = partials[0] + partials[1]
@@ -370,12 +470,3 @@ class TestAlgebraicProperties:
         report = preserves_ideal(br)
         assert report.checks  # certification actually ran
 
-
-def _poly_partial(p: Polynomial, index: int) -> Polynomial:
-    out = {}
-    for m, c in p.terms.items():
-        if m[index] == 0:
-            continue
-        lowered = tuple(e - 1 if i == index else e for i, e in enumerate(m))
-        out[lowered] = out.get(lowered, Fraction(0)) + c * m[index]
-    return Polynomial(out, p.vars)

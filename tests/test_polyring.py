@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schemeflow import polyring as pr
-from schemeflow.expr import VarList, as_polynomial, evaluate, parse_expr
+from schemeflow.expr import VarList, as_polynomial, diff, evaluate, parse_expr
 from schemeflow.polyring import (
     DegreeCapExceeded,
     MonomialOrder,
@@ -137,6 +137,53 @@ def _with_counted_spairs(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(pr, "s_polynomial", counted)
     return calls
+
+
+class TestReductionData:
+    """Division reads each divisor's leading monomial, leading coefficient and
+    negated tail; they are built once per polynomial, not once per division."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        counts = {"leading_monomial": 0, "monic": 0}
+        for name in counts:
+            real = getattr(Polynomial, name)
+
+            def counted(self, order, _real=real, _name=name):
+                counts[_name] += 1
+                return _real(self, order)
+
+            monkeypatch.setattr(Polynomial, name, counted)
+        entries = []  # every entry handed out, kept alive so that ids stay distinct
+        real_reducer = pr._reducer
+
+        def recorded(g, order):
+            entries.append(real_reducer(g, order))
+            return entries[-1]
+
+        monkeypatch.setattr(pr, "_reducer", recorded)
+        return counts, entries
+
+    def test_basis_builds_once_per_polynomial(self, monkeypatch):
+        counts, entries = self._counted(monkeypatch)
+        groebner_basis(katsura(4))
+        # each polynomial the basis creates, input or new element, is made
+        # monic once; one build per divisor per division would be hundreds
+        # (28 S-pairs against up to 13 elements)
+        created = counts["monic"]
+        builds = len({id(e) for e in entries})
+        assert builds <= created
+        assert counts["leading_monomial"] <= 2 * created
+
+    def test_ideal_divides_with_its_basis_data(self, monkeypatch):
+        gens = katsura(4)
+        ideal = PolyIdeal(tuple(gens))
+        p = random_polynomial(random.Random(5), gens[0].vars, 3, 6)
+        first = ideal.normal_form(p)
+        counts, _ = self._counted(monkeypatch)
+        for _ in range(3):
+            assert normal_form(p, ideal, quotients=True)[1] == first
+        assert counts["leading_monomial"] == 0
 
 
 class TestHeapNormalForm:
@@ -382,6 +429,24 @@ class TestPolynomialBasics:
         p = P("x^2*y - 3*x + 1/2")
         round_tripped = as_polynomial(parse_expr(p.to_source(), XY))
         assert round_tripped == p
+
+    def test_diff_matches_symbolic_derivative(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            p = random_polynomial(rng, XYT, 3)
+            for i in range(3):
+                assert p.diff(i) == as_polynomial(diff(p.to_expr(), i))
+        with pytest.raises(ValueError):
+            P("x").diff(2)
+
+    def test_int_and_float_coefficients_become_fractions(self):
+        p = Polynomial({(1, 0): 3, (0, 1): 1}, XY)
+        monic = p.monic(MonomialOrder.GREVLEX)
+        assert monic.terms[(0, 1)] == Fraction(1, 3) and type(monic.terms[(0, 1)]) is Fraction
+        assert [g.to_source() for g in groebner_basis([p])] == ["x + 1/3*y"]
+        q = Polynomial({(1, 0): 0.1, (0, 0): 2}, XY)
+        assert q.terms == {(1, 0): Fraction(0.1), (0, 0): Fraction(2)}
+        assert all(type(c) is Fraction for c in q.terms.values())
 
     def test_zero_handling(self):
         z = P("x") - P("x")
