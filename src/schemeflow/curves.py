@@ -59,10 +59,26 @@ membership; always the case when the exit is a membership exit, since zero
 sets are closed), or open (the lifted solution stopped existing: step-size
 underflow or non-finite state, i.e. finite-time blow-up).
 
+Step floor.  Before every attempt, a lane whose step-size controller asks
+for |h| < 1e-14*max(1, |t|) ends at t with an open endpoint (underflow).
+The controller's step is compared, not the step clipped to the horizon, so
+a sliver step that lands on the horizon is never an underflow.  Near a
+blow-up the accepted steps shrink as well, and the floor ends the lane as
+soon as they fall below it.
+
+Reach.  ``integrate_max_curves(..., reach=r)`` also ends a direction after
+its first accepted step that gets to |t| >= r.  Steps are still clipped
+only by the horizon, so every stored segment is bit-identical to the same
+segment of the curve integrated to the horizon, and so is the dense output
+at every |t| <= r.  A reach end is flagged like a horizon end (no claim
+beyond it), at the time its last step ends; such a curve is meant to be
+read only for |t| <= r, and its classification says nothing about the
+horizon.
+
 ``IntegralCurve.diagnostics`` holds, for "forward" and "backward", the
 accepted and rejected steps, the smallest and largest accepted |h|
-("min_h", "max_h") and the reason the direction ended: "horizon",
-"underflow" (with "last_h", the step that fell below the floor), "exit"
+("min_h", "max_h") and the reason the direction ended: "horizon", "reach",
+"underflow" (with "last_h", the controller step below the floor), "exit"
 (with "checkpoint", the index of the first failing checkpoint of the last
 step) or "singleton".
 """
@@ -72,7 +88,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -299,9 +315,12 @@ class _Lockstep:
     time, state, field value, next |h| and sign in packed arrays, one row
     per lane in ``lanes`` order."""
 
-    def __init__(self, field: dv.LiftedField, scheme, opts: IntegratorOptions):
+    def __init__(
+        self, field: dv.LiftedField, scheme, opts: IntegratorOptions, reach: Optional[float]
+    ):
         self.scheme = scheme
         self.opts = opts
+        self.reach = reach
         self.rhs = dv.lift(field, batch=True)
         self.residual = scheme.residual_fn()
         self.eps_z = scheme.eps_z
@@ -447,6 +466,9 @@ class _Lockstep:
 
     def _round(self) -> None:
         """One attempt on every live lane, then per-lane bookkeeping."""
+        self._end_underflows()
+        if not self.lanes:
+            return
         opts, lanes = self.opts, self.lanes
         t, y, k1 = self.t, self.y, self.k1
         h_abs = np.minimum(self.h_abs, opts.horizon - np.abs(t))
@@ -471,14 +493,7 @@ class _Lockstep:
         next_h = h_abs * factor
 
         for j in np.flatnonzero(~accepted).tolist():
-            lane = lanes[j]
-            if not lane.live:
-                continue
-            lane.rejected += 1
-            if next_h[j] < 1e-14 * max(1.0, abs(float(t[j]))):
-                # lifted solution stops existing here: open endpoint
-                lane.finish("underflow", float(t[j]), False, False, last_h=float(next_h[j]))
-                self._settle(lane)
+            lanes[j].rejected += 1
 
         acc = np.flatnonzero(accepted)
         if len(acc):
@@ -487,6 +502,19 @@ class _Lockstep:
         self.y = np.where(accepted[:, None], y_new, y)
         self.k1 = np.where(accepted[:, None], K[:, 6], k1)  # first-same-as-last
         self.h_abs = next_h
+        self._compact()
+
+    def _end_underflows(self) -> None:
+        """End, as open endpoints, the lanes whose controller step is below
+        the step floor (see the module docstring)."""
+        # live lanes have |t| < horizon, so one reduction settles most rounds
+        if self.h_abs.min() >= 1e-14 * max(1.0, self.opts.horizon):
+            return
+        below = self.h_abs < 1e-14 * np.maximum(1.0, np.abs(self.t))
+        for j in np.flatnonzero(below).tolist():
+            lane = self.lanes[j]
+            lane.finish("underflow", float(self.t[j]), False, False, last_h=float(self.h_abs[j]))
+            self._settle(lane)
         self._compact()
 
     def _charge_attempt_errors(self, batch_error: Exception) -> None:
@@ -507,9 +535,9 @@ class _Lockstep:
 
     def _accept(self, acc, t, y, h, K) -> None:
         """Store the accepted steps, scan their checkpoints in one residual
-        call, and end the lanes that exit, reach the horizon or run out of
-        steps."""
-        opts = self.opts
+        call, and end the lanes that exit, reach the horizon or the reach, or
+        run out of steps."""
+        opts, reach = self.opts, self.reach
         coeffs = K[acc].transpose(0, 2, 1) @ _P
         ya, ha = y[acc], h[acc]
         states = ya[:, :, None] + ha[:, None, None] * (coeffs @ self.powers)
@@ -541,6 +569,9 @@ class _Lockstep:
                 self._settle(lane)
             elif abs(t0 + hj) >= opts.horizon:
                 lane.finish("horizon", lane.sign * opts.horizon, True, True)
+                self._settle(lane)
+            elif reach is not None and abs(t0 + hj) >= reach:
+                lane.finish("reach", t0 + hj, True, True)
                 self._settle(lane)
             elif len(lane.segments) >= opts.max_steps:
                 self._fail(lane, StepLimitExceeded(f"exceeded {opts.max_steps} accepted steps"))
@@ -591,9 +622,15 @@ def integrate_max_curves(
     field: dv.LiftedField,
     points: Iterable[cring.SchemePoint],
     opts: IntegratorOptions = IntegratorOptions(),
+    reach: Optional[float] = None,
 ) -> Iterator[tuple[int, Union[IntegralCurve, Exception]]]:
     """Maximal integral curves of the field through many points, integrated
     in lockstep (see the module docstring).
+
+    With ``reach``, a direction also ends after its first accepted step that
+    gets to |t| >= reach (end reason "reach"), so the curves are known only
+    for |t| <= reach; each of their segments is the same, bit for bit, as the
+    same segment of the curve integrated to the horizon.
 
     Yields ``(i, result)`` for the i-th point as soon as its curve is done,
     so in the order the points finish, not their order in ``points``.
@@ -607,7 +644,7 @@ def integrate_max_curves(
     scheme = field.home
     if scheme is None:
         raise ValueError("the field needs a home presentation to restrict to")
-    return _Lockstep(field, scheme, opts).run(points)
+    return _Lockstep(field, scheme, opts, reach).run(points)
 
 
 def integrate_max_curve(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -114,7 +114,9 @@ class GeneratorStatus(enum.Enum):
 @dataclass(frozen=True)
 class GeneratorCheck:
     generator: ex.SmoothExpr
-    image: ex.SmoothExpr
+    # V(g): the polynomial when it was computed in the polynomial ring, else
+    # the expression; ``image`` is always the expression
+    image_data: Union[pr.Polynomial, ex.SmoothExpr]
     status: GeneratorStatus
     residual: Optional[pr.Polynomial] = None  # nonzero normal form, if any
     # certificate of a certified check: image == sum(q_k * G_k) over the
@@ -122,6 +124,12 @@ class GeneratorCheck:
     quotients: Optional[tuple[pr.Polynomial, ...]] = None
     numeric_residual: Optional[float] = None  # max |V(g)| over zero-set samples
     sample_count: int = 0  # points behind a numeric residual
+
+    @functools.cached_property
+    def image(self) -> ex.SmoothExpr:
+        """V(g) as an expression, built from the polynomial on first read."""
+        data = self.image_data
+        return data.to_expr() if isinstance(data, pr.Polynomial) else data
 
 
 @dataclass(frozen=True)
@@ -174,7 +182,8 @@ def preserves_ideal(
 
     When the ideal and every coefficient are polynomial, V(g) is computed in
     ``polyring`` as sum(a_i * dg/dx_i) over ``poly_ideal().gens``, in exact
-    rational arithmetic, and ``GeneratorCheck.image`` is its ``to_expr()``.
+    rational arithmetic, and ``GeneratorCheck.image`` is its ``to_expr()``,
+    built when first read.
     Otherwise (a non-polynomial generator or coefficient) V(g) is
     ``field.directional(g)``, converted by ``expr.as_polynomial`` where it
     can be.  Both give the same polynomial wherever both apply.
@@ -189,8 +198,7 @@ def preserves_ideal(
     for k, g in enumerate(scheme.ideal_gens):
         if coeffs is not None:
             gen = ideal.gens[k]
-            image_poly = sum(a * gen.diff(i) for i, a in enumerate(coeffs))
-            image = image_poly.to_expr()
+            image = image_poly = sum(a * gen.diff(i) for i, a in enumerate(coeffs))
         else:
             image = field.directional(g)
             image_poly = ex.as_polynomial(image)

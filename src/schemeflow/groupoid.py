@@ -73,35 +73,49 @@ class MemoFlow:
     point; the same integrator and curve evaluation as flow_eval, cached for
     the completeness gate, the axiom sweep and closed-form validation.
 
-    ``fill`` integrates many base points in one lockstep batch.  A point
-    whose integration raises caches the exception, and ``curve`` raises it
-    each time the point is asked for."""
+    ``fill`` integrates many base points in one lockstep batch, to the
+    horizon or only to a ``reach`` (see ``curves.integrate_max_curves``),
+    and records per point the reach it was integrated to.  ``curve`` serves
+    only curves integrated to the horizon; a call ``(coords, t)`` serves any
+    cached curve that reaches |t|.  A cached curve that falls short is
+    integrated again, so every value read is the one the curve integrated
+    to the horizon gives.  A point whose integration raises caches the
+    exception (an error beyond the reach is not seen), and each read of the
+    point raises it again."""
 
     def __init__(self, field: dv.LiftedField, opts: cv.IntegratorOptions):
         self.field = field
         self.opts = opts
-        self._curves: dict[tuple[float, ...], object] = {}
+        # base point -> (reach, curve or exception); reach inf: the horizon
+        self._curves: dict[tuple[float, ...], tuple[float, object]] = {}
 
-    def fill(self, keys: Sequence[tuple[float, ...]]) -> None:
-        """Integrate the curves of the base points ``keys`` not cached yet,
-        in one batch."""
-        missing = [k for k in dict.fromkeys(keys) if k not in self._curves]
+    def fill(self, keys: Sequence[tuple[float, ...]], reach: Optional[float] = None) -> None:
+        """Integrate, in one batch, the curves of the base points ``keys``
+        not cached yet at least to ``reach`` (None: to the horizon)."""
+        if reach is not None and not reach < self.opts.horizon:  # nan too
+            reach = None
+        need = math.inf if reach is None else reach
+        missing = [
+            k for k in dict.fromkeys(keys) if k not in self._curves or self._curves[k][0] < need
+        ]
         if not missing:
             return
         points = [cring.SchemePoint(k) for k in missing]
-        for i, result in cv.integrate_max_curves(self.field, points, self.opts):
-            self._curves[missing[i]] = result
+        for i, result in cv.integrate_max_curves(self.field, points, self.opts, reach=reach):
+            self._curves[missing[i]] = (need, result)
 
-    def curve(self, coords: tuple[float, ...]) -> cv.IntegralCurve:
-        if coords not in self._curves:
-            self.fill([coords])
-        c = self._curves[coords]
+    def _served(self, coords: tuple[float, ...], reach: Optional[float]) -> cv.IntegralCurve:
+        self.fill([coords], reach)
+        c = self._curves[coords][1]
         if isinstance(c, Exception):
             raise c
         return c
 
+    def curve(self, coords: tuple[float, ...]) -> cv.IntegralCurve:
+        return self._served(coords, None)
+
     def __call__(self, coords: Sequence[float], t: float) -> np.ndarray:
-        return cv.evaluate_curve(self.curve(tuple(float(c) for c in coords)), t)
+        return cv.evaluate_curve(self._served(_key(coords), abs(t)), t)
 
 
 def source(arrow: Arrow) -> cring.SchemePoint:
@@ -211,14 +225,16 @@ def _completeness_gate(memo: MemoFlow, arrows) -> None:
 def _fill_sweep(memo: MemoFlow, arrows) -> None:
     """Integrate, one batch per wave, the curves the axiom sweep reads beyond
     the sources: through the targets q1 = phi(p, t1) of the arrows, then
-    through q12 = phi(q1, t2)."""
+    through q12 = phi(q1, t2).  The sweep reads these curves only at the
+    arrows' times, so they run only to the largest |t|."""
     n = len(arrows)
+    reach = max(abs(a.t) for a in arrows)
     q1 = [_reached(memo, a.point.coords, a.t) for a in arrows]
-    memo.fill([_key(q) for q in q1 if q is not None])
+    memo.fill([_key(q) for q in q1 if q is not None], reach)
     q12 = [
         _reached(memo, q, arrows[(i + 1) % n].t) for i, q in enumerate(q1) if q is not None
     ]
-    memo.fill([_key(q) for q in q12 if q is not None])
+    memo.fill([_key(q) for q in q12 if q is not None], reach)
 
 
 def _reached(memo: MemoFlow, coords, t) -> Optional[np.ndarray]:
@@ -242,9 +258,11 @@ def check_axioms(
     not horizon-complete, mirroring the completeness hypothesis.  The gate's
     curves serve the sweep; a MemoFlow passed as ``flow`` holds them
     afterwards, so callers can reuse them.  The curves are integrated in
-    three batches before the sweep (the sources, their targets, and the
-    targets' targets), and a curve whose integration raised raises when the
-    sweep first reads it, so errors surface in the sweep's order.
+    three batches before the sweep: the sources to the horizon, then their
+    targets and the targets' targets only to the largest |t| of the arrows,
+    as far as the sweep reads them.  A curve whose integration raised
+    raises when the sweep first reads it, so errors surface in the sweep's
+    order.
     """
     if not arrows:
         raise ValueError("need at least one arrow")

@@ -441,8 +441,8 @@ def _reference_rk_step(f, y, h, k1):
 def reference_integrate_direction(rhs, y0, sign, residual, eps_z, opts):
     """One direction of one curve, one Dormand-Prince step at a time with
     the point-wise field ``rhs``: the step loop ``curves`` ran before it
-    integrated lanes in lockstep.  Returns (segments, bound, closed,
-    at_horizon)."""
+    integrated lanes in lockstep, with the step floor tested before every
+    attempt.  Returns (segments, bound, closed, at_horizon)."""
     t = 0.0
     y = y0.copy()
     k1 = rhs(y)
@@ -455,8 +455,11 @@ def reference_integrate_direction(rhs, y0, sign, residual, eps_z, opts):
     while abs(t) < opts.horizon:
         if len(segments) >= opts.max_steps:
             raise cv.StepLimitExceeded(f"exceeded {opts.max_steps} accepted steps")
-        h_abs = min(h_abs, opts.horizon - abs(t))
         while True:
+            # the floor tests the controller's step, before the horizon clip
+            if h_abs < 1e-14 * max(1.0, abs(t)):
+                return segments, t, False, False
+            h_abs = min(h_abs, opts.horizon - abs(t))
             h = sign * h_abs
             y_new, K, err = _reference_rk_step(rhs, y, h, k1)
             if np.all(np.isfinite(y_new)) and np.all(np.isfinite(err)):
@@ -469,8 +472,6 @@ def reference_integrate_direction(rhs, y0, sign, residual, eps_z, opts):
                 h_next = h_abs * factor
                 break
             h_abs = h_abs * max(0.2, 0.9 * err_norm**-0.2)
-            if h_abs < 1e-14 * max(1.0, abs(t)):
-                return segments, t, False, False
         seg = cv.DenseSegment(t, h, y.copy(), K.T @ cv._P)
         segments.append(seg)
         bad = cv._first_exit(seg, thetas, powers, residual, eps_z)
@@ -520,25 +521,31 @@ def reference_integrate_max_curve(field, point, opts=cv.IntegratorOptions()):
     return replace(curve, classification=cv.classify_interval(curve))
 
 
+def segments_identical(s, r) -> bool:
+    """Same step and dense output, bit for bit."""
+    return (
+        (s.t0, s.h) == (r.t0, r.h)
+        and s.y0.tobytes() == r.y0.tobytes()
+        and s.coeffs.tobytes() == r.coeffs.tobytes()
+    )
+
+
 def curves_identical(a, b) -> bool:
     """Same interval, flags, class and dense output, bit for bit."""
     if (a.interval, a.classification) != (b.interval, b.classification):
         return False
     segs_a, segs_b = a.forward + a.backward, b.forward + b.backward
-    return len(segs_a) == len(segs_b) and all(
-        (s.t0, s.h) == (r.t0, r.h)
-        and s.y0.tobytes() == r.y0.tobytes()
-        and s.coeffs.tobytes() == r.coeffs.tobytes()
-        for s, r in zip(segs_a, segs_b)
-    )
+    return len(segs_a) == len(segs_b) and all(map(segments_identical, segs_a, segs_b))
 
 
 class IntegrationLog:
     """The base points ``curves.integrate_max_curves`` is asked for, one list
-    per call (``integrate_max_curve`` is a call with one point)."""
+    per call (``integrate_max_curve`` is a call with one point), and the
+    ``reach`` of each call."""
 
     def __init__(self):
         self.batches: list[list[tuple]] = []
+        self.reaches: list = []
 
     @property
     def points(self) -> list[tuple]:
@@ -549,10 +556,11 @@ def count_integrations(monkeypatch) -> IntegrationLog:
     log = IntegrationLog()
     real = cv.integrate_max_curves
 
-    def counting(field, points, opts=cv.IntegratorOptions()):
+    def counting(field, points, opts=cv.IntegratorOptions(), reach=None):
         points = list(points)
         log.batches.append([p.coords for p in points])
-        return real(field, points, opts)
+        log.reaches.append(reach)
+        return real(field, points, opts, reach)
 
     monkeypatch.setattr(cv, "integrate_max_curves", counting)
     return log

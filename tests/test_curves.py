@@ -32,6 +32,7 @@ from helpers import (
     expr_xy,
     reference_integrate_max_curve,
     rotation_field,
+    segments_identical,
     shear_field,
     square,
     square_exit_time,
@@ -675,6 +676,103 @@ class TestDiagnostics:
         sq = square()
         c = integrate_max_curve(rotation_field(sq), sq.point((0.9, 0.9)), OPTS)
         assert "exit" not in curve_to_csv(c)
+
+
+class TestReach:
+    """A reach-limited curve is the full-horizon curve cut after the first
+    step that gets to the reach, bit for bit."""
+
+    OPTS = IntegratorOptions(horizon=5.0)
+
+    def _check(self, v, point, reach):
+        ((_, short),) = integrate_max_curves(v, [point], self.OPTS, reach=reach)
+        full = integrate_max_curve(v, point, self.OPTS)
+        if full.interval.is_singleton:
+            assert curves_identical(short, full)
+            return
+        for side in ("forward", "backward"):
+            cut, whole = getattr(short, side), getattr(full, side)
+            assert all(map(segments_identical, cut, whole))
+            if short.diagnostics[side]["end"] == "reach":
+                assert reach < self.OPTS.horizon and len(cut) < len(whole)
+                assert abs(cut[-1].t1) >= reach
+                assert all(abs(s.t1) < reach for s in cut[:-1])
+            else:
+                assert len(cut) == len(whole)
+                assert short.diagnostics[side] == full.diagnostics[side]
+        lo, hi = max(full.interval.lo, -reach), min(full.interval.hi, reach)
+        for t in np.linspace(lo, hi, 13).tolist() + [lo, hi]:
+            assert evaluate_curve(short, t).tobytes() == evaluate_curve(full, t).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        x=st.floats(-1.0, 1.0),
+        y=st.floats(-1.0, 1.0),
+        reach=st.floats(0.0, 6.0),
+    )
+    def test_square_rotation(self, x, y, reach):
+        sq = square()
+        self._check(rotation_field(sq), sq.point((x, y)), reach)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        theta=st.floats(0.0, 2 * math.pi),
+        z=st.floats(-1.0, 1.0),
+        reach=st.floats(0.0, 6.0),
+    )
+    def test_sphere_rotation(self, theta, z, reach):
+        scheme, v = _sphere()
+        r = math.sqrt(1.0 - z * z)
+        self._check(v, scheme.point((r * math.cos(theta), r * math.sin(theta), z)), reach)
+
+    def test_reach_end_is_flagged_and_counted(self):
+        sq = square()
+        ((_, c),) = integrate_max_curves(
+            rotation_field(sq), [sq.point((0.5, 0.1))], self.OPTS, reach=1.0
+        )
+        d = c.diagnostics["forward"]
+        assert d["end"] == "reach" and d["accepted"] == len(c.forward)
+        assert c.interval.hi == c.forward[-1].t1 >= 1.0
+        assert c.interval.hi_at_horizon and c.interval.lo_at_horizon
+
+
+class TestStepFloor:
+    def test_blowup_ends_open_in_few_steps(self):
+        # x' = 1 + x^2 from 0 is tan(t), which blows up at +-pi/2
+        from scipy.integrate import solve_ivp
+
+        line = thickened_line()
+        v = LiftedField.from_strings(["1 + x*x", "0"], line)
+        opts = IntegratorOptions(horizon=5.0)
+        c = integrate_max_curve(v, line.point((0.0, 0.0)), opts)
+        ref = solve_ivp(
+            lambda t, y: 1 + y * y, (0.0, opts.horizon), [0.0], method="RK45",
+            rtol=opts.rel_tol, atol=opts.abs_tol,
+        )
+        assert ref.status == -1  # scipy's step fell below its floor: blow-up
+        ref_steps = len(ref.t) - 1
+        assert c.classification == CurveClass.OPEN
+        for side, bound in (("forward", c.interval.hi), ("backward", -c.interval.lo)):
+            d = c.diagnostics[side]
+            assert d["end"] == "underflow"
+            assert abs(bound - math.pi / 2) <= 1e-6
+            assert abs(bound - ref.t[-1]) <= 1e-6
+            assert d["accepted"] < 2000 and d["accepted"] < 2 * ref_steps
+
+    def test_sliver_step_to_the_horizon_is_no_underflow(self):
+        # a horizon just past the end of an accepted step leaves a last step
+        # below the floor; the controller's step is far above it
+        line = thickened_line()
+        v = shear_field(line)
+        point = line.point((0.0, 0.0))
+        t1 = integrate_max_curve(v, point, IntegratorOptions(horizon=5.0)).forward[5].t1
+        opts = IntegratorOptions(horizon=t1 + 4e-15)
+        assert 0 < opts.horizon - t1 < 1e-14 * max(1.0, t1)
+        c = integrate_max_curve(v, point, opts)
+        assert c.classification == CurveClass.HORIZON_COMPLETE
+        assert abs(c.forward[-1].h) < 1e-14
+        assert {d["end"] for d in c.diagnostics.values()} == {"horizon"}
+        assert curves_identical(c, reference_integrate_max_curve(v, point, opts))
 
 
 class TestIntervalFlagsArePlainBool:

@@ -101,6 +101,23 @@ class TestPreservesIdeal:
                     total = total + q * g
                 assert total == as_polynomial(check.image)
 
+    def test_image_expression_built_on_first_read(self, monkeypatch):
+        built = []
+        real = Polynomial.to_expr
+
+        def recording(self):
+            built.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Polynomial, "to_expr", recording)
+        v = LiftedField.from_strings(["x", "y"], crossing_axes())
+        report = preserves_ideal(v)
+        assert report.summary().endswith("overall: certified") and built == []
+        (check,) = report.checks
+        image = check.image
+        assert check.image is image and built == [check.image_data]
+        assert as_polynomial(image) == as_polynomial(expr_xy("3*x^2*y"))
+
     def test_certificate_is_not_printed(self):
         report = preserves_ideal(shear_field(thickened_line()))
         assert report.summary().splitlines()[0] == "generator y^2: certified (normal form 0)"

@@ -5,7 +5,7 @@ import pytest
 
 from schemeflow import groupoid as gp
 from schemeflow.cring import SchemePoint
-from schemeflow.curves import IntegratorOptions, integrate_max_curve
+from schemeflow.curves import CurveClass, IntegratorOptions, integrate_max_curve
 from schemeflow.derivation import LiftedField
 from schemeflow.expr import GuardViolation, SmoothExpr, const, parse_expr
 from schemeflow.flow import closed_form_flow
@@ -24,7 +24,15 @@ from schemeflow.groupoid import (
     unit,
 )
 
-from helpers import XY, count_integrations, rotation_field, shear_field, square, thickened_line
+from helpers import (
+    XY,
+    count_integrations,
+    curves_identical,
+    rotation_field,
+    shear_field,
+    square,
+    thickened_line,
+)
 
 OPTS = IntegratorOptions(horizon=20.0)
 XYT = XY.extended("t")
@@ -146,8 +154,10 @@ class TestAxioms:
         calls = Counter(log.points)
         assert max(calls.values()) == 1
         assert {a.point.coords for a in arrows} <= set(calls)
-        # three batches: the sources, their targets, the targets' targets
+        # three batches: the sources to the horizon, then their targets and
+        # the targets' targets only as far as the sweep reads them
         assert len(log.batches) == 3
+        assert log.reaches == [None] + 2 * [max(abs(a.t) for a in arrows)]
         # a MemoFlow passed in keeps the gate's curves for the caller
         memo = MemoFlow(v, OPTS)
         check_axioms(v, arrows, opts=OPTS, flow=memo)
@@ -157,14 +167,15 @@ class TestAxioms:
         assert len(log.points) == before
 
     def test_sweep_wave_errors_raise_in_sweep_order(self):
-        # the field is defined only for x in [-7.5, 7.5]; horizon 5 keeps the
-        # sources' curves (through x = 0) inside, but the curve through the
-        # target q1 = 3 of arrow 1 leaves it (second wave), and so does the
-        # curve through q12 = 1 + 3 of arrow 0 (third wave).  The sweep reads
-        # q12 of arrow 0 first, so its error is the one raised.
+        # the field is defined only for x in [-5.9, 5.9]; horizon 5 keeps the
+        # sources' curves (through x = 0) inside, but within the sweep's
+        # reach of 3 the curve through the target q1 = 3 of arrow 1 leaves it
+        # (second wave), and so does the curve through q12 = 1 + 3 of arrow 0
+        # (third wave).  The sweep reads q12 of arrow 0 first, so its error
+        # is the one raised.
         line = thickened_line()
         fenced = SmoothExpr(
-            "div", XY, (const(1, XY), const(1, XY)), guard=((-7.5, 7.5), (-10.0, 10.0))
+            "div", XY, (const(1, XY), const(1, XY)), guard=((-5.9, 5.9), (-10.0, 10.0))
         )
         v = LiftedField((fenced, parse_expr("y", XY)), line)
         opts = IntegratorOptions(horizon=5.0)
@@ -182,6 +193,37 @@ class TestAxioms:
         with pytest.raises(GuardViolation) as other:
             memo.curve(tuple(float(c) for c in memo((0.0, 0.0), 3.0)))
         assert str(other.value) != str(swept.value)
+
+    def test_reused_memo_serves_full_curves_to_the_gate(self, monkeypatch):
+        # the second call's sources are the first call's targets, which the
+        # first sweep integrated only to the arrows' reach
+        line, v = line_setup()
+        arrows = sample_arrows(line, 6, seed=5, box=LINE_BOX)
+        memo = MemoFlow(v, OPTS)
+        log = count_integrations(monkeypatch)
+        assert check_axioms(v, arrows, opts=OPTS, flow=memo).passed
+        targets = [Arrow(inverse(a, v, OPTS, flow=memo).point, a.t) for a in arrows]
+        keys = {a.point.coords for a in targets}
+        assert keys <= set(log.batches[1]) and log.reaches[1] == max(abs(a.t) for a in arrows)
+        gated = []
+        real = gp.MemoFlow.curve
+
+        def recording(self, coords):
+            gated.append(real(self, coords))
+            return gated[-1]
+
+        monkeypatch.setattr(gp.MemoFlow, "curve", recording)
+        first = len(log.batches)
+        assert check_axioms(v, targets, opts=OPTS, flow=memo).passed
+        # the short curves are integrated again, to the horizon, for the gate
+        assert set(log.batches[first]) == keys and log.reaches[first] is None
+        assert len(gated) == len(targets)
+        for c in gated:
+            assert c.classification == CurveClass.HORIZON_COMPLETE
+            assert (c.interval.lo, c.interval.hi) == (-OPTS.horizon, OPTS.horizon)
+            assert {d["end"] for d in c.diagnostics.values()} == {"horizon"}
+        q1 = targets[0].point.coords
+        assert curves_identical(real(memo, q1), integrate_max_curve(v, SchemePoint(q1), OPTS))
 
     def test_cached_failure_raises_every_time(self):
         line = thickened_line()
