@@ -104,16 +104,14 @@ class SchemePresentation:
 
         A point belongs to the zero set exactly when the residual is <= eps_z.
         The callable takes one point, or an (n, m) array holding m points as
-        columns and returning their m residuals.  Both skip a NaN constraint
-        value (``max`` point-wise, ``np.fmax`` on a batch).  The constraints
-        follow ``expr.as_callable``'s rules: an overflow gives +-inf (a
-        generator at inf fails membership, a region constraint at -inf
-        holds), and a batch raises where one of its points would.  A batch
-        runs with numpy's floating-point warnings off, and its values may
-        differ from point-wise ones in the last bits.  The batch code is
-        compiled on the first batch call, so a residual used only point by
-        point compiles only the point-wise code.  The callable is built once
-        per presentation.
+        columns and returning their m residuals; a point is a one-column
+        batch, so its residual is, bit for bit, its column's.  A NaN
+        constraint value is skipped (``np.fmax``).  The constraints follow
+        ``expr.as_callable``'s rules: an overflow gives +-inf (a generator at
+        inf fails membership, a region constraint at -inf holds), and a batch
+        raises where one of its points would.  The residual runs with numpy's
+        floating-point warnings off.  The callable is built once per
+        presentation.
         """
         return self._residual
 
@@ -121,29 +119,18 @@ class SchemePresentation:
     def _residual(self) -> Callable[[Sequence[float]], float]:
         gen_fns = [ex.as_callable(g) for g in self.ideal_gens]
         region_fns = [ex.as_callable(g) for g in self.region]
-        batch_fns = []  # (generators, region constraints), on first use
 
         def residual(p: Sequence[float]) -> float:
-            if isinstance(p, np.ndarray) and p.ndim == 2:
-                if not batch_fns:
-                    batch_fns.append((
-                        [ex.as_callable(g, batch=True) for g in self.ideal_gens],
-                        [ex.as_callable(g, batch=True) for g in self.region],
-                    ))
-                gen_batch, region_batch = batch_fns[0]
-                with np.errstate(all="ignore"):
-                    r = np.zeros(p.shape[1])
-                    for f in gen_batch:
-                        r = np.fmax(r, np.abs(f(p)))
-                    for f in region_batch:
-                        r = np.fmax(r, f(p))
-                return r
-            r = 0.0
-            for f in gen_fns:
-                r = max(r, abs(f(p)))
-            for f in region_fns:
-                r = max(r, f(p))
-            return r
+            point = not (isinstance(p, np.ndarray) and p.ndim == 2)
+            if point:
+                p = np.asarray(p, dtype=float).reshape(-1, 1)
+            with np.errstate(all="ignore"):
+                r = np.zeros(p.shape[1])
+                for f in gen_fns:
+                    r = np.fmax(r, np.abs(f(p)))
+                for f in region_fns:
+                    r = np.fmax(r, f(p))
+            return float(r[0]) if point else r
 
         return residual
 
@@ -317,7 +304,7 @@ def batch_values(exprs: Sequence[ex.SmoothExpr], points) -> np.ndarray:
         cols = np.array(points, dtype=float).reshape(len(points), exprs[0].vars.arity).T
         with np.errstate(all="ignore"):
             for i, e in enumerate(exprs):
-                out[i] = ex.as_callable(e, batch=True)(cols)
+                out[i] = ex.as_callable(e)(cols)
     return out
 
 
@@ -365,9 +352,9 @@ def _polish(scheme: SchemePresentation, points: np.ndarray, box, steps: int) -> 
     """Gauss-Newton on the generator residual vector for every column of
     ``points`` at once, clipped to the box.  Each step takes the
     minimum-norm least-squares step with ``lstsq``'s default cutoff."""
-    gens = [ex.as_callable(g, batch=True) for g in scheme.ideal_gens]
+    gens = [ex.as_callable(g) for g in scheme.ideal_gens]
     grads = [
-        [ex.as_callable(ex.diff(g, i), batch=True) for i in range(scheme.arity)]
+        [ex.as_callable(ex.diff(g, i)) for i in range(scheme.arity)]
         for g in scheme.ideal_gens
     ]
     lows = np.array([[lo] for lo, _ in box])

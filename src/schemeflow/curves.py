@@ -16,9 +16,9 @@ live; the other points wait in a queue and start as lanes finish.  Starting
 a point evaluates the field at the base point once: that value serves the
 singleton probe, the initial step size and both lanes' first stage.  A round
 then takes one Dormand-Prince attempt on every live lane: each of the six
-stages is one call of the batched field (``derivation.lift(field,
-batch=True)``) on an (n, lanes) array; the stage sums, error estimates and
-dense-output coefficients are stacked matrix products; and the dense-output
+stages is one call of the lifted field (``derivation.lift``) on an (n,
+lanes) array; the stage sums, error estimates and dense-output
+coefficients are stacked matrix products; and the dense-output
 states at all checkpoints of every accepted attempt go through the scheme's
 residual in one call.  Whatever one curve decides stays per lane, with the
 rules of one curve: step size and controller, rejection, step-size
@@ -44,14 +44,11 @@ the arithmetic of a curve integrated alone, so a curve depends on its batch
 only if numpy's elementwise evaluation of the field or the residual does.
 Sums, products and negation never do (rotations, translations); powers,
 quotients, exp, log, sin, cos and the cutoffs go through numpy functions
-that nothing documents to be independent of the array's length.  The field is evaluated
-by numpy, which may differ from ``math`` in the last bits, so with such
-operations a curve can also differ at rounding level from one integrated
-with the point-wise field.  The checkpoint states of a step come from one
-matrix product and may differ from ``DenseSegment.eval`` in the last bits,
-so a checkpoint whose residual sits within rounding of the threshold can
-start the bisection one checkpoint earlier or later than a point-wise scan
-would.
+that nothing documents to be independent of the array's length.  The
+checkpoint states of a step come from one matrix product and may differ
+from ``DenseSegment.eval`` in the last bits, so a checkpoint whose
+residual sits within rounding of the threshold can start the bisection one
+checkpoint earlier or later than a point-wise scan would.
 
 Interval endpoints carry three epistemic flags: reached the horizon (no
 claim of completeness), closed (the localized boundary state itself passes
@@ -321,7 +318,7 @@ class _Lockstep:
         self.scheme = scheme
         self.opts = opts
         self.reach = reach
-        self.rhs = dv.lift(field, batch=True)
+        self.rhs = dv.lift(field)
         self.residual = scheme.residual_fn()
         self.eps_z = scheme.eps_z
         self.n = scheme.arity
@@ -348,9 +345,6 @@ class _Lockstep:
             self._round()
 
     # -- points ------------------------------------------------------------
-
-    def _field_at(self, y: np.ndarray) -> np.ndarray:
-        return self.rhs(y[:, None])[:, 0]
 
     def _refill(self, queue) -> None:
         """Start waiting points while two more lanes fit under MAX_LANES."""
@@ -387,13 +381,13 @@ class _Lockstep:
         lanes of ``point``; raises what integrating the point raises before
         its first step."""
         y0 = np.array(point.coords, dtype=float)
+        if y0.shape != (self.n,):
+            raise ValueError(f"point length {len(y0)} != arity {self.n}")
         if self.residual(y0) > self.eps_z:
             raise cring.PointNotOnScheme(
                 f"base point {point.coords} is not on the zero set"
             )
-        if y0.shape != (self.n,):
-            raise ValueError(f"point length {len(y0)} != arity {self.n}")
-        k1 = self._field_at(y0)
+        k1 = self.rhs(y0)
         # singleton probe: all short probes failing on both sides means the
         # curve reduces to its initial condition
         if self._singleton_probe(y0, k1):
@@ -407,7 +401,7 @@ class _Lockstep:
             raise ex.GuardViolation("field not finite at the base point")
         if self.opts.max_steps <= 0:
             raise StepLimitExceeded(f"exceeded {self.opts.max_steps} accepted steps")
-        return y0, k1, _initial_step(self._field_at, y0, k1, self.opts)
+        return y0, k1, _initial_step(self.rhs, y0, k1, self.opts)
 
     def _singleton_probe(self, y0, k1) -> bool:
         h0 = self.opts.probe_step

@@ -92,12 +92,12 @@ class LiftedField:
         return ex.simplify(out)
 
 
-def lift(field: LiftedField, batch: bool = False) -> Callable[[Sequence[float]], np.ndarray]:
+def lift(field: LiftedField) -> Callable[[Sequence[float]], np.ndarray]:
     """Compiled coefficient evaluation, usable as an ODE right-hand side:
-    a point to the (n,) array of coefficient values.  With ``batch`` it maps
-    an (n, m) array holding m points as columns to the (n, m) array of their
-    values, by ``expr.as_callable(c, batch=True)``."""
-    fns = [ex.as_callable(c, batch=batch) for c in field.coeffs]
+    a point to the (n,) array of coefficient values, or an (n, m) array
+    holding m points as columns to the (n, m) array of their values, by
+    ``expr.as_callable``."""
+    fns = [ex.as_callable(c) for c in field.coeffs]
 
     def rhs(p: Sequence[float]) -> np.ndarray:
         return np.array([f(p) for f in fns], dtype=float)

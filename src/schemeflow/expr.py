@@ -15,7 +15,6 @@ s = 0, where the function is flat).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -236,30 +235,6 @@ def cos(e: SmoothExpr) -> SmoothExpr:
 
 
 # -- evaluation ----------------------------------------------------------
-
-
-def _safe_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-def _cut_value(s: float, k: int) -> float:
-    if s <= 0.0:
-        return 0.0
-    a = -1.0 / s - k * math.log(s)
-    return _safe_exp(a)
-
-
-def _guard_check(guard, point) -> None:
-    if guard is None:
-        return
-    for (lo, hi), x in zip(guard, point):
-        if not lo <= x <= hi:
-            raise GuardViolation(
-                f"point {tuple(point)} outside declared guard box {guard}"
-            )
 
 
 def evaluate(e: SmoothExpr, point: Sequence[float]) -> float:
@@ -774,56 +749,55 @@ def parse_expr(src: str, vars_: VarList) -> SmoothExpr:
 # -- compiled evaluation --------------------------------------------------
 
 
-def as_callable(e: SmoothExpr, batch: bool = False) -> Callable[[Sequence[float]], float]:
-    """Compile ``e`` into a fast point -> float function.
+def as_callable(e: SmoothExpr) -> Callable[[Sequence[float]], float]:
+    """Compile ``e`` into numpy code.
 
     This is the package's only numeric evaluator (``evaluate`` and every
-    residual run it).  Its rules:
+    residual run it).  The compiled function takes an (n, m) array holding
+    m points as columns and returns their m values, or one point (any
+    sequence of n numbers) and returns a float.  A point is evaluated as a
+    one-column batch, so its value is, bit for bit, its column's value in
+    any batch.  Its rules:
 
     - Sums add and products multiply left to right in double precision,
       with no compensated summation: ``x + 10^16 - 10^16`` at x = 1 is 0.0.
-      Rational constants round to the nearest double where they meet a
-      float.
-    - Overflow gives +-inf and never raises.  ``exp`` and numpy arithmetic
-      give inf already; a call in which a power of a Python float (or a
-      constant too large for a double) overflows, or in which numpy's error
-      state turns a floating-point error into an exception, is evaluated
-      again in numpy float64 with floating-point errors ignored.  numpy
-      scalars and batches still warn as numpy's error state says.
+      Rational constants round to the nearest double, and a constant
+      beyond double range is +-inf.
+    - Overflow gives +-inf and never raises.  A point runs with numpy's
+      floating-point errors ignored.  A batch warns as numpy's error state
+      says; a batch that the error state turns into a FloatingPointError is
+      evaluated again with the errors ignored.
     - GuardViolation for a point outside a declared guard box, a zero
       denominator or the log of a nonpositive value; ValueError for the
-      sine or cosine of an infinity.  NaN propagates.
-
-    The point-wise function takes any sequence of n coordinates and uses
-    ``math``.  With ``batch`` the same tree compiles to a function of an
-    (n, m) array holding m points as columns, returning their m values
-    through numpy; it raises where one of its points would, though not
-    necessarily naming that point.  numpy and ``math`` may differ in the
-    last bits.
+      sine or cosine of an infinity.  NaN propagates.  A batch raises where
+      one of its points would, though not necessarily naming that point.
     """
-    return _compile(e, batch, floats=False)
+    f = _compile(e)
+
+    def compiled(p):
+        if isinstance(p, np.ndarray) and p.ndim == 2:
+            try:
+                return f(p)
+            except FloatingPointError:
+                with np.errstate(all="ignore"):
+                    return f(p)
+        with np.errstate(all="ignore"):
+            return float(f(np.asarray(p, dtype=float).reshape(-1, 1))[0])
+
+    return compiled
 
 
-def _compile(e: SmoothExpr, batch: bool, floats: bool):
-    """``floats`` emits every constant as a double and every power through
-    numpy, so under ignored floating-point errors no step of the compiled
-    code can raise OverflowError; it is the fallback of the default
-    emission."""
-    counter = [0]
+def _compile(e: SmoothExpr):
+    """The numpy code of ``e``: a function of an (n, m) array of points."""
     guards: dict[str, object] = {}
 
     def emit(node: SmoothExpr) -> str:
         kind = node.kind
         if kind == "const":
-            v = node.value
-            if floats:
-                try:
-                    return f"({float(v)!r})"
-                except OverflowError:
-                    return "_INF" if v > 0 else "(-_INF)"
-            if v.denominator == 1:
-                return f"({v.numerator!r})" if isinstance(v.numerator, int) else repr(v)
-            return f"({v.numerator}/{v.denominator})"
+            try:
+                return f"({float(node.value)!r})"
+            except OverflowError:
+                return "_INF" if node.value > 0 else "(-_INF)"
         if kind == "var":
             return f"p[{node.index}]"
         if kind == "add":
@@ -833,9 +807,7 @@ def _compile(e: SmoothExpr, batch: bool, floats: bool):
         if kind == "neg":
             return f"(-{emit(node.children[0])})"
         if kind == "pow":
-            if floats:
-                return f"_pow({emit(node.children[0])}, {node.exponent})"
-            return f"({emit(node.children[0])} ** {node.exponent})"
+            return f"_pow({emit(node.children[0])}, {node.exponent})"
         if kind == "div":
             g = _register_guard(node)
             return f"_div({emit(node.children[0])}, {emit(node.children[1])}, {g}, p)"
@@ -855,70 +827,29 @@ def _compile(e: SmoothExpr, batch: bool, floats: bool):
     def _register_guard(node: SmoothExpr) -> str:
         if node.guard is None:
             return "None"
-        name = f"_g{counter[0]}"
-        counter[0] += 1
+        name = f"_g{len(guards)}"
         guards[name] = node.guard
         return name
 
-    body = f"({emit(e)}) * 1.0"  # populates the guard table as a side effect
-    if batch and not free_variables(e):
+    body = emit(e)  # populates the guard table as a side effect
+    if e.kind == "var":
+        body += " * 1.0"  # a new array, not a view of the caller's
+    elif not free_variables(e):
         # a constant tree yields one number; a batch returns one per point
         body = f"_full(p.shape[1], {body})"
-    ns: dict[str, object] = dict(_BATCH_HELPERS if batch else _POINT_HELPERS)
+    ns: dict[str, object] = dict(_HELPERS)
     ns.update(guards)
-    if floats:
-        src = f"def _compiled(p):\n    return {body}\n"
-    else:
-        ns["_overflowed"] = _overflow_fallback(e, batch)
-        src = (
-            "def _compiled(p):\n"
-            "    try:\n"
-            f"        return {body}\n"
-            "    except ArithmeticError:\n"
-            "        return _overflowed(p)\n"
-        )
+    src = f"def _compiled(p):\n    return {body}\n"
     exec(src, ns)  # noqa: S102 - generated from a closed AST, no external input
     return ns["_compiled"]
 
 
-def _overflow_fallback(e: SmoothExpr, batch: bool):
-    """Evaluation of ``e`` for a call that overflowed (or raised another
-    ArithmeticError): the float emission on a batch (one column for a single
-    point) with floating-point errors ignored, compiled on first use."""
-    compiled = []
-
-    def overflowed(p):
-        if not compiled:
-            compiled.append(_compile(e, batch=True, floats=True))
-        q = p if batch else np.array(p, dtype=float).reshape(-1, 1)
-        with np.errstate(all="ignore"):
-            values = compiled[0](q)
-        return values if batch else float(values[0])
-
-    return overflowed
+# Helpers of compiled expressions.  Each takes an array of values, one per
+# point of the batch, or a number for a constant subexpression, and raises
+# where any of the points would raise.
 
 
-def _point_div(a, b, g, p):
-    _guard_check(g, p)
-    if b == 0.0:
-        raise GuardViolation("division by zero")
-    return a / b
-
-
-def _point_log(x, g, p):
-    _guard_check(g, p)
-    if x <= 0.0:
-        raise GuardViolation(f"log of nonpositive value {x}")
-    return math.log(x)
-
-
-# Helpers of batched compiled expressions.  Each takes an array of values,
-# one per point of the batch, and raises where the point-wise helper would
-# raise for some point.  A constant subexpression arrives as a plain number
-# and goes through the point-wise helper.
-
-
-def _batch_guard_check(guard, points: np.ndarray) -> None:
+def _guard_check(guard, points: np.ndarray) -> None:
     if guard is None:
         return
     for (lo, hi), x in zip(guard, points):
@@ -930,72 +861,47 @@ def _batch_guard_check(guard, points: np.ndarray) -> None:
             )
 
 
-def _batch_exp(x):
-    return np.exp(x) if isinstance(x, np.ndarray) else _safe_exp(x)
-
-
-def _batch_sin(x):
-    return np.sin(_finite(x)) if isinstance(x, np.ndarray) else math.sin(x)
-
-
-def _batch_cos(x):
-    return np.cos(_finite(x)) if isinstance(x, np.ndarray) else math.cos(x)
-
-
-def _finite(x: np.ndarray) -> np.ndarray:
-    # math.sin and math.cos raise on infinities where numpy returns NaN
+def _finite(x):
+    # the sine and cosine of an infinity raise, as in math, not NaN
     if np.isinf(x).any():
         raise ValueError("math domain error")
     return x
 
 
-def _batch_cut(s, k: int):
-    if not isinstance(s, np.ndarray):
-        return _cut_value(s, k)
-    # NaN fails both tests below and stays NaN, as in _cut_value
+def _cut(s, k: int):
+    # NaN fails both tests below and stays NaN
     safe = np.where(s <= 0.0, 1.0, s)
     return np.where(s <= 0.0, 0.0, np.exp(-1.0 / safe - k * np.log(safe)))
 
 
-def _batch_div(a, b, g, p):
-    _batch_guard_check(g, p)
+def _div(a, b, g, p):
+    _guard_check(g, p)
     if np.any(b == 0.0):
         raise GuardViolation("division by zero")
     return a / b
 
 
-def _batch_log(x, g, p):
-    _batch_guard_check(g, p)
-    if not isinstance(x, np.ndarray):
-        if x <= 0.0:
-            raise GuardViolation(f"log of nonpositive value {x}")
-        return math.log(x)
+def _log(x, g, p):
+    _guard_check(g, p)
+    x = np.asarray(x)
     bad = x <= 0.0
     if bad.any():
         raise GuardViolation(f"log of nonpositive value {x[bad][0]}")
     return np.log(x)
 
 
-def _batch_pow(x, k: int):
+def _pow(x, k: int):
     return np.asarray(x, dtype=float) ** k
 
 
-_POINT_HELPERS = {
-    "_exp": _safe_exp,
-    "_sin": math.sin,
-    "_cos": math.cos,
-    "_cut": _cut_value,
-    "_div": _point_div,
-    "_log": _point_log,
-}
-_BATCH_HELPERS = {
-    "_exp": _batch_exp,
-    "_sin": _batch_sin,
-    "_cos": _batch_cos,
-    "_cut": _batch_cut,
-    "_div": _batch_div,
-    "_log": _batch_log,
-    "_pow": _batch_pow,
+_HELPERS = {
+    "_exp": np.exp,
+    "_sin": lambda x: np.sin(_finite(x)),
+    "_cos": lambda x: np.cos(_finite(x)),
+    "_cut": _cut,
+    "_div": _div,
+    "_log": _log,
+    "_pow": _pow,
     "_full": np.full,
-    "_INF": math.inf,
+    "_INF": np.inf,
 }

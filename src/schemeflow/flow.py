@@ -117,13 +117,23 @@ _PROBE_ERRORS = (cv.OutsideDefinitionInterval, ex.ExprError, ArithmeticError, Va
 
 
 def _probe_residuals(curve: cv.IntegralCurve, residual) -> dict:
-    out = {}
+    """Residuals at the probe times, in one residual call: a point is a
+    one-column batch, so each is the value of its state alone.  A time whose
+    state fails is left unrecorded, and so is every time if the residual
+    call raises: the check redoes them and reports or raises."""
+    states = {}
     for _, ta in _probe_times(curve.interval):
         try:
-            out[ta] = residual(cv.evaluate_curve(curve, ta))
+            states[ta] = cv.evaluate_curve(curve, ta)
         except _PROBE_ERRORS:
-            pass  # left unrecorded: the check redoes it and reports or raises
-    return out
+            pass
+    if not states:
+        return {}
+    try:
+        values = residual(np.array(list(states.values())).T)
+    except _PROBE_ERRORS:
+        return {}
+    return dict(zip(states, values.tolist()))
 
 
 def flow_eval(

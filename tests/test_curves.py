@@ -343,7 +343,7 @@ class TestBatchedScan:
         # the last checkpoint's constraint overflows to -inf, which holds;
         # x <= 1 fails there
         with np.errstate(all="raise"):
-            assert as_callable(blowup, batch=True)(states)[-1] == -np.inf
+            assert as_callable(blowup)(states)[-1] == -np.inf
             assert sq.residual_fn()(states)[-1] == states[0, -1] - 1.0 > 0.0
         # an overflow before the exit neither raises nor ends the curve
         early = SchemePresentation(
@@ -450,9 +450,7 @@ def _same(a, b) -> bool:
 
 
 class TestLockstepMatchesPerCurve:
-    """Bit for bit against the per-curve step loop (tests/helpers.py) on
-    fields without powers or transcendentals, where batched and point-wise
-    field values agree."""
+    """Bit for bit against the per-curve step loop (tests/helpers.py)."""
 
     def test_square_rotation_rows(self):
         sq = square()
@@ -487,6 +485,16 @@ class TestLockstepMatchesPerCurve:
         for p, c in zip(points, _batch(v, points, opts)):
             assert not c.interval.hi_closed and not c.interval.lo_closed
             assert c.diagnostics["forward"]["end"] == "underflow"
+            assert curves_identical(c, reference_integrate_max_curve(v, p, opts))
+
+    def test_transcendental_field_on_a_disc(self):
+        # exp, sin, a quotient and powers: a point's field value is its
+        # column's in the lane array, so the curves match bit for bit
+        disc = SchemePresentation(XY, region=(expr_xy("x^2 + y^2 - 4"),))
+        v = LiftedField.from_strings(["exp(y)/(1 + x^2) - y", "sin(x)*y^3 + x"], disc)
+        opts = IntegratorOptions(horizon=5.0)
+        points = [disc.point(p) for p in ((0.1, 0.2), (-0.5, 0.3), (1.0, -1.0))]
+        for p, c in zip(points, _batch(v, points, opts)):
             assert curves_identical(c, reference_integrate_max_curve(v, p, opts))
 
 
@@ -525,11 +533,11 @@ class TestLockstepBatches:
         widths = []
         real_lift = dv.lift
 
-        def recording_lift(field_, batch=False):
-            rhs = real_lift(field_, batch)
+        def recording_lift(field_):
+            rhs = real_lift(field_)
 
             def recorded(p):
-                widths.append(p.shape[1])
+                widths.append(np.reshape(p, (len(p), -1)).shape[1])
                 return rhs(p)
 
             return recorded
@@ -556,11 +564,11 @@ class TestLockstepBatches:
         seen = []
         real_lift = dv.lift
 
-        def recording_lift(field_, batch=False):
-            rhs = real_lift(field_, batch)
+        def recording_lift(field_):
+            rhs = real_lift(field_)
 
             def recorded(p):
-                seen.extend(tuple(col) for col in np.asarray(p, dtype=float).T)
+                seen.extend(tuple(col) for col in np.reshape(p, (len(p), -1)).T)
                 return rhs(p)
 
             return recorded
@@ -621,7 +629,7 @@ class TestLockstepErrors:
         assert x > 3.0
         with pytest.raises(GuardViolation) as alone:
             reference_integrate_max_curve(v, point, opts)
-        assert float(re.search(r"point \(np.float64\((\S+)\)", str(alone.value)).group(1)) > 3.0
+        assert float(re.search(r"point \((\S+),", str(alone.value)).group(1)) > 3.0
 
     def test_residual_guard_in_a_batch(self):
         # checkpoints past x = 1.12 make the batched residual raise; each
@@ -645,6 +653,17 @@ class TestLockstepErrors:
         assert isinstance(got[1], PointNotOnScheme)
         assert str(got[1]) == "base point (0.0, 0.5) is not on the zero set"
         assert curves_identical(got[2], integrate_max_curve(v, points[2], OPTS))
+
+    def test_short_point_among_others(self):
+        # the length is checked before the residual reads the coordinates
+        line = thickened_line()
+        v = shear_field(line)
+        points = [line.point((0.0, 0.0)), SchemePoint((0.5,)), line.point((1.0, 0.0))]
+        got = _batch(v, points, OPTS)
+        assert isinstance(got[1], ValueError)
+        assert str(got[1]) == "point length 1 != arity 2"
+        for i in (0, 2):
+            assert curves_identical(got[i], integrate_max_curve(v, points[i], OPTS))
 
 
 class TestDiagnostics:

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schemeflow.cring import SchemePresentation
 from schemeflow.expr import (
     GuardViolation,
     NonSmoothError,
     ParseError,
+    SmoothExpr,
     VarList,
     apply_operation,
     as_callable,
@@ -21,6 +24,7 @@ from schemeflow.expr import (
     format_expr,
     parse_expr,
     simplify,
+    unary,
     var,
     variables,
 )
@@ -134,7 +138,7 @@ class TestEval:
     @staticmethod
     def _check_against_tree_walk(e, points, tol):
         f = as_callable(e)
-        batch = as_callable(e, batch=True)(np.array(points).T)
+        batch = as_callable(e)(np.array(points).T)
         assert batch.shape == (len(points),)
         for p, b in zip(points, batch):
             want = reference_evaluate(e, p)
@@ -162,11 +166,11 @@ class TestEval:
         # no compensated summation: 1 + 10^16 rounds to 10^16 first
         e = parse_expr("x + 10^16 - 10^16", XY)
         assert evaluate(e, (1.0, 0.0)) == 0.0
-        assert as_callable(e, batch=True)(np.array([[1.0], [0.0]])).tolist() == [0.0]
+        assert as_callable(e)(np.array([[1.0], [0.0]])).tolist() == [0.0]
         assert reference_evaluate(e, (1.0, 0.0)) == 1.0
 
     def test_constant_batch_gives_one_value_per_point(self):
-        f = as_callable(parse_expr("sin(2) + 1/3", XY), batch=True)
+        f = as_callable(parse_expr("sin(2) + 1/3", XY))
         assert f(np.zeros((2, 3))).tolist() == [math.sin(2) + 1 / 3] * 3
 
 
@@ -180,7 +184,7 @@ def _overflow_evaluators(e, point):
     return {
         "evaluate": evaluate(e, point),
         "pointwise": as_callable(e)(point),
-        "batch": as_callable(e, batch=True)(col)[0],
+        "batch": as_callable(e)(col)[0],
         "residual": gen(point),
         "residual-batch": gen(col)[0],
         "region": region(point),
@@ -237,7 +241,7 @@ class TestOverflow:
             e = simplify(parse_expr(src, XY))
             assert Fraction(10**400) in {c.value for c in e.children[0].children}
             assert evaluate(e, (1.0, 0.0)) == value
-            assert as_callable(e, batch=True)(np.array([[1.0], [0.0]])).tolist() == [value]
+            assert as_callable(e)(np.array([[1.0], [0.0]])).tolist() == [value]
 
     def test_overflow_keeps_guards_and_math_domains(self):
         # the overflow fallback still raises what the point would raise
@@ -248,6 +252,62 @@ class TestOverflow:
         assert evaluate(parse_expr("1/x^400", XY), (1e3, 0.0)) == 0.0
         assert evaluate(parse_expr("exp(0 - x^400)", XY), (1e3, 0.0)) == 0.0
         assert math.isnan(evaluate(parse_expr("x^400 - y^400", XY), (1e3, 1e3)))
+
+
+_GUARD = ((-2.0, 2.0), (-2.0, 2.0))
+_LEAVES = st.one_of(
+    st.integers(0, 1).map(lambda i: var(i, XY)),
+    st.sampled_from([0, 1, -2, Fraction(1, 3), Fraction(10**400), -Fraction(10**400)]).map(
+        lambda v: const(v, XY)
+    ),
+)
+
+
+def _nodes(children):
+    """Every node kind, with and without a declared guard box."""
+    guards = st.sampled_from([None, _GUARD])
+    return st.one_of(
+        st.lists(children, min_size=2, max_size=3).map(lambda cs: SmoothExpr("add", XY, tuple(cs))),
+        st.lists(children, min_size=2, max_size=3).map(lambda cs: SmoothExpr("mul", XY, tuple(cs))),
+        children.map(lambda c: SmoothExpr("neg", XY, (c,))),
+        st.builds(lambda c, k: SmoothExpr("pow", XY, (c,), exponent=k), children, st.integers(0, 5)),
+        st.builds(lambda a, b, g: SmoothExpr("div", XY, (a, b), guard=g), children, children, guards),
+        st.builds(lambda h, c, g: unary(h, c, guard=g if h == "log" else None),
+                  st.sampled_from(["exp", "log", "sin", "cos"]), children, guards),
+        st.builds(lambda c, k: SmoothExpr("cut", XY, (c,), cut_order=k), children, st.integers(0, 3)),
+    )
+
+
+_TREES = st.recursive(_LEAVES, _nodes, max_leaves=8)
+_COORDS = st.one_of(
+    st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 1e3, -1e3, math.inf, math.nan])
+)
+
+
+class TestPointIsOneColumn:
+    @settings(max_examples=300, deadline=None)
+    @given(e=_TREES, points=st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=6))
+    def test_point_equals_its_batch_column(self, e, points):
+        f = as_callable(e)
+        with np.errstate(all="ignore"):
+            try:
+                batch = f(np.array(points).T)
+            except (GuardViolation, ValueError):
+                batch = None
+        outcomes = []
+        for p in points:
+            try:
+                outcomes.append(f(p))
+            except (GuardViolation, ValueError) as err:
+                outcomes.append(err)
+        if batch is None:
+            # a batch raises where one of its points would
+            assert any(isinstance(o, Exception) for o in outcomes)
+            return
+        assert batch.shape == (len(points),)
+        for value, column in zip(outcomes, batch.tolist()):
+            assert isinstance(value, float)
+            assert np.float64(value).tobytes() == np.float64(column).tobytes()
 
 
 class TestDiff:

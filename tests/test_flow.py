@@ -6,8 +6,9 @@ import pytest
 
 from schemeflow.cring import sample_zero_set
 from schemeflow.curves import CurveClass, IntegratorOptions, integrate_max_curve, evaluate_curve
-from schemeflow.expr import evaluate, parse_expr
+from schemeflow.expr import GuardViolation, evaluate, parse_expr
 from schemeflow.flow import (
+    _probe_residuals,
     closed_form_flow,
     domain_to_csv,
     flow_domain,
@@ -20,6 +21,7 @@ from schemeflow.flow import (
 
 from helpers import (
     XY,
+    circle,
     count_integrations,
     forbid_evaluate,
     rotation_field,
@@ -138,6 +140,30 @@ class TestTConvexity:
         log = count_integrations(monkeypatch)
         assert t_convexity_check(W, 11, OPTS).ok
         assert log.points == []
+
+    def test_recorded_residuals_are_those_of_each_state(self):
+        # the probe states go through the residual in one call; each value
+        # is, bit for bit, the residual of its state alone
+        circ = circle()
+        v = rotation_field(circ)
+        opts = IntegratorOptions(horizon=5.0)
+        W = flow_domain(v, [circ.point(p) for p in ((1.0, 0.0), (0.6, 0.8))], opts)
+        residual = circ.residual_fn()
+        for row in W.rows:
+            c = integrate_max_curve(v, row.point, opts)
+            assert any(r > 0.0 for r in row.residuals.values())
+            for t, r in row.residuals.items():
+                assert r == residual(evaluate_curve(c, t))
+
+    def test_probe_residual_error_leaves_the_times_to_the_check(self):
+        sq = square()
+        c = integrate_max_curve(rotation_field(sq), sq.point((0.9, 0.9)), OPTS)
+
+        def raising(states):
+            raise GuardViolation("outside a guard box")
+
+        assert _probe_residuals(c, raising) == {}
+        assert len(_probe_residuals(c, sq.residual_fn())) == 21
 
     def test_rows_without_residuals_integrate_again(self, monkeypatch):
         _, _, W = square_domain()
