@@ -105,7 +105,8 @@ class SchemePresentation:
         A point belongs to the zero set exactly when the residual is <= eps_z.
         The callable takes one point, or an (n, m) array holding m points as
         columns and returning their m residuals; a point is a one-column
-        batch, so its residual is, bit for bit, its column's.  A NaN
+        batch, so its residual is, bit for bit, its column's.  A point or
+        batch with other than n coordinates raises ValueError.  A NaN
         constraint value is skipped (``np.fmax``).  The constraints follow
         ``expr.as_callable``'s rules: an overflow gives +-inf (a generator at
         inf fails membership, a region constraint at -inf holds), and a batch
@@ -119,11 +120,14 @@ class SchemePresentation:
     def _residual(self) -> Callable[[Sequence[float]], float]:
         gen_fns = [ex.as_callable(g) for g in self.ideal_gens]
         region_fns = [ex.as_callable(g) for g in self.region]
+        n = self.arity
 
         def residual(p: Sequence[float]) -> float:
             point = not (isinstance(p, np.ndarray) and p.ndim == 2)
             if point:
                 p = np.asarray(p, dtype=float).reshape(-1, 1)
+            if len(p) != n:
+                raise ValueError(f"point length {len(p)} != arity {n}")
             with np.errstate(all="ignore"):
                 r = np.zeros(p.shape[1])
                 for f in gen_fns:
@@ -140,8 +144,6 @@ class SchemePresentation:
 
     def point(self, coords: Sequence[float], tol: Optional[float] = None) -> SchemePoint:
         coords = tuple(float(c) for c in coords)
-        if len(coords) != self.arity:
-            raise ValueError(f"point length {len(coords)} != arity {self.arity}")
         r = membership_residual(self, coords)
         if r > (self.eps_z if tol is None else tol):
             raise PointNotOnScheme(

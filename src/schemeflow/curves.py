@@ -23,20 +23,28 @@ states at all checkpoints of every accepted attempt go through the scheme's
 residual in one call.  Whatever one curve decides stays per lane, with the
 rules of one curve: step size and controller, rejection, step-size
 underflow, the horizon, the step limit, the first failing checkpoint and
-its bisection.  Bisection and the boundary state use the scalar dense
-output ``DenseSegment.eval``.
+its bisection.
+
+Dense output.  A direction's accepted steps are stored as columns
+(``Steps``: ``t0`` (k,), signed ``h`` (k,), ``y0`` (k, n) and quartic
+``coeffs`` (k, n, 4)); a lane keeps each step as one row of 2 + 5n doubles
+and stacks its rows when it ends.  ``_dense`` is the one dense-output
+formula: y0 + h*(u*(c1 + u*(c2 + u*(c3 + u*c4)))) at u = (t - t0)/h, in
+elementwise numpy arithmetic in that order, so a state's bits never depend
+on how many states are evaluated together.  The checkpoint scan, bisection,
+the singleton probes and ``evaluate_curve`` all call it: a checkpoint state
+is, bit for bit, ``evaluate_curve`` at its time t0 + theta*h.
 
 Per-lane errors.  A batched attempt that raises is made again lane by
 lane, so the exception is charged to the lane whose state raised it; the
 other lanes repeat their attempt in the next round.  A batched residual call
-that raises sends each lane's step to a point-by-point scan
-(``_first_exit``), so a failure at a later checkpoint never pre-empts an
-earlier membership exit; an overflow gives +-inf (see
-``expr.as_callable``), so only a guard violation or the sine or cosine of an
-infinity makes a batch raise.  A point's result is its forward lane's
-exception if that lane raised, otherwise its backward lane's, otherwise its
-curve: what integrating the point alone, forward then backward, raises or
-returns.
+that raises sends each lane's step to a point-by-point scan, so a failure
+at a later checkpoint never pre-empts an earlier membership exit; an
+overflow gives +-inf (see ``expr.as_callable``), so only a guard violation
+or the sine or cosine of an infinity makes a batch raise.  A point's result
+is its forward lane's exception if that lane raised, otherwise its backward
+lane's, otherwise its curve: what integrating the point alone, forward then
+backward, raises or returns.
 
 Last bits.  The stacked products, a stacked dot product for the error norm
 and a per-lane Python power in the step controller repeat, lane by lane,
@@ -44,11 +52,7 @@ the arithmetic of a curve integrated alone, so a curve depends on its batch
 only if numpy's elementwise evaluation of the field or the residual does.
 Sums, products and negation never do (rotations, translations); powers,
 quotients, exp, log, sin, cos and the cutoffs go through numpy functions
-that nothing documents to be independent of the array's length.  The
-checkpoint states of a step come from one matrix product and may differ
-from ``DenseSegment.eval`` in the last bits, so a checkpoint whose
-residual sits within rounding of the threshold can start the bisection one
-checkpoint earlier or later than a point-wise scan would.
+that nothing documents to be independent of the array's length.
 
 Interval endpoints carry three epistemic flags: reached the horizon (no
 claim of completeness), closed (the localized boundary state itself passes
@@ -65,8 +69,8 @@ soon as they fall below it.
 
 Reach.  ``integrate_max_curves(..., reach=r)`` also ends a direction after
 its first accepted step that gets to |t| >= r.  Steps are still clipped
-only by the horizon, so every stored segment is bit-identical to the same
-segment of the curve integrated to the horizon, and so is the dense output
+only by the horizon, so every stored step is bit-identical to the same
+step of the curve integrated to the horizon, and so is the dense output
 at every |t| <= r.  A reach end is flagged like a horizon end (no claim
 beyond it), at the time its last step ends; such a curve is meant to be
 read only for |t| <= r, and its classification says nothing about the
@@ -82,7 +86,6 @@ step) or "singleton".
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Union
@@ -97,6 +100,7 @@ __all__ = [
     "IntegratorOptions",
     "IntervalRecord",
     "IntegralCurve",
+    "Steps",
     "CurveClass",
     "OutsideDefinitionInterval",
     "StepLimitExceeded",
@@ -178,7 +182,7 @@ _B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
 _E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
-# dense-output polynomial: y(t0 + u*h) = y0 + h * (K^T P) @ [u, u^2, u^3, u^4]
+# dense-output coefficients: a step's stages K (7, n) give coeffs = K^T P (see _dense)
 _P = np.array(
     [
         [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
@@ -201,38 +205,51 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
-@dataclass(frozen=True, slots=True)
-class DenseSegment:
-    """Quartic interpolant over one accepted step from t0 to t0 + h (h signed)."""
+@dataclass(frozen=True, eq=False)
+class Steps:
+    """The accepted steps of one direction, as columns: step i runs from
+    ``t0[i]`` to ``t0[i] + h[i]`` (h signed, away from 0), and its state at
+    u = (t - t0[i]) / h[i] is ``_dense(y0[i], h[i], coeffs[i].T, u)``."""
 
-    t0: float
-    h: float
-    y0: np.ndarray
-    coeffs: np.ndarray  # n x 4
+    t0: np.ndarray  # (k,)
+    h: np.ndarray  # (k,)
+    y0: np.ndarray  # (k, n)
+    coeffs: np.ndarray  # (k, n, 4)
 
-    @property
-    def t1(self) -> float:
-        return self.t0 + self.h
+    def __len__(self) -> int:
+        return len(self.t0)
 
-    def eval(self, t: float) -> np.ndarray:
-        u = (t - self.t0) / self.h
-        powers = np.array([u, u * u, u**3, u**4])
-        return self.y0 + self.h * (self.coeffs @ powers)
 
-    def covers(self, t: float) -> bool:
-        lo, hi = sorted((self.t0, self.t1))
-        return lo <= t <= hi
+def _steps(rows: list, n: int) -> Steps:
+    """Stack accepted steps' rows [t0, h, y0, coeffs] (2 + 5n,) into ``Steps``."""
+    k = len(rows)
+    block = np.array(rows).reshape(k, 2 + 5 * n)
+    return Steps(block[:, 0], block[:, 1], block[:, 2 : 2 + n], block[:, 2 + n :].reshape(k, n, 4))
+
+
+def _dense(y0, h, c, u) -> np.ndarray:
+    """States (n, ...) at u in [0, 1] of steps from ``y0`` (n, ...) with
+    coefficients ``c`` (4, n, ...); ``h`` and ``u`` broadcast against the
+    trailing axes.  Elementwise, so batching never changes a state's bits."""
+    return y0 + h * (u * (c[0] + u * (c[1] + u * (c[2] + u * c[3]))))
 
 
 @dataclass(frozen=True)
 class IntegralCurve:
     base: cring.SchemePoint
     interval: IntervalRecord
-    forward: tuple[DenseSegment, ...]
-    backward: tuple[DenseSegment, ...]
+    forward: Steps
+    backward: Steps
     scheme: cring.SchemePresentation
     classification: str
     diagnostics: dict = field(default_factory=dict, compare=False)
+
+    def defined_at(self, t) -> np.ndarray:
+        """Whether the curve exists on the scheme at each time of ``t``:
+        inside its interval, up to a relative slack of 1e-12."""
+        rec = self.interval
+        slack = 1e-12 * max(1.0, abs(rec.lo), abs(rec.hi))
+        return (rec.lo - slack <= t) & (t <= rec.hi + slack)
 
 
 def _attempt(rhs, y, h, k1):
@@ -272,7 +289,7 @@ def _initial_step(f, y0, k1, opts: IntegratorOptions) -> float:
 
 @dataclass
 class _DirectionResult:
-    segments: list
+    steps: Steps
     bound: float
     closed: bool
     at_horizon: bool
@@ -283,18 +300,20 @@ class _Lane:
     """One (base point, direction) pair; its numeric state lives in the
     packed arrays of ``_Lockstep``, at the lane's position in ``lanes``."""
 
-    __slots__ = ("index", "sign", "segments", "rejected", "result", "live")
+    __slots__ = ("index", "sign", "n", "rows", "rejected", "result", "live")
 
-    def __init__(self, index: int, sign: float):
+    def __init__(self, index: int, sign: float, n: int):
         self.index = index
         self.sign = sign
-        self.segments: list[DenseSegment] = []
+        self.n = n
+        self.rows: list[np.ndarray] = []  # [t0, h, y0, coeffs] of each accepted step
         self.rejected = 0
         self.result = None  # _DirectionResult or exception, once finished
         self.live = True
 
     def finish(self, end: str, bound, closed, at_horizon, **extra) -> None:
-        hs = [abs(seg.h) for seg in self.segments]
+        steps = _steps(self.rows, self.n)
+        hs = np.abs(steps.h).tolist()
         diagnostics = {
             "accepted": len(hs),
             "rejected": self.rejected,
@@ -303,7 +322,7 @@ class _Lane:
             "max_h": max(hs, default=None),
             **extra,
         }
-        self.result = _DirectionResult(self.segments, bound, closed, at_horizon, diagnostics)
+        self.result = _DirectionResult(steps, bound, closed, at_horizon, diagnostics)
         self.live = False
 
 
@@ -323,8 +342,7 @@ class _Lockstep:
         self.eps_z = scheme.eps_z
         self.n = scheme.arity
         m = opts.checkpoints_per_step
-        self.thetas = [(j + 1) / m for j in range(m)]
-        self.powers = np.array([[th**k for th in self.thetas] for k in range(1, 5)])
+        self.thetas = np.arange(1, m + 1) / m
         self.lanes: list[_Lane] = []
         self.t = np.zeros(0)
         self.y = np.zeros((0, self.n))
@@ -362,7 +380,7 @@ class _Lockstep:
             if isinstance(started, IntegralCurve):
                 self.finished.append((index, started))
                 continue
-            lanes = (_Lane(index, 1.0), _Lane(index, -1.0))
+            lanes = (_Lane(index, 1.0, self.n), _Lane(index, -1.0, self.n))
             self.pending[index] = (point, *lanes)
             self.lanes.extend(lanes)
             new.append(started)
@@ -381,8 +399,6 @@ class _Lockstep:
         lanes of ``point``; raises what integrating the point raises before
         its first step."""
         y0 = np.array(point.coords, dtype=float)
-        if y0.shape != (self.n,):
-            raise ValueError(f"point length {len(y0)} != arity {self.n}")
         if self.residual(y0) > self.eps_z:
             raise cring.PointNotOnScheme(
                 f"base point {point.coords} is not on the zero set"
@@ -394,8 +410,9 @@ class _Lockstep:
             interval = IntervalRecord(0.0, 0.0)
             end = {"accepted": 0, "rejected": 0, "end": "singleton"}
             diagnostics = {"forward": end, "backward": dict(end)}
+            none = _steps([], self.n)
             return IntegralCurve(
-                point, interval, (), (), self.scheme, CurveClass.SINGLETON, diagnostics
+                point, interval, none, none, self.scheme, CurveClass.SINGLETON, diagnostics
             )
         if not np.all(np.isfinite(k1)):
             raise ex.GuardViolation("field not finite at the base point")
@@ -404,13 +421,13 @@ class _Lockstep:
         return y0, k1, _initial_step(self.rhs, y0, k1, self.opts)
 
     def _singleton_probe(self, y0, k1) -> bool:
-        h0 = self.opts.probe_step
         for sign in (+1.0, -1.0):
-            h = sign * 4 * h0
+            h = sign * 4 * self.opts.probe_step
             _, K, _ = _attempt(self.rhs, y0[None], np.array([h]), k1[None])
-            seg = DenseSegment(0.0, h, y0, K[0].T @ _P)
-            for m in (1, 2, 4):
-                if self.residual(seg.eval(sign * m * h0)) <= self.eps_z:
+            # at t = h/4, h/2 and h, in that order
+            states = _dense(y0[:, None], h, (K[0].T @ _P).T[..., None], np.array([0.25, 0.5, 1]))
+            for state in states.T:
+                if self.residual(state) <= self.eps_z:
                     return False
         return True
 
@@ -431,22 +448,10 @@ class _Lockstep:
         else:
             f, b = fwd.result, bwd.result
             interval = IntervalRecord(
-                lo=b.bound,
-                hi=f.bound,
-                lo_closed=b.closed,
-                hi_closed=f.closed,
-                lo_at_horizon=b.at_horizon,
-                hi_at_horizon=f.at_horizon,
+                b.bound, f.bound, b.closed, f.closed, b.at_horizon, f.at_horizon
             )
-            curve = IntegralCurve(
-                point,
-                interval,
-                tuple(f.segments),
-                tuple(b.segments),
-                self.scheme,
-                "",
-                {"forward": f.diagnostics, "backward": b.diagnostics},
-            )
+            diagnostics = {"forward": f.diagnostics, "backward": b.diagnostics}
+            curve = IntegralCurve(point, interval, f.steps, b.steps, self.scheme, "", diagnostics)
             result = replace(curve, classification=classify_interval(curve))
         del self.pending[lane.index]
         self.finished.append((lane.index, result))
@@ -531,30 +536,35 @@ class _Lockstep:
         """Store the accepted steps, scan their checkpoints in one residual
         call, and end the lanes that exit, reach the horizon or the reach, or
         run out of steps."""
-        opts, reach = self.opts, self.reach
+        opts, reach, residual, eps_z = self.opts, self.reach, self.residual, self.eps_z
         coeffs = K[acc].transpose(0, 2, 1) @ _P
-        ya, ha = y[acc], h[acc]
-        states = ya[:, :, None] + ha[:, None, None] * (coeffs @ self.powers)
+        ya, ha, ta = y[acc], h[acc], t[acc]
+        tcol, hcol = ta[:, None], ha[:, None]
+        rows = np.concatenate((tcol, hcol, ya, coeffs.reshape(len(acc), -1)), axis=1)
+        # checkpoint states (n, lanes, checkpoints), at u computed from
+        # their times as evaluate_curve computes it
+        u = (tcol + hcol * self.thetas - tcol) / hcol
+        states = _dense(ya.T[:, :, None], hcol, coeffs.T[..., None], u)
         try:
-            r = self.residual(states.transpose(1, 0, 2).reshape(self.n, -1))
-            failing = r.reshape(len(acc), -1) > self.eps_z
+            r = residual(states.reshape(self.n, -1))
+            failing = r.reshape(len(acc), -1) > eps_z
             first = failing.argmax(axis=1).tolist()
             exits = [f if row[f] else None for f, row in zip(first, failing)]
         except (ex.GuardViolation, ValueError):
             exits = None  # some lane's checkpoints raise: scan lane by lane
-        for a, (j, t0, hj) in enumerate(zip(acc.tolist(), t[acc].tolist(), ha.tolist())):
+        for a, (j, t0, hj) in enumerate(zip(acc.tolist(), ta.tolist(), ha.tolist())):
             lane = self.lanes[j]
             if not lane.live:
                 continue
-            seg = DenseSegment(t0, hj, ya[a].copy(), coeffs[a].copy())
-            lane.segments.append(seg)
+            lane.rows.append(rows[a])
             try:
-                if exits is None:
-                    bad = _first_exit(seg, self.thetas, self.powers, self.residual, self.eps_z)
+                if exits is None:  # a state raises only if none before it exits
+                    scan = (k for k, s in enumerate(states[:, a].T) if residual(s) > eps_z)
+                    bad = next(scan, None)
                 else:
                     bad = exits[a]
                 if bad is not None:
-                    bound, closed = self._bisect(seg, bad)
+                    bound, closed = self._bisect(t0, hj, ya[a], coeffs[a].T, bad)
             except Exception as err:
                 self._fail(lane, err)
                 continue
@@ -567,23 +577,23 @@ class _Lockstep:
             elif reach is not None and abs(t0 + hj) >= reach:
                 lane.finish("reach", t0 + hj, True, True)
                 self._settle(lane)
-            elif len(lane.segments) >= opts.max_steps:
+            elif len(lane.rows) >= opts.max_steps:
                 self._fail(lane, StepLimitExceeded(f"exceeded {opts.max_steps} accepted steps"))
 
-    def _bisect(self, seg: DenseSegment, bad: int) -> tuple[float, bool]:
+    def _bisect(self, t0: float, h: float, y0, c, bad: int) -> tuple[float, bool]:
         """(bound, closed) of the first membership failure inside the step
-        ``seg``, whose checkpoint ``bad`` is the first to fail."""
-        thetas, residual, eps_z = self.thetas, self.residual, self.eps_z
-        t, h = seg.t0, seg.h
-        lo, hi = (thetas[bad - 1] if bad else 0.0), thetas[bad]
+        from ``t0`` (coefficients ``c`` (4, n)) whose checkpoint ``bad`` is
+        the first to fail; closed if ``evaluate_curve``'s bound state passes."""
+        residual, eps_z = self.residual, self.eps_z
+        lo, hi = (float(self.thetas[bad - 1]) if bad else 0.0), float(self.thetas[bad])
         while (hi - lo) * abs(h) > self.opts.event_tol:
             mid = 0.5 * (lo + hi)
-            if residual(seg.eval(t + mid * h)) > eps_z:
+            if residual(_dense(y0, h, c, mid)) > eps_z:
                 hi = mid
             else:
                 lo = mid
-        bound = t + lo * h
-        return bound, bool(residual(seg.eval(bound)) <= eps_z)
+        bound = t0 + lo * h
+        return bound, bool(residual(_dense(y0, h, c, (bound - t0) / h)) <= eps_z)
 
     def _compact(self) -> None:
         keep = [lane.live for lane in self.lanes]
@@ -592,24 +602,6 @@ class _Lockstep:
         self.lanes = [lane for lane in self.lanes if lane.live]
         self.t, self.y, self.k1 = self.t[keep], self.y[keep], self.k1[keep]
         self.h_abs, self.signs = self.h_abs[keep], self.signs[keep]
-
-
-def _first_exit(seg, thetas, powers, residual, eps_z):
-    """Index of the first checkpoint whose dense-output state fails
-    membership, or None; ``powers`` holds theta**1..4 for each checkpoint."""
-    states = seg.y0[:, None] + seg.h * (seg.coeffs @ powers)
-    try:
-        failing = residual(states) > eps_z
-    except (ex.GuardViolation, ValueError):
-        # some checkpoint is outside a guard or takes the sine or cosine of
-        # an infinity; the scalar scan raises only if no earlier checkpoint
-        # exits
-        for j, theta in enumerate(thetas):
-            if residual(seg.eval(seg.t0 + theta * seg.h)) > eps_z:
-                return j
-        return None
-    j = int(np.argmax(failing))
-    return j if failing[j] else None
 
 
 def integrate_max_curves(
@@ -623,8 +615,8 @@ def integrate_max_curves(
 
     With ``reach``, a direction also ends after its first accepted step that
     gets to |t| >= reach (end reason "reach"), so the curves are known only
-    for |t| <= reach; each of their segments is the same, bit for bit, as the
-    same segment of the curve integrated to the horizon.
+    for |t| <= reach; each of their steps is the same, bit for bit, as the
+    same step of the curve integrated to the horizon.
 
     Yields ``(i, result)`` for the i-th point as soon as its curve is done,
     so in the order the points finish, not their order in ``points``.
@@ -661,29 +653,33 @@ def integrate_max_curve(
     return result
 
 
-def evaluate_curve(curve: IntegralCurve, t: float) -> np.ndarray:
-    """Dense-output state at time t; raises OutsideDefinitionInterval when the
-    curve does not exist there on the scheme (the zero set cut the domain)."""
-    slack = 1e-12 * max(1.0, abs(curve.interval.lo), abs(curve.interval.hi))
-    if not curve.interval.contains(t, slack):
+def evaluate_curve(curve: IntegralCurve, t) -> np.ndarray:
+    """Dense-output state at time t, or at an array of m times as the
+    columns of an (n, m) array, each the state at its time alone, bit for
+    bit; raises OutsideDefinitionInterval when the curve does not exist at
+    some time on the scheme (the zero set cut the domain)."""
+    times = np.asarray(t, dtype=float)
+    flat = times.reshape(-1)
+    rec = curve.interval
+    inside = curve.defined_at(flat)
+    if not inside.all():
         raise OutsideDefinitionInterval(
-            f"t={t} outside definition interval "
-            f"[{curve.interval.lo}, {curve.interval.hi}]"
+            f"t={float(flat[~inside][0])} outside definition interval [{rec.lo}, {rec.hi}]"
         )
-    if t == 0.0 or curve.interval.is_singleton:
-        return np.array(curve.base.coords, dtype=float)
-    segments = curve.forward if t > 0 else curve.backward
-    t = min(max(t, curve.interval.lo), curve.interval.hi)
-    if not segments:
-        raise OutsideDefinitionInterval(f"no dense output covering t={t}")
-    # segments run away from 0 end to start, so the first one covering t is
-    # the last one starting strictly before it
-    i = bisect.bisect_left(segments, abs(t), key=lambda seg: abs(seg.t0)) - 1
-    seg = segments[max(i, 0)]
-    if seg.covers(t):
-        return seg.eval(t)
-    # t inside the interval but past the last stored segment: use the last
-    return segments[-1].eval(t)
+    # a time clipped to 0 gets the base point; an interval end at 0 is the
+    # only one a direction without steps can have
+    states = np.repeat(np.array(curve.base.coords, dtype=float)[:, None], len(flat), axis=1)
+    clipped = np.clip(flat, rec.lo, rec.hi)
+    for steps, side in ((curve.forward, clipped > 0), (curve.backward, clipped < 0)):
+        if side.any():
+            ts = clipped[side]
+            # steps run away from t0[0] = 0, so a time's step is the last
+            # one starting strictly before it, and past the last step, the last
+            i = np.searchsorted(np.abs(steps.t0), np.abs(ts)) - 1
+            h = steps.h[i]
+            u = (ts - steps.t0[i]) / h
+            states[:, side] = _dense(steps.y0[i].T, h, steps.coeffs[i].T, u)
+    return states[:, 0] if times.ndim == 0 else states
 
 
 def classify_interval(curve: IntegralCurve) -> str:
@@ -722,8 +718,7 @@ def curve_to_csv(curve: IntegralCurve, samples: int = 101) -> str:
     else:
         grid = np.linspace(curve.interval.lo, curve.interval.hi, samples)
         times = sorted(set([curve.interval.lo, curve.interval.hi]) | set(grid.tolist()))
-    for t in times:
-        state = evaluate_curve(curve, t)
-        row = [f"{t:.17g}"] + [f"{x:.17g}" for x in state] + [f"{residual(state):.17g}"]
-        lines.append(",".join(row))
+    states = evaluate_curve(curve, np.array(times))
+    for t, state, r in zip(times, states.T.tolist(), residual(states).tolist()):
+        lines.append(",".join(f"{x:.17g}" for x in [t, *state, r]))
     return "\n".join(lines) + "\n"

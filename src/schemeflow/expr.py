@@ -754,8 +754,9 @@ def as_callable(e: SmoothExpr) -> Callable[[Sequence[float]], float]:
 
     This is the package's only numeric evaluator (``evaluate`` and every
     residual run it).  The compiled function takes an (n, m) array holding
-    m points as columns and returns their m values, or one point (any
-    sequence of n numbers) and returns a float.  A point is evaluated as a
+    m points as columns, of any numeric dtype, and returns their m values,
+    or one point (any sequence of n numbers) and returns a float; both are
+    evaluated in double precision.  A point is evaluated as a
     one-column batch, so its value is, bit for bit, its column's value in
     any batch.  Its rules:
 
@@ -776,6 +777,7 @@ def as_callable(e: SmoothExpr) -> Callable[[Sequence[float]], float]:
 
     def compiled(p):
         if isinstance(p, np.ndarray) and p.ndim == 2:
+            p = np.asarray(p, dtype=float)  # no copy of a float array
             try:
                 return f(p)
             except FloatingPointError:

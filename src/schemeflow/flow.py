@@ -113,27 +113,22 @@ def _probe_times(
     ]
 
 
-_PROBE_ERRORS = (cv.OutsideDefinitionInterval, ex.ExprError, ArithmeticError, ValueError)
+def _residuals_at(curve: cv.IntegralCurve, times, residual) -> dict:
+    """The membership residual of the curve's state at each of ``times`` it
+    is defined at, from one ``evaluate_curve`` call and one residual call:
+    each is the value of its state alone."""
+    times = np.array(times, dtype=float)
+    times = times[curve.defined_at(times)]
+    return dict(zip(times.tolist(), residual(cv.evaluate_curve(curve, times)).tolist()))
 
 
 def _probe_residuals(curve: cv.IntegralCurve, residual) -> dict:
-    """Residuals at the probe times, in one residual call: a point is a
-    one-column batch, so each is the value of its state alone.  A time whose
-    state fails is left unrecorded, and so is every time if the residual
-    call raises: the check redoes them and reports or raises."""
-    states = {}
-    for _, ta in _probe_times(curve.interval):
-        try:
-            states[ta] = cv.evaluate_curve(curve, ta)
-        except _PROBE_ERRORS:
-            pass
-    if not states:
-        return {}
+    """Residuals at the probe times.  If the residual call raises, no time
+    is recorded: the check redoes them and reports or raises."""
     try:
-        values = residual(np.array(list(states.values())).T)
-    except _PROBE_ERRORS:
+        return _residuals_at(curve, [ta for _, ta in _probe_times(curve.interval)], residual)
+    except (ex.ExprError, ArithmeticError, ValueError):
         return {}
-    return dict(zip(states, values.tolist()))
 
 
 def flow_eval(
@@ -242,13 +237,8 @@ def _recompute_residuals(domain: FlowDomain, missing: dict, opts, residual) -> d
         i = index[j]
         if isinstance(curve, Exception):
             out[i] = curve
-            continue
-        out[i] = {}
-        for ta in missing[i]:
-            try:
-                out[i][ta] = residual(cv.evaluate_curve(curve, ta))
-            except cv.OutsideDefinitionInterval:
-                pass
+        else:
+            out[i] = _residuals_at(curve, missing[i], residual)
     return out
 
 
@@ -309,14 +299,13 @@ def validate_closed_form(
         curve = curves(p.coords) if curves is not None else batch[i]
         if isinstance(curve, Exception):
             raise curve
-        for t in times:
-            slack = 1e-12 * max(1.0, abs(t))
-            if not curve.interval.contains(t, slack):
-                continue
-            num = cv.evaluate_curve(curve, t)
-            sym = phi(p.coords, t)
-            worst = max(worst, float(np.max(np.abs(num - sym))))
-            count += 1
+        inside = [t for t in times if curve.interval.contains(t, 1e-12 * max(1.0, abs(t)))]
+        if inside:
+            num = cv.evaluate_curve(curve, np.array(inside))
+            sym = np.array([phi(p.coords, t) for t in inside]).T
+            # Python's max: a NaN deviation never becomes the worst
+            worst = max([worst, *np.abs(num - sym).max(axis=0).tolist()])
+            count += len(inside)
     return ClosedFormReport(worst, count, tol)
 
 

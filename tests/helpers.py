@@ -442,23 +442,27 @@ def reference_integrate_direction(rhs, y0, sign, residual, eps_z, opts):
     """One direction of one curve, one Dormand-Prince step at a time with
     the point-wise field ``rhs``: the step loop ``curves`` ran before it
     integrated lanes in lockstep, with the step floor tested before every
-    attempt.  Returns (segments, bound, closed, at_horizon)."""
+    attempt.  Returns (steps, bound, closed, at_horizon), ``steps`` a
+    ``curves.Steps``."""
     t = 0.0
     y = y0.copy()
     k1 = rhs(y)
     if not np.all(np.isfinite(k1)):
         raise ex.GuardViolation("field not finite at the base point")
     h_abs = min(cv._initial_step(rhs, y, k1, opts), opts.horizon)
-    segments = []
-    thetas = [(j + 1) / opts.checkpoints_per_step for j in range(opts.checkpoints_per_step)]
-    powers = np.array([[th**k for th in thetas] for k in range(1, 5)])
+    rows = []  # [t0, h, y0, coeffs] of each accepted step
+
+    def steps():
+        return cv._steps(rows, len(y0))
+
+    thetas = np.arange(1, opts.checkpoints_per_step + 1) / opts.checkpoints_per_step
     while abs(t) < opts.horizon:
-        if len(segments) >= opts.max_steps:
+        if len(rows) >= opts.max_steps:
             raise cv.StepLimitExceeded(f"exceeded {opts.max_steps} accepted steps")
         while True:
             # the floor tests the controller's step, before the horizon clip
             if h_abs < 1e-14 * max(1.0, abs(t)):
-                return segments, t, False, False
+                return steps(), t, False, False
             h_abs = min(h_abs, opts.horizon - abs(t))
             h = sign * h_abs
             y_new, K, err = _reference_rk_step(rhs, y, h, k1)
@@ -472,24 +476,26 @@ def reference_integrate_direction(rhs, y0, sign, residual, eps_z, opts):
                 h_next = h_abs * factor
                 break
             h_abs = h_abs * max(0.2, 0.9 * err_norm**-0.2)
-        seg = cv.DenseSegment(t, h, y.copy(), K.T @ cv._P)
-        segments.append(seg)
-        bad = cv._first_exit(seg, thetas, powers, residual, eps_z)
+        c = K.T @ cv._P
+        rows.append(np.concatenate(([t, h], y, c.ravel())))
+        checkpoints = cv._dense(y[:, None], h, c.T[..., None], ((t + thetas * h) - t) / h)
+        bad = next((j for j, s in enumerate(checkpoints.T) if residual(s) > eps_z), None)
         if bad is not None:
-            lo, hi = (thetas[bad - 1] if bad else 0.0), thetas[bad]
+            lo, hi = (float(thetas[bad - 1]) if bad else 0.0), float(thetas[bad])
             while (hi - lo) * abs(h) > opts.event_tol:
                 mid = 0.5 * (lo + hi)
-                if residual(seg.eval(t + mid * h)) > eps_z:
+                if residual(cv._dense(y, h, c.T, mid)) > eps_z:
                     hi = mid
                 else:
                     lo = mid
             bound = t + lo * h
-            return segments, bound, residual(seg.eval(bound)) <= eps_z, False
+            closed = residual(cv._dense(y, h, c.T, (bound - t) / h)) <= eps_z
+            return steps(), bound, closed, False
         t = t + h
         y = y_new
         k1 = K[6]
         h_abs = h_next
-    return segments, sign * opts.horizon, True, True
+    return steps(), sign * opts.horizon, True, True
 
 
 def reference_integrate_max_curve(field, point, opts=cv.IntegratorOptions()):
@@ -504,29 +510,36 @@ def reference_integrate_max_curve(field, point, opts=cv.IntegratorOptions()):
     h0 = opts.probe_step
     singleton = True
     for sign in (1.0, -1.0):
-        _, K, _ = _reference_rk_step(rhs, y0, sign * 4 * h0, rhs(y0))
-        seg = cv.DenseSegment(0.0, sign * 4 * h0, y0, K.T @ cv._P)
-        if any(residual(seg.eval(sign * m * h0)) <= scheme.eps_z for m in (1, 2, 4)):
+        h = sign * 4 * h0
+        _, K, _ = _reference_rk_step(rhs, y0, h, rhs(y0))
+        u = np.array([sign * m * h0 for m in (1, 2, 4)]) / h
+        probes = cv._dense(y0[:, None], h, (K.T @ cv._P).T[..., None], u)
+        if any(residual(state) <= scheme.eps_z for state in probes.T):
             singleton = False
             break
     if singleton:
         interval = cv.IntervalRecord(0.0, 0.0)
-        return cv.IntegralCurve(point, interval, (), (), scheme, cv.CurveClass.SINGLETON)
+        none = cv._steps([], len(y0))
+        return cv.IntegralCurve(point, interval, none, none, scheme, cv.CurveClass.SINGLETON)
     fwd = reference_integrate_direction(rhs, y0, 1.0, residual, scheme.eps_z, opts)
     bwd = reference_integrate_direction(rhs, y0, -1.0, residual, scheme.eps_z, opts)
     interval = cv.IntervalRecord(
         bwd[1], fwd[1], bwd[2], fwd[2], lo_at_horizon=bwd[3], hi_at_horizon=fwd[3]
     )
-    curve = cv.IntegralCurve(point, interval, tuple(fwd[0]), tuple(bwd[0]), scheme, "")
+    curve = cv.IntegralCurve(point, interval, fwd[0], bwd[0], scheme, "")
     return replace(curve, classification=cv.classify_interval(curve))
 
 
-def segments_identical(s, r) -> bool:
-    """Same step and dense output, bit for bit."""
-    return (
-        (s.t0, s.h) == (r.t0, r.h)
-        and s.y0.tobytes() == r.y0.tobytes()
-        and s.coeffs.tobytes() == r.coeffs.tobytes()
+def first_steps(steps, k: int):
+    """The first ``k`` steps of a ``curves.Steps``."""
+    return cv.Steps(steps.t0[:k], steps.h[:k], steps.y0[:k], steps.coeffs[:k])
+
+
+def steps_identical(s, r) -> bool:
+    """Same steps and dense output, bit for bit."""
+    return all(
+        a.shape == b.shape and a.tobytes() == b.tobytes()
+        for a, b in ((s.t0, r.t0), (s.h, r.h), (s.y0, r.y0), (s.coeffs, r.coeffs))
     )
 
 
@@ -534,8 +547,7 @@ def curves_identical(a, b) -> bool:
     """Same interval, flags, class and dense output, bit for bit."""
     if (a.interval, a.classification) != (b.interval, b.classification):
         return False
-    segs_a, segs_b = a.forward + a.backward, b.forward + b.backward
-    return len(segs_a) == len(segs_b) and all(map(segments_identical, segs_a, segs_b))
+    return steps_identical(a.forward, b.forward) and steps_identical(a.backward, b.backward)
 
 
 class IntegrationLog:

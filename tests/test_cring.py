@@ -64,6 +64,16 @@ class TestMembership:
         with pytest.raises(PointNotOnScheme):
             line.point((0.0, 0.5))
 
+    def test_point_length_is_checked(self):
+        line = thickened_line()
+        for p in [(0.5, 0.0, 7.0), (0.5,)]:
+            with pytest.raises(ValueError, match=f"point length {len(p)} != arity 2"):
+                in_zero_set(line, p)
+            with pytest.raises(ValueError, match=f"point length {len(p)} != arity 2"):
+                line.residual_fn()(np.array(p)[:, None])
+            with pytest.raises(ValueError, match=f"point length {len(p)} != arity 2"):
+                line.point(p)
+
     def test_residual_fn_matches_scalar_path(self):
         sq = square()
         f = sq.residual_fn()

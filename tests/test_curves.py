@@ -30,12 +30,13 @@ from helpers import (
     circle,
     curves_identical,
     expr_xy,
+    first_steps,
     reference_integrate_max_curve,
     rotation_field,
-    segments_identical,
     shear_field,
     square,
     square_exit_time,
+    steps_identical,
     thickened_line,
 )
 
@@ -273,31 +274,98 @@ class TestIntegratorInternals:
 
 
 def _linear_scan_eval(curve, t):
-    """Segment lookup by scanning every segment, as a reference for the
-    bisection in evaluate_curve."""
+    """Step lookup by scanning every step, as a reference for the
+    ``searchsorted`` lookup in evaluate_curve."""
     if t == 0.0 or curve.interval.is_singleton:
         return np.array(curve.base.coords, dtype=float)
-    segments = curve.forward if t > 0 else curve.backward
+    steps = curve.forward if t > 0 else curve.backward
     t = min(max(t, curve.interval.lo), curve.interval.hi)
-    for seg in segments:
-        if seg.covers(t):
-            return seg.eval(t)
-    return segments[-1].eval(t)
+    for i in range(len(steps)):
+        t0, h = steps.t0[i], steps.h[i]
+        if min(t0, t0 + h) <= t <= max(t0, t0 + h) or i == len(steps) - 1:
+            return cv._dense(steps.y0[i], h, steps.coeffs[i].T, (t - t0) / h)
+
+
+def _lookup_times(c) -> list:
+    """Interval ends, +-1e-300, every step's ends and midpoint and a
+    uniform grid, all inside the curve's interval."""
+    times = [c.interval.lo, c.interval.hi, 1e-300, -1e-300]
+    for s in (c.forward, c.backward):
+        times += s.t0.tolist() + (s.t0 + s.h).tolist() + (s.t0 + 0.5 * s.h).tolist()
+    times += np.linspace(c.interval.lo, c.interval.hi, 101).tolist()
+    return [t for t in times if c.interval.contains(t)]
+
+
+def _square_curve(start):
+    sq = square()
+    return integrate_max_curve(rotation_field(sq), sq.point(start), OPTS)
 
 
 class TestSegmentLookup:
     @pytest.mark.parametrize("start", [(0.9, 0.9), (0.0, 0.5), (1.0, 0.0)])
     def test_bisection_matches_linear_scan_bit_for_bit(self, start):
-        sq = square()
-        c = integrate_max_curve(rotation_field(sq), sq.point(start), OPTS)
-        times = [c.interval.lo, c.interval.hi, 1e-300, -1e-300]
-        for seg in c.forward + c.backward:
-            times += [seg.t0, seg.t1, seg.t0 + 0.5 * seg.h]
-        times += np.linspace(c.interval.lo, c.interval.hi, 101).tolist()
-        for t in times:
-            if not c.interval.contains(t):
-                continue
+        c = _square_curve(start)
+        for t in _lookup_times(c):
             assert evaluate_curve(c, t).tobytes() == _linear_scan_eval(c, t).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        start=st.sampled_from([(0.9, 0.9), (0.0, 0.5), (1.0, 0.0), (1.0, 1.0), (0.3, -0.7)]),
+        picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=40),
+        extra=st.lists(st.floats(-25.0, 25.0), max_size=10),
+    )
+    def test_array_column_is_the_time_alone(self, start, picks, extra):
+        # any mix of times, boundaries and +-1e-300 among them: each column
+        # of the array call is the scalar call, bit for bit
+        c = _square_curve(start)
+        pool = _lookup_times(c)
+        times = [pool[k % len(pool)] for k in picks]
+        times += [t for t in extra if c.defined_at(t)]
+        states = evaluate_curve(c, np.array(times))
+        assert states.shape == (2, len(times))
+        for j, t in enumerate(times):
+            assert states[:, j].tobytes() == evaluate_curve(c, t).tobytes()
+
+    def test_array_outside_the_interval_raises(self):
+        c = _square_curve((0.9, 0.9))
+        with pytest.raises(OutsideDefinitionInterval):
+            evaluate_curve(c, np.array([0.0, c.interval.hi + 1.0]))
+
+
+class TestCheckpointStates:
+    def test_scanned_states_are_evaluate_curve_at_their_times(self, monkeypatch):
+        # every state a round's membership scan reads is the curve at its
+        # time t0 + theta*h, bit for bit
+        sq = square()
+        scanned = []
+        real = SchemePresentation.residual_fn
+
+        def recording_residual_fn(scheme):
+            f = real(scheme)
+
+            def recording(p):
+                if isinstance(p, np.ndarray) and p.ndim == 2:
+                    scanned.extend(map(bytes, p.T.copy()))
+                return f(p)
+
+            return recording
+
+        monkeypatch.setattr(SchemePresentation, "residual_fn", recording_residual_fn)
+        c = integrate_max_curve(rotation_field(sq), sq.point((0.5, 0.1)), OPTS)
+        assert c.classification == CurveClass.HORIZON_COMPLETE
+        thetas = np.arange(1, 17) / 16
+        expected = []
+        for s in (c.forward, c.backward):
+            for t0, h in zip(s.t0, s.h):
+                expected.extend(map(bytes, evaluate_curve(c, t0 + thetas * h).T.copy()))
+        assert len(expected) == 16 * (len(c.forward) + len(c.backward)) > 32
+        assert sorted(scanned) == sorted(expected)
+
+
+def _exit_step_checkpoints(c):
+    """The (n, 16) checkpoint states of the last forward step."""
+    f = c.forward
+    return cv._dense(f.y0[-1][:, None], f.h[-1], f.coeffs[-1].T[..., None], np.arange(1, 17) / 16)
 
 
 class TestBatchedScan:
@@ -320,11 +388,8 @@ class TestBatchedScan:
         assert c.interval.lo_at_horizon
         # the exit step's checkpoints reach past the guard, so its batch
         # raised and the step was rescanned point by point
-        seg = c.forward[-1]
-        assert seg.eval(seg.t1)[0] > 1.12
-        thetas = np.arange(1, 17) / 16
-        powers = np.vstack([thetas**k for k in range(1, 5)])
-        states = seg.y0[:, None] + seg.h * (seg.coeffs @ powers)
+        states = _exit_step_checkpoints(c)
+        assert states[0, -1] > 1.12
         with pytest.raises(GuardViolation):
             sq.residual_fn()(states)
 
@@ -336,10 +401,7 @@ class TestBatchedScan:
         v = LiftedField.from_strings(["1", "0"], sq)
         c = integrate_max_curve(v, sq.point((0.0, 0.0)), self.OPTS)
         assert abs(c.interval.hi - 1.0) <= 1e-8 and c.interval.hi_closed
-        seg = c.forward[-1]
-        thetas = np.arange(1, 17) / 16
-        powers = np.vstack([thetas**k for k in range(1, 5)])
-        states = seg.y0[:, None] + seg.h * (seg.coeffs @ powers)
+        states = _exit_step_checkpoints(c)
         # the last checkpoint's constraint overflows to -inf, which holds;
         # x <= 1 fails there
         with np.errstate(all="raise"):
@@ -655,7 +717,7 @@ class TestLockstepErrors:
         assert curves_identical(got[2], integrate_max_curve(v, points[2], OPTS))
 
     def test_short_point_among_others(self):
-        # the length is checked before the residual reads the coordinates
+        # the residual checks the length before it reads the coordinates
         line = thickened_line()
         v = shear_field(line)
         points = [line.point((0.0, 0.0)), SchemePoint((0.5,)), line.point((1.0, 0.0))]
@@ -671,12 +733,12 @@ class TestDiagnostics:
         sq = square()
         v = rotation_field(sq)
         closed = integrate_max_curve(v, sq.point((0.9, 0.9)), OPTS)
-        for side, segs in (("forward", closed.forward), ("backward", closed.backward)):
+        for side, steps in (("forward", closed.forward), ("backward", closed.backward)):
             d = closed.diagnostics[side]
             assert d["end"] == "exit" and 0 <= d["checkpoint"] < 16
-            assert d["accepted"] == len(segs) and d["rejected"] >= 0
-            assert d["min_h"] == min(abs(s.h) for s in segs)
-            assert d["max_h"] == max(abs(s.h) for s in segs)
+            assert d["accepted"] == len(steps) and d["rejected"] >= 0
+            assert d["min_h"] == np.abs(steps.h).min()
+            assert d["max_h"] == np.abs(steps.h).max()
         whole = integrate_max_curve(v, sq.point((0.5, 0.1)), OPTS)
         assert whole.diagnostics["forward"]["end"] == "horizon"
         assert whole.diagnostics["backward"]["end"] == "horizon"
@@ -711,11 +773,11 @@ class TestReach:
             return
         for side in ("forward", "backward"):
             cut, whole = getattr(short, side), getattr(full, side)
-            assert all(map(segments_identical, cut, whole))
+            assert steps_identical(cut, first_steps(whole, len(cut)))
             if short.diagnostics[side]["end"] == "reach":
                 assert reach < self.OPTS.horizon and len(cut) < len(whole)
-                assert abs(cut[-1].t1) >= reach
-                assert all(abs(s.t1) < reach for s in cut[:-1])
+                ends = np.abs(cut.t0 + cut.h)
+                assert ends[-1] >= reach and np.all(ends[:-1] < reach)
             else:
                 assert len(cut) == len(whole)
                 assert short.diagnostics[side] == full.diagnostics[side]
@@ -751,7 +813,7 @@ class TestReach:
         )
         d = c.diagnostics["forward"]
         assert d["end"] == "reach" and d["accepted"] == len(c.forward)
-        assert c.interval.hi == c.forward[-1].t1 >= 1.0
+        assert c.interval.hi == c.forward.t0[-1] + c.forward.h[-1] >= 1.0
         assert c.interval.hi_at_horizon and c.interval.lo_at_horizon
 
 
@@ -784,12 +846,13 @@ class TestStepFloor:
         line = thickened_line()
         v = shear_field(line)
         point = line.point((0.0, 0.0))
-        t1 = integrate_max_curve(v, point, IntegratorOptions(horizon=5.0)).forward[5].t1
+        f = integrate_max_curve(v, point, IntegratorOptions(horizon=5.0)).forward
+        t1 = float(f.t0[5] + f.h[5])
         opts = IntegratorOptions(horizon=t1 + 4e-15)
         assert 0 < opts.horizon - t1 < 1e-14 * max(1.0, t1)
         c = integrate_max_curve(v, point, opts)
         assert c.classification == CurveClass.HORIZON_COMPLETE
-        assert abs(c.forward[-1].h) < 1e-14
+        assert abs(c.forward.h[-1]) < 1e-14
         assert {d["end"] for d in c.diagnostics.values()} == {"horizon"}
         assert curves_identical(c, reference_integrate_max_curve(v, point, opts))
 
@@ -834,3 +897,26 @@ def _random_poly_src(rng) -> str:
         j = rng.randint(0, 2 - i)
         terms.append(f"{c}*x^{i}*y^{j}")
     return " + ".join(terms)
+
+
+class TestSolveIvpCrossCheck:
+    """The dense output against scipy's DOP853, another code path."""
+
+    @pytest.mark.parametrize("start", [(0.2, -0.3), (-0.6, 0.5), (0.0, 0.0)])
+    def test_transcendental_field_on_the_square(self, start):
+        from scipy.integrate import solve_ivp
+
+        sq = square()
+        v = LiftedField.from_strings(["cos(y)", "sin(x)"], sq)
+        c = integrate_max_curve(v, sq.point(start), OPTS)
+        assert c.interval.lo < -0.1 and c.interval.hi > 0.1
+        for end in (c.interval.lo, c.interval.hi):
+            ref = solve_ivp(
+                lambda t, p: [math.cos(p[1]), math.sin(p[0])], (0.0, end), list(start),
+                method="DOP853", rtol=1e-12, atol=1e-12, dense_output=True,
+            )
+            assert ref.success
+            times = np.linspace(0.0, end, 201)
+            got = evaluate_curve(c, times)
+            assert got.shape == (2, 201)
+            assert np.max(np.abs(got - ref.sol(times))) <= 1e-7

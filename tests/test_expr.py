@@ -309,6 +309,13 @@ class TestPointIsOneColumn:
             assert isinstance(value, float)
             assert np.float64(value).tobytes() == np.float64(column).tobytes()
 
+    def test_integer_batch_is_evaluated_in_double_precision(self):
+        # in int64, 2^120 wraps to 0
+        f = as_callable(parse_expr("x*x*x", XY))
+        batch = f(np.array([[2**40], [1]]))
+        assert batch.dtype == np.float64
+        assert batch[0] == f((2**40, 1)) == 2.0**120
+
 
 class TestDiff:
     def test_square(self):

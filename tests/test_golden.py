@@ -1,0 +1,36 @@
+"""CLI outputs on the example schemes, byte for byte.
+
+``tests/data/golden/`` holds the stdout of each command below.  A change
+that moves any of them must update the file and say which lines moved and
+by how much.  To regenerate one, from the root of a checkout:
+
+    PYTHONPATH=src python -m schemeflow.cli <argv...> > tests/data/golden/<name>
+"""
+
+import os
+
+import pytest
+
+from schemeflow.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(ROOT, "tests", "data", "golden")
+SQUARE = os.path.join(ROOT, "schemes", "square_rotation.json")
+LINE = os.path.join(ROOT, "schemes", "thickened_line.json")
+
+CASES = {
+    "domain_square_rotation.csv": ["domain", "--scheme", SQUARE, "--grid", "5"],
+    "domain_thickened_line.csv": ["domain", "--scheme", LINE, "--grid", "5"],
+    "curve_square_rotation.csv": ["curve", "--scheme", SQUARE, "--point", "0.5,0.1"],
+    "curve_thickened_line.csv": ["curve", "--scheme", LINE, "--point", "0.5,1e-5"],
+    "flow_thickened_line.txt": ["flow", "--scheme", LINE, "--point", "0.5,1e-5", "--time", "1.0"],
+    "check_square_rotation.txt": ["check", "--scheme", SQUARE],
+    "check_thickened_line.txt": ["check", "--scheme", LINE],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_is_byte_identical(name, capsys):
+    assert main(CASES[name]) == 0
+    with open(os.path.join(GOLDEN, name), "rb") as fh:
+        assert capsys.readouterr().out.encode("utf-8") == fh.read()
