@@ -1,7 +1,8 @@
 """Maximal integral curves on a presented scheme.
 
-The lifted field is integrated on R^n with an adaptive embedded
-Dormand-Prince 5(4) pair and quartic dense output.  The curve of the scheme
+The lifted field is integrated on R^n with DOP853, Hairer's adaptive
+explicit Runge-Kutta method of order 8 with a combined 5th/3rd-order error
+estimate and a continuous output of order 7.  The curve of the scheme
 is the restriction of that trajectory to the connected component of 0 in the
 set of times where the state stays on the zero set: membership of the dense
 output is monitored at a fixed density per accepted step and the first
@@ -15,10 +16,12 @@ A lane is one (base point, direction) pair.  At most ``MAX_LANES`` lanes are
 live; the other points wait in a queue and start as lanes finish.  Starting
 a point evaluates the field at the base point once: that value serves the
 singleton probe, the initial step size and both lanes' first stage.  A round
-then takes one Dormand-Prince attempt on every live lane: each of the six
-stages is one call of the lifted field (``derivation.lift``) on an (n,
-lanes) array; the stage sums, error estimates and dense-output
-coefficients are stacked matrix products; and the dense-output
+then takes one DOP853 attempt on every live lane: each of its twelve new
+stages (eleven, then the field at the new state, which is the next step's
+first stage) is one call of the lifted field (``derivation.lift``) on an
+(n, lanes) array, and the three extra stages of the dense output are three
+more calls on the accepted lanes only; the stage sums, error estimates and
+dense-output coefficients are stacked matrix products; and the dense-output
 states at all checkpoints of every accepted attempt go through the scheme's
 residual in one call.  Whatever one curve decides stays per lane, with the
 rules of one curve: step size and controller, rejection, step-size
@@ -26,18 +29,23 @@ underflow, the horizon, the step limit, the first failing checkpoint and
 its bisection.
 
 Dense output.  A direction's accepted steps are stored as columns
-(``Steps``: ``t0`` (k,), signed ``h`` (k,), ``y0`` (k, n) and quartic
-``coeffs`` (k, n, 4)); a lane keeps each step as one row of 2 + 5n doubles
-and stacks its rows when it ends.  ``_dense`` is the one dense-output
-formula: y0 + h*(u*(c1 + u*(c2 + u*(c3 + u*c4)))) at u = (t - t0)/h, in
-elementwise numpy arithmetic in that order, so a state's bits never depend
-on how many states are evaluated together.  The checkpoint scan, bisection,
-the singleton probes and ``evaluate_curve`` all call it: a checkpoint state
-is, bit for bit, ``evaluate_curve`` at its time t0 + theta*h.
+(``Steps``: ``t0`` (k,), signed ``h`` (k,), ``y0`` (k, n) and ``coeffs``
+(k, n, 7)); a lane keeps each step as one row of 2 + 8n doubles and stacks
+its rows when it ends.  ``_dense`` is the one dense-output formula, the
+degree-7 Horner scheme in u = (t - t0)/h and v = 1 - u of DOP853's
+continuous output, y0 + h*(u*(c1 + v*(c2 + u*(c3 + v*(c4 + u*(c5 + v*(c6 +
+u*c7))))))), in elementwise numpy arithmetic in that order, so a state's
+bits never depend on how many states are evaluated together; it gives y0
+at u = 0 exactly and the step's new state at u = 1 up to rounding.  The
+checkpoint scan, bisection, the singleton probes and ``evaluate_curve`` all
+call it: a checkpoint state is, bit for bit, ``evaluate_curve`` at its time
+t0 + theta*h.
 
 Per-lane errors.  A batched attempt that raises is made again lane by
 lane, so the exception is charged to the lane whose state raised it; the
-other lanes repeat their attempt in the next round.  A batched residual call
+other lanes repeat their attempt in the next round.  The extra stages of
+the accepted lanes are made again lane by lane the same way, and the
+lanes that do not raise go on with their step.  A batched residual call
 that raises sends each lane's step to a point-by-point scan, so a failure
 at a later checkpoint never pre-empts an earlier membership exit; an
 overflow gives +-inf (see ``expr.as_callable``), so only a guard violation
@@ -54,11 +62,20 @@ Sums, products and negation never do (rotations, translations); powers,
 quotients, exp, log, sin, cos and the cutoffs go through numpy functions
 that nothing documents to be independent of the array's length.
 
+Membership scan.  ``checkpoints_per_step`` states at u = 1/m, 2/m, ..., 1
+of each accepted step are tested; at the default m = 160 and tolerances a
+rotation's longest steps (about 0.33) put them about 2.1e-3 apart in time.
+The first failing checkpoint is localized by bisection on times between it
+and the checkpoint before it (or the step's start), each state at u
+computed from its time as ``evaluate_curve`` computes it; the bound is the
+last time whose state passed.
+
 Interval endpoints carry three epistemic flags: reached the horizon (no
 claim of completeness), closed (the localized boundary state itself passes
-membership; always the case when the exit is a membership exit, since zero
-sets are closed), or open (the lifted solution stopped existing: step-size
-underflow or non-finite state, i.e. finite-time blow-up).
+membership; always the case for a membership exit, whose bound's state is,
+bit for bit, one that passed), or open (the lifted solution stopped
+existing: step-size underflow or non-finite state, i.e. finite-time
+blow-up).
 
 Step floor.  Before every attempt, a lane whose step-size controller asks
 for |h| < 1e-14*max(1, |t|) ends at t with an open endpoint (underflow).
@@ -128,7 +145,7 @@ class IntegratorOptions:
     probe_step: float = 1e-6
     event_tol: float = 1e-10
     max_steps: int = 1_000_000
-    checkpoints_per_step: int = 16
+    checkpoints_per_step: int = 160
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "horizon", "probe_step", "event_tol"):
@@ -165,35 +182,90 @@ class IntervalRecord:
         return self.lo - slack <= t <= self.hi + slack
 
 
-# Dormand-Prince 5(4) tableau; the last row doubles as the 5th-order weights
-# (first-same-as-last structure).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-# difference between 5th- and embedded 4th-order weights
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
-# dense-output coefficients: a step's stages K (7, n) give coeffs = K^T P (see _dense)
-_P = np.array(
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10): stage s is
+# the field at y + h*(_A[s, :s] @ K[:s]).  Stages 0-11 make the step, stage
+# 12 is the field at the new state (_A[12, :12] = _B, the next step's k1),
+# and stages 13-15 are the extra stages of the dense output.
+_A = np.zeros((16, 16))
+for _s, _row in enumerate(
     [
-        [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-        [0, 0, 0, 0],
-        [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-        [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-        [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-        [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-        [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+        [0.05260015195876773],
+        [0.0197250569845379, 0.0591751709536137],
+        [0.02958758547680685, 0.0, 0.08876275643042054],
+        [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+        [0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242],
+        [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125],
+        [0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+         -0.015319437748624402, 0.008273789163814023],
+        [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+         27.59209969944671, 20.154067550477894, -43.48988418106996],
+        [0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+         21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627],
+        [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+         -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+         -3.0467644718982196],
+        [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+         -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+         12.360567175794303, 0.6433927460157636],
+        [0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+         -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+         0.04471061572777259],
+        [0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+         -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+         0.00820105229563469, 0.007567897660545699, -0.008298],
+        [0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
+         0.053541988307438566, -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932,
+         0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325],
+        [-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+         4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+         2.9475147891527724, -9.15095847217987],
+    ],
+    start=1,
+):
+    _A[_s, :_s] = _row
+_B = _A[12, :12]  # 8th-order weights
+# error weights over stages 0-11: the 5th- and 3rd-order estimates
+_E5 = np.array(
+    [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+     1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+     -0.022355307863886294]
+)
+_E3 = _B - np.array(
+    [0.2440944881889764, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.7338466882816118, 0.0, 0.0,
+     0.022058823529411766]
+)
+# the continuous output's last four coefficients over stages 0-15
+_D = np.array(
+    [
+        [-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+         2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+         0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+         -4.436036387594894],
+        [10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+         -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+         -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+         35.81684148639408],
+        [19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+         527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+         0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+         11.99229113618279],
+        [-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+         357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+         29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+         -149.72683625798564],
     ]
 )
+# dense-output coefficients: a step's 16 stages K (16, n) give coeffs = K^T P
+# (see _dense).  c1 = _B.K reaches the new state at u = 1; c2 = k1 - c1 and
+# c3 = 2*c1 - k1 - f(y_new) make the output's slope the field at both ends;
+# c4-c7 are _D.K.
+_P = np.zeros((16, 7))
+_P[:12, 0] = _B
+_P[:12, 1] = -_B
+_P[0, 1] += 1.0
+_P[:12, 2] = 2 * _B
+_P[[0, 12], 2] -= 1.0
+_P[:, 3:] = _D.T
 
 # At most this many lanes, two per point, are integrated at once.  A live
 # point keeps its dense output until both its lanes end, so this bounds the
@@ -209,29 +281,35 @@ _MAX_FACTOR = 5.0
 class Steps:
     """The accepted steps of one direction, as columns: step i runs from
     ``t0[i]`` to ``t0[i] + h[i]`` (h signed, away from 0), and its state at
-    u = (t - t0[i]) / h[i] is ``_dense(y0[i], h[i], coeffs[i].T, u)``."""
+    u = (t - t0[i]) / h[i] is ``_dense(y0[i], h[i], coeffs[i].T, u)``, the
+    step's 7th-order continuous output."""
 
     t0: np.ndarray  # (k,)
     h: np.ndarray  # (k,)
     y0: np.ndarray  # (k, n)
-    coeffs: np.ndarray  # (k, n, 4)
+    coeffs: np.ndarray  # (k, n, 7)
 
     def __len__(self) -> int:
         return len(self.t0)
 
 
 def _steps(rows: list, n: int) -> Steps:
-    """Stack accepted steps' rows [t0, h, y0, coeffs] (2 + 5n,) into ``Steps``."""
+    """Stack accepted steps' rows [t0, h, y0, coeffs] (2 + 8n,) into ``Steps``."""
     k = len(rows)
-    block = np.array(rows).reshape(k, 2 + 5 * n)
-    return Steps(block[:, 0], block[:, 1], block[:, 2 : 2 + n], block[:, 2 + n :].reshape(k, n, 4))
+    block = np.array(rows).reshape(k, 2 + 8 * n)
+    return Steps(block[:, 0], block[:, 1], block[:, 2 : 2 + n], block[:, 2 + n :].reshape(k, n, 7))
 
 
 def _dense(y0, h, c, u) -> np.ndarray:
     """States (n, ...) at u in [0, 1] of steps from ``y0`` (n, ...) with
-    coefficients ``c`` (4, n, ...); ``h`` and ``u`` broadcast against the
-    trailing axes.  Elementwise, so batching never changes a state's bits."""
-    return y0 + h * (u * (c[0] + u * (c[1] + u * (c[2] + u * c[3]))))
+    coefficients ``c`` (7, n, ...); ``h`` and ``u`` broadcast against the
+    trailing axes.  Horner's scheme in u and v = 1 - u alternately, DOP853's
+    own form: exact at u = 0, and at u = 1 it is y0 + h*c[0].  Elementwise,
+    so batching never changes a state's bits."""
+    v = 1.0 - u
+    return y0 + h * (
+        u * (c[0] + v * (c[1] + u * (c[2] + v * (c[3] + u * (c[4] + v * (c[5] + u * c[6]))))))
+    )
 
 
 @dataclass(frozen=True)
@@ -252,23 +330,54 @@ class IntegralCurve:
         return (rec.lo - slack <= t) & (t <= rec.hi + slack)
 
 
+def _stages(rhs, y, hc, K, stages) -> None:
+    """Fill the ``stages`` of ``K`` (lanes, 16, n) in order, each one call of
+    the field on every lane; ``y`` (lanes, n) states, ``hc`` (lanes, 1)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in stages:
+            K[:, s] = rhs((y + hc * (_A[s, :s] @ K[:, :s])).T).T
+
+
 def _attempt(rhs, y, h, k1):
-    """One Dormand-Prince attempt on every lane: ``y`` (lanes, n) states,
-    ``h`` (lanes,) signed steps, ``k1`` (lanes, n) the field at ``y``.
-    Returns (y_new, stages, err) with stages (lanes, 7, n).
+    """One DOP853 attempt on every lane: ``y`` (lanes, n) states, ``h``
+    (lanes,) signed steps, ``k1`` (lanes, n) the field at ``y``.  Returns
+    (y_new, K, e5, e3): stages 0-12 in K (lanes, 16, n), stage 12 the field
+    at y_new, and the 5th- and 3rd-order error estimates (lanes, n) without
+    their factor h.
 
     Overflow is tolerated: non-finite results are rejected by the caller's
     error control, which is how finite-time blow-up is detected.
     """
-    K = np.empty((len(y), 7, y.shape[1]))
+    K = np.empty((len(y), 16, y.shape[1]))
     K[:, 0] = k1
-    hc = h[:, None]
+    _stages(rhs, y, h[:, None], K, range(1, 13))
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(1, 7):
-            K[:, s] = rhs((y + hc * (_A[s] @ K[:, :s])).T).T
-        y_new = y + hc * (_B @ K)
-        err = hc * (_E @ K)
-    return y_new, K, err
+        y_new = y + h[:, None] * (_B @ K[:, :12])
+        return y_new, K, _E5 @ K[:, :12], _E3 @ K[:, :12]
+
+
+def _dense_coeffs(rhs, y, h, K) -> np.ndarray:
+    """Dense-output coefficients (lanes, n, 7) of accepted attempts: fills
+    the three extra stages 13-15 of their ``K`` (lanes, 16, n)."""
+    _stages(rhs, y, h[:, None], K, range(13, 16))
+    return K.transpose(0, 2, 1) @ _P
+
+
+def _error_norms(h, y, y_new, e5, e3, opts: IntegratorOptions) -> np.ndarray:
+    """DOP853's error norm of each lane (Hairer's combined 5th/3rd-order
+    estimate), inf where the attempt is not finite.  Stacked dot products
+    and elementwise operations repeat the arithmetic of one lane alone."""
+    with np.errstate(all="ignore"):
+        scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        x5, x3 = e5 / scale, e3 / scale
+        s5 = (x5[:, None, :] @ x5[:, :, None])[:, 0, 0]
+        s3 = (x3[:, None, :] @ x3[:, :, None])[:, 0, 0]
+        norm = np.abs(h) * s5 / np.sqrt((s5 + 0.01 * s3) * y.shape[1])
+    norm[s5 == 0.0] = 0.0
+    # a non-finite e5 makes the norm nan; a non-finite e3 could make it 0
+    finite = np.isfinite(y_new).all(axis=1) & np.isfinite(e3).all(axis=1) & np.isfinite(norm)
+    norm[~finite] = math.inf
+    return norm
 
 
 def _initial_step(f, y0, k1, opts: IntegratorOptions) -> float:
@@ -283,7 +392,7 @@ def _initial_step(f, y0, k1, opts: IntegratorOptions) -> float:
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** 0.125
     return min(100 * h0, h1, opts.horizon)
 
 
@@ -423,9 +532,11 @@ class _Lockstep:
     def _singleton_probe(self, y0, k1) -> bool:
         for sign in (+1.0, -1.0):
             h = sign * 4 * self.opts.probe_step
-            _, K, _ = _attempt(self.rhs, y0[None], np.array([h]), k1[None])
+            hs = np.array([h])
+            _, K, _, _ = _attempt(self.rhs, y0[None], hs, k1[None])
+            c = _dense_coeffs(self.rhs, y0[None], hs, K)[0]
             # at t = h/4, h/2 and h, in that order
-            states = _dense(y0[:, None], h, (K[0].T @ _P).T[..., None], np.array([0.25, 0.5, 1]))
+            states = _dense(y0[:, None], h, c.T[..., None], np.array([0.25, 0.5, 1]))
             for state in states.T:
                 if self.residual(state) <= self.eps_z:
                     return False
@@ -473,33 +584,28 @@ class _Lockstep:
         h_abs = np.minimum(self.h_abs, opts.horizon - np.abs(t))
         h = self.signs * h_abs
         try:
-            y_new, K, err = _attempt(self.rhs, y, h, k1)
+            y_new, K, e5, e3 = _attempt(self.rhs, y, h, k1)
         except Exception as err:
             self._charge_attempt_errors(err)
             return
 
-        with np.errstate(all="ignore"):
-            finite = np.isfinite(y_new).all(axis=1) & np.isfinite(err).all(axis=1)
-            x = err / (opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
-            # a stacked dot product: the same sum as np.linalg.norm of one lane
-            err_norm = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]) / math.sqrt(self.n)
-        err_norm[~finite] = math.inf
+        err_norm = _error_norms(h, y, y_new, e5, e3, opts)
         accepted = err_norm <= 1.0
         # Python's power, as for one curve: numpy's differs in the last bits
-        power = np.array([e**-0.2 if e else math.inf for e in err_norm.tolist()])
+        power = np.array([e**-0.125 if e else math.inf for e in err_norm.tolist()])
         factor = np.maximum(_MIN_FACTOR, _SAFETY * power)
         factor = np.where(accepted, np.minimum(_MAX_FACTOR, factor), factor)
         next_h = h_abs * factor
 
-        for j in np.flatnonzero(~accepted).tolist():
+        for j in (~accepted).nonzero()[0].tolist():
             lanes[j].rejected += 1
 
-        acc = np.flatnonzero(accepted)
+        acc = accepted.nonzero()[0]
         if len(acc):
             self._accept(acc, t, y, h, K)
         self.t = np.where(accepted, t + h, t)
         self.y = np.where(accepted[:, None], y_new, y)
-        self.k1 = np.where(accepted[:, None], K[:, 6], k1)  # first-same-as-last
+        self.k1 = np.where(accepted[:, None], K[:, 12], k1)  # the field at y_new
         self.h_abs = next_h
         self._compact()
 
@@ -510,7 +616,7 @@ class _Lockstep:
         if self.h_abs.min() >= 1e-14 * max(1.0, self.opts.horizon):
             return
         below = self.h_abs < 1e-14 * np.maximum(1.0, np.abs(self.t))
-        for j in np.flatnonzero(below).tolist():
+        for j in below.nonzero()[0].tolist():
             lane = self.lanes[j]
             lane.finish("underflow", float(self.t[j]), False, False, last_h=float(self.h_abs[j]))
             self._settle(lane)
@@ -521,23 +627,50 @@ class _Lockstep:
         alone, so an exception ends the lane whose state raised it.  The
         other lanes attempt the same step again next round."""
         h = self.signs * np.minimum(self.h_abs, self.opts.horizon - np.abs(self.t))
-        failed = False
-        for j, lane in enumerate(self.lanes):
-            try:
-                _attempt(self.rhs, self.y[j : j + 1], h[j : j + 1], self.k1[j : j + 1])
-            except Exception as err:
-                self._fail(lane, err)
-                failed = True
-        if not failed:
-            raise batch_error  # no lane raises alone: not a per-point failure
+        self._alone(
+            batch_error,
+            range(len(self.lanes)),
+            lambda j: _attempt(self.rhs, self.y[j : j + 1], h[j : j + 1], self.k1[j : j + 1]),
+        )
         self._compact()
+
+    def _alone(self, batch_error: Exception, rows, call) -> list:
+        """After a batched call raised ``batch_error``: ``call(r)`` for each
+        row r of ``rows``, a lane's own share of that call; the lane whose
+        call raises fails with its exception.  Returns the rows that did not
+        raise, and raises ``batch_error`` if none did: then no lane raises
+        alone, so it is not a per-point failure."""
+        ok = []
+        for r in rows:
+            try:
+                call(r)
+                ok.append(r)
+            except Exception as err:
+                self._fail(self.lanes[r], err)
+        if len(ok) == len(rows):
+            raise batch_error
+        return ok
 
     def _accept(self, acc, t, y, h, K) -> None:
         """Store the accepted steps, scan their checkpoints in one residual
         call, and end the lanes that exit, reach the horizon or the reach, or
         run out of steps."""
         opts, reach, residual, eps_z = self.opts, self.reach, self.residual, self.eps_z
-        coeffs = K[acc].transpose(0, 2, 1) @ _P
+        try:
+            coeffs = _dense_coeffs(self.rhs, y[acc], h[acc], K[acc])
+        except Exception as err:
+            # the extra stages lane by lane: a lane whose stage raises fails
+            acc = np.array(
+                self._alone(
+                    err,
+                    acc.tolist(),
+                    lambda j: _dense_coeffs(self.rhs, y[j : j + 1], h[j : j + 1], K[j : j + 1]),
+                ),
+                dtype=int,
+            )
+            if not len(acc):
+                return
+            coeffs = K[acc].transpose(0, 2, 1) @ _P
         ya, ha, ta = y[acc], h[acc], t[acc]
         tcol, hcol = ta[:, None], ha[:, None]
         rows = np.concatenate((tcol, hcol, ya, coeffs.reshape(len(acc), -1)), axis=1)
@@ -564,12 +697,12 @@ class _Lockstep:
                 else:
                     bad = exits[a]
                 if bad is not None:
-                    bound, closed = self._bisect(t0, hj, ya[a], coeffs[a].T, bad)
+                    bound = self._bisect(t0, hj, ya[a], coeffs[a].T, bad)
             except Exception as err:
                 self._fail(lane, err)
                 continue
             if bad is not None:
-                lane.finish("exit", bound, closed, False, checkpoint=bad)
+                lane.finish("exit", bound, True, False, checkpoint=bad)
                 self._settle(lane)
             elif abs(t0 + hj) >= opts.horizon:
                 lane.finish("horizon", lane.sign * opts.horizon, True, True)
@@ -580,20 +713,26 @@ class _Lockstep:
             elif len(lane.rows) >= opts.max_steps:
                 self._fail(lane, StepLimitExceeded(f"exceeded {opts.max_steps} accepted steps"))
 
-    def _bisect(self, t0: float, h: float, y0, c, bad: int) -> tuple[float, bool]:
-        """(bound, closed) of the first membership failure inside the step
-        from ``t0`` (coefficients ``c`` (4, n)) whose checkpoint ``bad`` is
-        the first to fail; closed if ``evaluate_curve``'s bound state passes."""
+    def _bisect(self, t0: float, h: float, y0, c, bad: int) -> float:
+        """The bound of the first membership failure inside the step from
+        ``t0`` (coefficients ``c`` (7, n)) whose checkpoint ``bad`` is the
+        first to fail.  Bisects on times, each state at u computed from its
+        time as ``evaluate_curve`` computes it, and returns the last time
+        whose state passed (a checkpoint's time, or t0, whose state the scan
+        or the start passed), so the bound's state passes: a membership exit
+        is closed."""
         residual, eps_z = self.residual, self.eps_z
-        lo, hi = (float(self.thetas[bad - 1]) if bad else 0.0), float(self.thetas[bad])
-        while (hi - lo) * abs(h) > self.opts.event_tol:
+        lo = t0 + float(self.thetas[bad - 1]) * h if bad else t0
+        hi = t0 + float(self.thetas[bad]) * h
+        while abs(hi - lo) > self.opts.event_tol:
             mid = 0.5 * (lo + hi)
-            if residual(_dense(y0, h, c, mid)) > eps_z:
+            if mid == lo or mid == hi:
+                break  # adjacent floats: no time between them to test
+            if residual(_dense(y0, h, c, (mid - t0) / h)) > eps_z:
                 hi = mid
             else:
                 lo = mid
-        bound = t0 + lo * h
-        return bound, bool(residual(_dense(y0, h, c, (bound - t0) / h)) <= eps_z)
+        return lo
 
     def _compact(self) -> None:
         keep = [lane.live for lane in self.lanes]

@@ -426,20 +426,46 @@ def reference_sample_zero_set(scheme, box, resolution, polish_steps=30):
 # -- the per-curve integrator, as the oracle for the lockstep one -----------
 
 
-def _reference_rk_step(f, y, h, k1):
-    n = len(y)
-    K = np.empty((7, n))
-    K[0] = k1
+def _reference_stages(f, y, h, K, stages):
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(1, 7):
-            K[s] = f(y + h * (cv._A[s] @ K[:s]))
-        y_new = y + h * (cv._B @ K)
-        err = h * (cv._E @ K)
-    return y_new, K, err
+        for s in stages:
+            K[s] = f(y + h * (cv._A[s, :s] @ K[:s]))
+
+
+def _reference_rk_step(f, y, h, k1):
+    """One DOP853 attempt on one state: (y_new, K (16, n) with stages 0-12
+    filled, and the 5th- and 3rd-order error estimates without their
+    factor h)."""
+    K = np.empty((16, len(y)))
+    K[0] = k1
+    _reference_stages(f, y, h, K, range(1, 13))
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_new = y + h * (cv._B @ K[:12])
+    return y_new, K, cv._E5 @ K[:12], cv._E3 @ K[:12]
+
+
+def _reference_dense_coeffs(f, y, h, K):
+    """The three extra stages of an accepted step, then its (n, 7)
+    dense-output coefficients."""
+    _reference_stages(f, y, h, K, range(13, 16))
+    return K.T @ cv._P
+
+
+def _reference_error_norm(h, y, y_new, e5, e3, opts) -> float:
+    """DOP853's combined 5th/3rd-order error norm of one step."""
+    if not all(np.all(np.isfinite(a)) for a in (y_new, e5, e3)):
+        return math.inf
+    scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+    x5, x3 = e5 / scale, e3 / scale
+    s5, s3 = float(x5 @ x5), float(x3 @ x3)
+    if s5 == 0.0:
+        return 0.0
+    norm = abs(h) * s5 / math.sqrt((s5 + 0.01 * s3) * len(y))
+    return norm if math.isfinite(norm) else math.inf
 
 
 def reference_integrate_direction(rhs, y0, sign, residual, eps_z, opts):
-    """One direction of one curve, one Dormand-Prince step at a time with
+    """One direction of one curve, one DOP853 step at a time with
     the point-wise field ``rhs``: the step loop ``curves`` ran before it
     integrated lanes in lockstep, with the step floor tested before every
     attempt.  Returns (steps, bound, closed, at_horizon), ``steps`` a
@@ -465,35 +491,31 @@ def reference_integrate_direction(rhs, y0, sign, residual, eps_z, opts):
                 return steps(), t, False, False
             h_abs = min(h_abs, opts.horizon - abs(t))
             h = sign * h_abs
-            y_new, K, err = _reference_rk_step(rhs, y, h, k1)
-            if np.all(np.isfinite(y_new)) and np.all(np.isfinite(err)):
-                scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-                err_norm = float(np.linalg.norm(err / scale) / math.sqrt(len(y)))
-            else:
-                err_norm = math.inf
+            y_new, K, e5, e3 = _reference_rk_step(rhs, y, h, k1)
+            err_norm = _reference_error_norm(h, y, y_new, e5, e3, opts)
             if err_norm <= 1.0:
-                factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm**-0.2))
+                factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm**-0.125))
                 h_next = h_abs * factor
                 break
-            h_abs = h_abs * max(0.2, 0.9 * err_norm**-0.2)
-        c = K.T @ cv._P
+            h_abs = h_abs * max(0.2, 0.9 * err_norm**-0.125)
+        c = _reference_dense_coeffs(rhs, y, h, K)
         rows.append(np.concatenate(([t, h], y, c.ravel())))
         checkpoints = cv._dense(y[:, None], h, c.T[..., None], ((t + thetas * h) - t) / h)
         bad = next((j for j, s in enumerate(checkpoints.T) if residual(s) > eps_z), None)
         if bad is not None:
-            lo, hi = (float(thetas[bad - 1]) if bad else 0.0), float(thetas[bad])
-            while (hi - lo) * abs(h) > opts.event_tol:
+            # bisect on times: the bound is the last time whose state passed
+            lo = t + float(thetas[bad - 1]) * h if bad else t
+            hi = t + float(thetas[bad]) * h
+            while abs(hi - lo) > opts.event_tol and lo != 0.5 * (lo + hi) != hi:
                 mid = 0.5 * (lo + hi)
-                if residual(cv._dense(y, h, c.T, mid)) > eps_z:
+                if residual(cv._dense(y, h, c.T, (mid - t) / h)) > eps_z:
                     hi = mid
                 else:
                     lo = mid
-            bound = t + lo * h
-            closed = residual(cv._dense(y, h, c.T, (bound - t) / h)) <= eps_z
-            return steps(), bound, closed, False
+            return steps(), lo, True, False
         t = t + h
         y = y_new
-        k1 = K[6]
+        k1 = K[12]
         h_abs = h_next
     return steps(), sign * opts.horizon, True, True
 
@@ -511,9 +533,10 @@ def reference_integrate_max_curve(field, point, opts=cv.IntegratorOptions()):
     singleton = True
     for sign in (1.0, -1.0):
         h = sign * 4 * h0
-        _, K, _ = _reference_rk_step(rhs, y0, h, rhs(y0))
+        _, K, _, _ = _reference_rk_step(rhs, y0, h, rhs(y0))
+        c = _reference_dense_coeffs(rhs, y0, h, K)
         u = np.array([sign * m * h0 for m in (1, 2, 4)]) / h
-        probes = cv._dense(y0[:, None], h, (K.T @ cv._P).T[..., None], u)
+        probes = cv._dense(y0[:, None], h, c.T[..., None], u)
         if any(residual(state) <= scheme.eps_z for state in probes.T):
             singleton = False
             break

@@ -243,12 +243,17 @@ class TestBlowup:
 
 class TestIntegratorInternals:
     def test_dense_output_weights_consistent_with_step(self):
-        # the interpolant at the far end of a step must reproduce the
-        # propagated solution: row sums of the dense matrix equal the
-        # fifth-order weights
-        from schemeflow.curves import _B, _P
-
-        assert np.allclose(_P.sum(axis=1), _B, atol=1e-12)
+        # the interpolant at the far end of a step reproduces the step's new
+        # state, and at its start the old one
+        rhs = dv.lift(LiftedField.from_strings(["exp(y)/(1 + x^2) - y", "sin(x)*y^3 + x"], square()))
+        y = np.array([[0.3, -0.4], [1.0, 0.5], [-0.7, 0.2]])
+        h = np.array([0.3, -0.2, 0.05])
+        y_new, K, _, _ = cv._attempt(rhs, y, h, rhs(y.T).T)
+        c = cv._dense_coeffs(rhs, y, h, K)
+        for j in range(len(y)):
+            at = cv._dense(y[j][:, None], h[j], c[j].T[..., None], np.array([0.0, 1.0]))
+            assert at[:, 0].tobytes() == y[j].tobytes()
+            assert np.max(np.abs(at[:, 1] - y_new[j])) <= 4e-16 * np.max(np.abs(y_new[j]))
 
     def test_dense_output_accuracy_within_steps(self):
         # against the closed-form circle trajectory, sampled far from step
@@ -271,6 +276,180 @@ class TestIntegratorInternals:
         residual = circ.residual_fn()
         for t in np.linspace(c.interval.lo, c.interval.hi, 201):
             assert residual(evaluate_curve(c, t)) <= circ.eps_z * 10
+
+
+def _transcendental_rhs():
+    """The field of ``test_transcendental_field_on_a_disc``, compiled, and
+    the same field on Python floats for scipy."""
+    disc = SchemePresentation(XY, region=(expr_xy("x^2 + y^2 - 4"),))
+    v = LiftedField.from_strings(["exp(y)/(1 + x^2) - y", "sin(x)*y^3 + x"], disc)
+
+    def fun(t, p):
+        x, y = p
+        return np.array([math.exp(y) / (1 + x * x) - y, math.sin(x) * y**3 + x])
+
+    return dv.lift(v), fun
+
+
+class TestDop853:
+    """The tableau, one attempt, its error norm and its dense output against
+    scipy's DOP853, another implementation of the same method."""
+
+    def test_tableau_matches_scipy(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        assert np.max(np.abs(cv._A - ref.A)) <= 1e-16
+        assert np.max(np.abs(cv._B - ref.B)) <= 1e-16
+        assert np.max(np.abs(cv._E5 - ref.E5[:12])) <= 1e-16 and ref.E5[12] == 0.0
+        assert np.max(np.abs(cv._E3 - ref.E3[:12])) <= 1e-16 and ref.E3[12] == 0.0
+        assert np.max(np.abs(cv._D - ref.D)) <= 1e-16
+        # each stage's node is its row sum (the field is autonomous, so the
+        # nodes are not stored)
+        assert np.max(np.abs(cv._A.sum(axis=1) - ref.C)) <= 1e-15
+
+    def test_attempt_and_error_norm_match_scipy(self):
+        from scipy.integrate._ivp.rk import DOP853, rk_step
+
+        rhs, fun = _transcendental_rhs()
+        opts = IntegratorOptions()
+        for y0, h in (((0.3, -0.4), 0.2), ((1.0, 0.5), -0.35), ((-0.7, 0.2), 0.05)):
+            y0 = np.array(y0)
+            K_ref = np.empty((DOP853.n_stages + 1, 2))
+            y_ref, _ = rk_step(fun, 0.0, y0, fun(0.0, y0), h, DOP853.A, DOP853.B, DOP853.C, K_ref)
+            y_new, K, e5, e3 = cv._attempt(rhs, y0[None], np.array([h]), rhs(y0)[None])
+            assert np.max(np.abs(y_new[0] - y_ref)) <= 1e-15
+            assert np.max(np.abs(K[0, :13] - K_ref)) <= 1e-14 * np.max(np.abs(K_ref))
+            # the norm of the same stages: the estimate cancels, so the
+            # field's own rounding would show in it
+            solver = DOP853(fun, 0.0, y0, 1.0, rtol=opts.rel_tol, atol=opts.abs_tol)
+            scale = opts.abs_tol + np.maximum(np.abs(y0), np.abs(y_new[0])) * opts.rel_tol
+            norm_ref = solver._estimate_error_norm(K[0, :13], h, scale)
+            norm = cv._error_norms(np.array([h]), y0[None], y_new, e5, e3, opts)[0]
+            assert abs(norm - norm_ref) <= 1e-14 * norm_ref
+
+    def test_dense_output_matches_scipy(self):
+        from scipy.integrate._ivp.rk import DOP853
+
+        rhs, fun = _transcendental_rhs()
+        y0, h = np.array([0.3, -0.4]), 0.25
+        solver = DOP853(fun, 0.0, y0, h, first_step=h, rtol=1e-3, atol=1e-6)
+        solver.step()
+        assert solver.t == h  # one accepted step of the requested size
+        _, K, _, _ = cv._attempt(rhs, y0[None], np.array([h]), rhs(y0)[None])
+        c = cv._dense_coeffs(rhs, y0[None], np.array([h]), K)[0]
+        u = np.linspace(0.0, 1.0, 41)
+        got = cv._dense(y0[:, None], h, c.T[..., None], u)
+        assert np.max(np.abs(got - solver.dense_output()(u * h))) <= 1e-15
+
+    def test_order_eight_on_rotation(self):
+        # fixed steps over [0, 1] from (1, 0): halving h cuts the error by
+        # at least 2^7 (the method's order is 8)
+        rhs = dv.lift(rotation_field(square()))
+        errors = []
+        for steps in (2, 4, 8):
+            y, h = np.array([[1.0, 0.0]]), np.array([1.0 / steps])
+            k1 = rhs(y.T).T
+            for _ in range(steps):
+                y, K, _, _ = cv._attempt(rhs, y, h, k1)
+                k1 = K[:, 12]
+            errors.append(np.max(np.abs(y[0] - [math.cos(1.0), math.sin(1.0)])))
+        assert errors[0] < 1e-6
+        assert errors[0] / errors[1] >= 2**7 and errors[1] / errors[2] >= 2**7
+
+
+class TestWorkAndScan:
+    """What the high-order pair buys, and what the scan keeps."""
+
+    def _rotation(self):
+        sq = square()
+        return integrate_max_curve(rotation_field(sq), sq.point((0.5, 0.1)), OPTS)
+
+    def test_few_steps_on_the_rotation(self):
+        c = self._rotation()
+        assert c.classification == CurveClass.HORIZON_COMPLETE
+        for side in ("forward", "backward"):
+            assert c.diagnostics[side]["accepted"] <= 80
+
+    def test_scan_spacing_in_time(self):
+        c = self._rotation()
+        for side in ("forward", "backward"):
+            assert c.diagnostics[side]["max_h"] / OPTS.checkpoints_per_step <= 2.4e-3
+
+    def test_short_excursion_found(self):
+        # from radius 1 + 1e-6 at angle pi/4 the orbit leaves the square for
+        # about 2.8e-3 time units near t = +-0.784; the scan must see it
+        sq = square()
+        r = 1.0 + 1e-6
+        c = integrate_max_curve(
+            rotation_field(sq), sq.point((r * math.cos(math.pi / 4), r * math.sin(math.pi / 4))), OPTS
+        )
+        # the first time y^2 - 1 (forward) or x^2 - 1 (backward) reaches eps_z
+        exact = math.asin(math.sqrt(1.0 + sq.eps_z) / r) - math.pi / 4
+        assert c.classification == CurveClass.CLOSED
+        assert abs(c.interval.hi - exact) <= 1e-6 and abs(c.interval.lo + exact) <= 1e-6
+
+
+def _circle_point(theta):
+    return (math.cos(theta), math.sin(theta))
+
+
+def _sphere_point(theta, z):
+    r = math.sqrt(1.0 - z * z)
+    return (r * math.cos(theta), r * math.sin(theta), z)
+
+
+def _assert_exits_closed(c):
+    """Every end that is a membership exit is closed, and the curve's state
+    at the bound passes membership."""
+    residual = c.scheme.residual_fn()
+    rec = c.interval
+    for side, bound, closed in (("forward", rec.hi, rec.hi_closed), ("backward", rec.lo, rec.lo_closed)):
+        if c.diagnostics[side]["end"] == "exit":
+            assert closed
+            assert residual(evaluate_curve(c, bound)) <= c.scheme.eps_z
+
+
+class TestMembershipExitsClosed:
+    """A membership exit's bound is the last time whose state passed."""
+
+    LONG = IntegratorOptions(horizon=1000.0)
+
+    def test_circle_at_tight_eps(self):
+        circ = circle(eps_z=1e-11)
+        c = integrate_max_curve(rotation_field(circ), circ.point((1.0, 0.0)), self.LONG)
+        assert {d["end"] for d in c.diagnostics.values()} == {"exit"}
+        _assert_exits_closed(c)
+
+    def test_sphere_about_z(self):
+        scheme, v = _sphere()
+        c = integrate_max_curve(v, scheme.point((0.6, 0.0, 0.8)), self.LONG)
+        _assert_exits_closed(c)
+
+    def test_square_exits(self):
+        sq = square()
+        for p in ((0.9, 0.9), (1.0, -0.2), (-0.95, 0.6)):
+            c = integrate_max_curve(rotation_field(sq), sq.point(p), OPTS)
+            assert c.classification == CurveClass.CLOSED
+            _assert_exits_closed(c)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        eps_z=st.sampled_from([1e-9, 1e-10, 1e-11]),
+        theta=st.floats(0.0, 2 * math.pi),
+        z=st.one_of(st.none(), st.floats(-0.95, 0.95)),
+    )
+    def test_exits_closed_on_circle_and_sphere(self, eps_z, theta, z):
+        if z is None:
+            scheme = circle(eps_z=eps_z)
+            v, coords = rotation_field(scheme), _circle_point(theta)
+        else:
+            scheme = SchemePresentation(
+                XYZ, ideal_gens=(parse_expr("x^2 + y^2 + z^2 - 1", XYZ),), eps_z=eps_z
+            )
+            v = LiftedField.from_strings(["-y", "x", "0"], scheme)
+            coords = _sphere_point(theta, z)
+        c = integrate_max_curve(v, scheme.point(coords), IntegratorOptions(horizon=400.0))
+        _assert_exits_closed(c)
 
 
 def _linear_scan_eval(curve, t):
@@ -353,19 +532,21 @@ class TestCheckpointStates:
         monkeypatch.setattr(SchemePresentation, "residual_fn", recording_residual_fn)
         c = integrate_max_curve(rotation_field(sq), sq.point((0.5, 0.1)), OPTS)
         assert c.classification == CurveClass.HORIZON_COMPLETE
-        thetas = np.arange(1, 17) / 16
+        m = OPTS.checkpoints_per_step
+        thetas = np.arange(1, m + 1) / m
         expected = []
         for s in (c.forward, c.backward):
             for t0, h in zip(s.t0, s.h):
                 expected.extend(map(bytes, evaluate_curve(c, t0 + thetas * h).T.copy()))
-        assert len(expected) == 16 * (len(c.forward) + len(c.backward)) > 32
+        assert len(expected) == m * (len(c.forward) + len(c.backward)) > 2 * m
         assert sorted(scanned) == sorted(expected)
 
 
 def _exit_step_checkpoints(c):
-    """The (n, 16) checkpoint states of the last forward step."""
-    f = c.forward
-    return cv._dense(f.y0[-1][:, None], f.h[-1], f.coeffs[-1].T[..., None], np.arange(1, 17) / 16)
+    """The (n, m) checkpoint states of the last forward step, m the default
+    checkpoints per step."""
+    f, m = c.forward, OPTS.checkpoints_per_step
+    return cv._dense(f.y0[-1][:, None], f.h[-1], f.coeffs[-1].T[..., None], np.arange(1, m + 1) / m)
 
 
 class TestBatchedScan:
@@ -667,7 +848,7 @@ class TestLockstepErrors:
     def test_step_limit_in_one_lane(self):
         sq = square()
         v = rotation_field(sq)
-        opts = IntegratorOptions(horizon=5.0, max_steps=30)
+        opts = IntegratorOptions(horizon=5.0, max_steps=8)
         points = [sq.point(p) for p in SQUARE_POINTS]
         got = _batch(v, points, opts)
         assert any(isinstance(r, StepLimitExceeded) for r in got)
@@ -676,7 +857,7 @@ class TestLockstepErrors:
         for p, r in zip(points, got):
             assert _same(r, _outcome(v, p, opts))
         errors = {str(r) for r in got if isinstance(r, Exception)}
-        assert errors == {"exceeded 30 accepted steps"}
+        assert errors == {"exceeded 8 accepted steps"}
 
     def test_forward_error_wins(self):
         # the backward lane leaves the strip first (x < -1), the forward one
@@ -692,6 +873,29 @@ class TestLockstepErrors:
         with pytest.raises(GuardViolation) as alone:
             reference_integrate_max_curve(v, point, opts)
         assert float(re.search(r"point \((\S+),", str(alone.value)).group(1)) > 3.0
+
+    def test_dense_output_stage_error_isolated(self, monkeypatch):
+        # the extra stages of the dense output raise from states past x = 2
+        # (as a field defined only up to there would): the lanes that get
+        # there fail alone, and the other lanes finish their step
+        line = thickened_line()
+        v = shear_field(line)
+        opts = IntegratorOptions(horizon=1.0)
+        real = cv._dense_coeffs
+
+        def fenced(rhs, y, h, K):
+            if np.any(y[:, 0] > 2.0):
+                raise GuardViolation("past x = 2")
+            return real(rhs, y, h, K)
+
+        monkeypatch.setattr(cv, "_dense_coeffs", fenced)
+        points = [line.point((x, 0.0)) for x in (0.0, 1.9, -1.0, 2.5, 0.5)]
+        got = _batch(v, points, opts)
+        assert [isinstance(r, GuardViolation) for r in got] == [False, True, False, True, False]
+        for p, r in zip(points, got):
+            assert _same(r, _outcome(v, p, opts))
+            if not isinstance(r, Exception):
+                assert curves_identical(r, reference_integrate_max_curve(v, p, opts))
 
     def test_residual_guard_in_a_batch(self):
         # checkpoints past x = 1.12 make the batched residual raise; each
@@ -735,7 +939,7 @@ class TestDiagnostics:
         closed = integrate_max_curve(v, sq.point((0.9, 0.9)), OPTS)
         for side, steps in (("forward", closed.forward), ("backward", closed.backward)):
             d = closed.diagnostics[side]
-            assert d["end"] == "exit" and 0 <= d["checkpoint"] < 16
+            assert d["end"] == "exit" and 0 <= d["checkpoint"] < OPTS.checkpoints_per_step
             assert d["accepted"] == len(steps) and d["rejected"] >= 0
             assert d["min_h"] == np.abs(steps.h).min()
             assert d["max_h"] == np.abs(steps.h).max()

@@ -167,15 +167,17 @@ class TestAxioms:
         assert len(log.points) == before
 
     def test_sweep_wave_errors_raise_in_sweep_order(self):
-        # the field is defined only for x in [-5.9, 5.9]; horizon 5 keeps the
-        # sources' curves (through x = 0) inside, but within the sweep's
-        # reach of 3 the curve through the target q1 = 3 of arrow 1 leaves it
-        # (second wave), and so does the curve through q12 = 1 + 3 of arrow 0
-        # (third wave).  The sweep reads q12 of arrow 0 first, so its error
-        # is the one raised.
+        # the field is defined only for x in [-6.5, 6.5].  A curve through x0
+        # integrated to the sweep's reach of 3 still spans [x0 - 5, x0 + 5],
+        # because its last step runs to the horizon 5, so the curves through
+        # the sources (x = 0) and the targets q1 = 1 and 0.5 stay inside;
+        # the curve through the target q1 = 3 of arrow 1 leaves it (second
+        # wave), and so does the curve through q12 = 1 + 3 of arrow 0 (third
+        # wave).  The sweep reads q12 of arrow 0 first, so its error is the
+        # one raised.
         line = thickened_line()
         fenced = SmoothExpr(
-            "div", XY, (const(1, XY), const(1, XY)), guard=((-5.9, 5.9), (-10.0, 10.0))
+            "div", XY, (const(1, XY), const(1, XY)), guard=((-6.5, 6.5), (-10.0, 10.0))
         )
         v = LiftedField((fenced, parse_expr("y", XY)), line)
         opts = IntegratorOptions(horizon=5.0)
