@@ -17,6 +17,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "data", "golden")
 SQUARE = os.path.join(ROOT, "schemes", "square_rotation.json")
 LINE = os.path.join(ROOT, "schemes", "thickened_line.json")
+SPHERE = os.path.join(ROOT, "schemes", "sphere_rotation.json")
 
 CASES = {
     "domain_square_rotation.csv": ["domain", "--scheme", SQUARE, "--grid", "5"],
@@ -26,6 +27,12 @@ CASES = {
     "flow_thickened_line.txt": ["flow", "--scheme", LINE, "--point", "0.5,1e-5", "--time", "1.0"],
     "check_square_rotation.txt": ["check", "--scheme", SQUARE],
     "check_thickened_line.txt": ["check", "--scheme", LINE],
+    "groupoid_sphere_rotation.txt": [
+        "groupoid", "--scheme", SPHERE, "--samples", "3", "--seed", "5",
+    ],
+    "groupoid_thickened_line.txt": [
+        "groupoid", "--scheme", LINE, "--samples", "20", "--seed", "7", "--box=-3:3,-1:1",
+    ],
 }
 
 
