@@ -62,8 +62,8 @@ Sums, products and negation never do (rotations, translations); powers,
 quotients, exp, log, sin, cos and the cutoffs go through numpy functions
 that nothing documents to be independent of the array's length.
 
-Membership scan.  ``checkpoints_per_step`` states at u = 1/m, 2/m, ..., 1
-of each accepted step are tested; at the default m = 160 and tolerances a
+Membership scan.  ``CHECKPOINTS_PER_STEP`` states at u = 1/m, 2/m, ..., 1
+of each accepted step are tested; at m = 160 and the default tolerances a
 rotation's longest steps (about 0.33) put them about 2.1e-3 apart in time.
 The first failing checkpoint is localized by bisection on times between it
 and the checkpoint before it (or the step's start), each state at u
@@ -145,7 +145,6 @@ class IntegratorOptions:
     probe_step: float = 1e-6
     event_tol: float = 1e-10
     max_steps: int = 1_000_000
-    checkpoints_per_step: int = 160
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "horizon", "probe_step", "event_tol"):
@@ -271,6 +270,10 @@ _P[:, 3:] = _D.T
 # point keeps its dense output until both its lanes end, so this bounds the
 # memory of a batch; more lanes share each round's fixed cost more widely.
 MAX_LANES = 32
+
+# The membership scan tests the states at u = 1/m, 2/m, ..., 1 of every
+# accepted step, m this many.
+CHECKPOINTS_PER_STEP = 160
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -450,7 +453,7 @@ class _Lockstep:
         self.residual = scheme.residual_fn()
         self.eps_z = scheme.eps_z
         self.n = scheme.arity
-        m = opts.checkpoints_per_step
+        m = CHECKPOINTS_PER_STEP
         self.thetas = np.arange(1, m + 1) / m
         self.lanes: list[_Lane] = []
         self.t = np.zeros(0)

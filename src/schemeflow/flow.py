@@ -42,6 +42,7 @@ __all__ = [
     "flow_ideal",
     "validate_closed_form",
     "closed_form_flow",
+    "flow_columns",
     "domain_to_csv",
     "scale_row_bounds",
 ]
@@ -261,14 +262,37 @@ def _extended_vars(scheme: cring.SchemePresentation) -> ex.VarList:
     return scheme.vars.extended(TIME_VAR)
 
 
+def flow_columns(points, t) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The arguments of a batched flow call as (n, m) points, one per
+    column, and their m times; one point or one time is repeated to the
+    other's m.  The flag says the call has one point and one time, whose
+    state it returns as (n,) rather than as one column."""
+    cols = np.asarray(points, dtype=float)
+    times = np.asarray(t, dtype=float)
+    single = cols.ndim == 1 and times.ndim == 0
+    cols = cols.reshape(len(cols), -1)
+    times = times.reshape(-1)
+    m = max(cols.shape[1], len(times))
+    return np.broadcast_to(cols, (len(cols), m)), np.broadcast_to(times, (m,)), single
+
+
 def closed_form_flow(scheme: cring.SchemePresentation, psi: Sequence[ex.SmoothExpr]):
-    """Compile closed-form flow components over (x_1..x_n, t) into a map
-    (point, t) -> state array."""
+    """Compile closed-form flow components over (x_1..x_n, t) into a flow
+    map with the batched protocol of ``groupoid.MemoFlow``: ``phi(point, t)``
+    is the state (n,) at one point and time; ``phi(points, times)``, with an
+    (n, m) array of points as columns and m times, gives their states as the
+    columns of an (n, m) array (see ``flow_columns``).  Each component is
+    one compiled call on the (n+1, m) batch, with numpy's floating-point
+    warnings off as for a point, so each column is bit for bit the state its
+    own call gives."""
     fns = [ex.as_callable(c) for c in psi]
 
-    def phi(point: Sequence[float], t: float) -> np.ndarray:
-        args = tuple(point) + (t,)
-        return np.array([f(args) for f in fns], dtype=float)
+    def phi(points, t) -> np.ndarray:
+        cols, times, single = flow_columns(points, t)
+        args = np.vstack([cols, times])
+        with np.errstate(all="ignore"):
+            states = np.array([f(args) for f in fns], dtype=float)
+        return states[:, 0] if single else states
 
     return phi
 
@@ -302,7 +326,7 @@ def validate_closed_form(
         inside = [t for t in times if curve.interval.contains(t, 1e-12 * max(1.0, abs(t)))]
         if inside:
             num = cv.evaluate_curve(curve, np.array(inside))
-            sym = np.array([phi(p.coords, t) for t in inside]).T
+            sym = phi(p.coords, np.array(inside))
             # Python's max: a NaN deviation never becomes the worst
             worst = max([worst, *np.abs(num - sym).max(axis=0).tolist()])
             count += len(inside)
@@ -391,15 +415,19 @@ def flow_ideal(
 
 
 def _check_time_zero_identity(scheme, psi, tol):
-    fns = [ex.as_callable(c) for c in psi]
-    for row in cring.box_grid(scheme.default_box(), 5):
-        args = tuple(float(c) for c in row) + (0.0,)
-        for i, f in enumerate(fns):
-            if abs(f(args) - args[i]) > tol:
-                raise ValueError(
-                    f"closed form fails the t=0 identity at {args[:-1]}: "
-                    f"component {i} maps to {f(args)}"
-                )
+    """psi(x, 0) = x on a grid over the default box, one batched call per
+    component; the first failure in grid-row order, then component order,
+    raises."""
+    grid = cring.box_grid(scheme.default_box(), 5)
+    states = closed_form_flow(scheme, psi)(grid.T, 0.0)
+    bad = np.abs(states - grid.T) > tol
+    if bad.any():
+        j = int(np.argmax(bad.any(axis=0)))
+        i = int(np.argmax(bad[:, j]))
+        raise ValueError(
+            f"closed form fails the t=0 identity at {tuple(grid[j].tolist())}: "
+            f"component {i} maps to {float(states[i, j])}"
+        )
 
 
 def domain_to_csv(domain: FlowDomain) -> str:

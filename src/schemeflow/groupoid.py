@@ -65,6 +65,8 @@ class Arrow:
     t: float
 
 
+# A flow map with the batched protocol of MemoFlow and flow.closed_form_flow:
+# (point, t) -> (n,) state, or ((n, m) points as columns, m times) -> (n, m).
 FlowFn = Callable[[Sequence[float], float], np.ndarray]
 
 
@@ -73,11 +75,20 @@ class MemoFlow:
     point; the same integrator and curve evaluation as flow_eval, cached for
     the completeness gate, the axiom sweep and closed-form validation.
 
+    A call follows the batched protocol of ``flow.closed_form_flow``:
+    ``(point, t)`` gives the state (n,), and ``(points, times)``, with an
+    (n, m) array of points as columns and m times, gives their states as the
+    columns of an (n, m) array, each bit for bit the state its own call
+    gives.  The call integrates, in one lockstep batch, the curves of its
+    points that are not cached to at least its largest |t|, then reads each
+    distinct curve with one ``evaluate_curve`` call.  If several curves
+    raise, the first column's error is raised.
+
     ``fill`` integrates many base points in one lockstep batch, to the
     horizon or only to a ``reach`` (see ``curves.integrate_max_curves``),
     and records per point the reach it was integrated to.  ``curve`` serves
-    only curves integrated to the horizon; a call ``(coords, t)`` serves any
-    cached curve that reaches |t|.  A cached curve that falls short is
+    only curves integrated to the horizon; a call serves any cached curve
+    that reaches its largest |t|.  A cached curve that falls short is
     integrated again, so every value read is the one the curve integrated
     to the horizon gives.  A point whose integration raises caches the
     exception (an error beyond the reach is not seen), and each read of the
@@ -104,18 +115,27 @@ class MemoFlow:
         for i, result in cv.integrate_max_curves(self.field, points, self.opts, reach=reach):
             self._curves[missing[i]] = (need, result)
 
-    def _served(self, coords: tuple[float, ...], reach: Optional[float]) -> cv.IntegralCurve:
-        self.fill([coords], reach)
+    def _cached(self, coords: tuple[float, ...]) -> cv.IntegralCurve:
         c = self._curves[coords][1]
         if isinstance(c, Exception):
             raise c
         return c
 
     def curve(self, coords: tuple[float, ...]) -> cv.IntegralCurve:
-        return self._served(coords, None)
+        self.fill([coords])
+        return self._cached(coords)
 
-    def __call__(self, coords: Sequence[float], t: float) -> np.ndarray:
-        return cv.evaluate_curve(self._served(_key(coords), abs(t)), t)
+    def __call__(self, points, t) -> np.ndarray:
+        cols, times, single = fl.flow_columns(points, t)
+        keys = [tuple(c) for c in cols.T.tolist()]
+        self.fill(keys, float(np.abs(times).max(initial=0.0)))
+        columns: dict[tuple[float, ...], list[int]] = {}
+        for j, k in enumerate(keys):
+            columns.setdefault(k, []).append(j)
+        states = np.empty(cols.shape)
+        for k, js in columns.items():
+            states[:, js] = cv.evaluate_curve(self._cached(k), times[js])
+        return states[:, 0] if single else states
 
 
 def source(arrow: Arrow) -> cring.SchemePoint:
@@ -222,28 +242,6 @@ def _completeness_gate(memo: MemoFlow, arrows) -> None:
             )
 
 
-def _fill_sweep(memo: MemoFlow, arrows) -> None:
-    """Integrate, one batch per wave, the curves the axiom sweep reads beyond
-    the sources: through the targets q1 = phi(p, t1) of the arrows, then
-    through q12 = phi(q1, t2).  The sweep reads these curves only at the
-    arrows' times, so they run only to the largest |t|."""
-    n = len(arrows)
-    reach = max(abs(a.t) for a in arrows)
-    q1 = [_reached(memo, a.point.coords, a.t) for a in arrows]
-    memo.fill([_key(q) for q in q1 if q is not None], reach)
-    q12 = [
-        _reached(memo, q, arrows[(i + 1) % n].t) for i, q in enumerate(q1) if q is not None
-    ]
-    memo.fill([_key(q) for q in q12 if q is not None], reach)
-
-
-def _reached(memo: MemoFlow, coords, t) -> Optional[np.ndarray]:
-    try:
-        return memo(coords, t)
-    except Exception:
-        return None  # left to the sweep, which raises it in its own order
-
-
 def check_axioms(
     field: dv.LiftedField,
     arrows: Sequence[Arrow],
@@ -254,109 +252,54 @@ def check_axioms(
     """Max residuals over the sampled arrows for: the flow law, source and
     target of composites, associativity, unit laws, and inverse laws.
 
+    Arrow i is paired with arrows i + 1 and i + 2 (cyclically): with p its
+    source, t1, t2, t3 their times, q1 = phi(p, t1) and q12 = phi(q1, t2),
+    a composite rides p for the summed time, the unit at q is (q, 0) and
+    the inverse of (p, t1) is (q1, -t1).  The flow ``flow`` (a MemoFlow by
+    default) is read in three batched calls, or waves: the sources at t1,
+    t1 + t2, (t1 + t2) + t3, t1 + 0, 0 + t1 and t1 + (-t1); the targets q1
+    at t2 and -t1 + t1; and the targets' targets q12 at t3.  Each residual
+    is then one array expression over all arrows.
+
     Refuses with IncompleteFieldError if any sampled base point's curve is
-    not horizon-complete, mirroring the completeness hypothesis.  The gate's
-    curves serve the sweep; a MemoFlow passed as ``flow`` holds them
-    afterwards, so callers can reuse them.  The curves are integrated in
-    three batches before the sweep: the sources to the horizon, then their
-    targets and the targets' targets only to the largest |t| of the arrows,
-    as far as the sweep reads them.  A curve whose integration raised
-    raises when the sweep first reads it, so errors surface in the sweep's
-    order.
+    not horizon-complete, mirroring the completeness hypothesis.  The gate
+    integrates the sources' curves to the horizon; a MemoFlow passed as
+    ``flow`` holds them afterwards, so callers can reuse them.  A MemoFlow
+    integrates the curves of each later wave in one batch, only to the
+    largest |t| of the arrows, as far as the sweep reads them.  An error
+    from integrating a curve surfaces in wave order: sources, then targets,
+    then targets' targets, and arrow order within a wave.
     """
     if not arrows:
         raise ValueError("need at least one arrow")
     memo = flow if isinstance(flow, MemoFlow) else MemoFlow(field, opts)
     _completeness_gate(memo, arrows)
     phi = flow or memo
-    if phi is memo:
-        _fill_sweep(memo, arrows)
 
+    p = np.array([a.point.coords for a in arrows], dtype=float).T  # sources as columns
+    t1 = np.array([a.t for a in arrows], dtype=float)
+    t2, t3 = np.roll(t1, -1), np.roll(t1, -2)  # the next two arrows' times
+    times = [t1, t1 + t2, (t1 + t2) + t3, t1 + 0.0, 0.0 + t1, t1 + (-t1)]
+    q1, q_sum, q_assoc, q_unit_l, q_unit_r, q_back = np.split(
+        phi(np.tile(p, len(times)), np.concatenate(times)), len(times), axis=1
+    )
+    q12, q_fwd = np.split(phi(np.tile(q1, 2), np.concatenate([t2, -t1 + t1])), 2, axis=1)
+    q123 = phi(q12, t3)
+
+    def worst(*gaps) -> float:
+        return float(np.max([np.max(np.abs(g)) for g in gaps]))
+
+    # a composite rides its first factor's source, so its source gap is p - p
     r = {
-        "flow_law": 0.0,
-        "source_of_composite": 0.0,
-        "target_of_composite": 0.0,
-        "associativity": 0.0,
-        "unit_left": 0.0,
-        "unit_right": 0.0,
-        "inverse_left": 0.0,
-        "inverse_right": 0.0,
+        "flow_law": worst(q_sum - q12),
+        "source_of_composite": worst(p - p),
+        "target_of_composite": worst(q_sum - q12),
+        "associativity": worst(p - p, ((t1 + t2) + t3) - (t1 + (t2 + t3)), q_assoc - q123),
+        "unit_left": worst(q_unit_l - q1, (t1 + 0.0) - t1),
+        "unit_right": worst(q_unit_r - q1, (0.0 + t1) - t1),
+        "inverse_left": worst(t1 + (-t1), q_back - p),
+        "inverse_right": worst(-t1 + t1, q_fwd - q1),
     }
-    n = len(arrows)
-    for i, a1 in enumerate(arrows):
-        p1 = np.array(a1.point.coords)
-        t1 = a1.t
-        t2 = arrows[(i + 1) % n].t
-        t3 = arrows[(i + 2) % n].t
-
-        q1 = phi(p1, t1)  # target of a1
-        a2 = Arrow(cring.SchemePoint(tuple(map(float, q1))), t2)
-        m21 = compose(a2, a1, field, opts, flow=phi, tol=math.inf)
-
-        # flow law: one long run equals two short ones
-        q12 = phi(q1, t2)
-        q_sum = phi(p1, t1 + t2)
-        r["flow_law"] = max(r["flow_law"], float(np.max(np.abs(q_sum - q12))))
-
-        # source/target compatibility of the composite
-        r["source_of_composite"] = max(
-            r["source_of_composite"],
-            float(np.max(np.abs(np.array(m21.point.coords) - p1))),
-        )
-        r["target_of_composite"] = max(
-            r["target_of_composite"],
-            float(np.max(np.abs(phi(m21.point.coords, m21.t) - q12))),
-        )
-
-        # associativity on a composable triple
-        q123 = phi(q12, t3)
-        a3 = Arrow(cring.SchemePoint(tuple(map(float, q12))), t3)
-        left = compose(a3, m21, field, opts, flow=phi, tol=math.inf)
-        m32 = compose(a3, a2, field, opts, flow=phi, tol=math.inf)
-        right = compose(m32, a1, field, opts, flow=phi, tol=math.inf)
-        assoc = max(
-            float(np.max(np.abs(np.array(left.point.coords) - np.array(right.point.coords)))),
-            abs(left.t - right.t),
-            float(np.max(np.abs(phi(left.point.coords, left.t) - q123))),
-        )
-        r["associativity"] = max(r["associativity"], assoc)
-
-        # units
-        left_unit = compose(
-            Arrow(cring.SchemePoint(tuple(map(float, q1))), 0.0),
-            a1,
-            field,
-            opts,
-            flow=phi,
-            tol=math.inf,
-        )
-        r["unit_left"] = max(
-            r["unit_left"],
-            float(np.max(np.abs(phi(left_unit.point.coords, left_unit.t) - q1))),
-            abs(left_unit.t - t1),
-        )
-        right_unit = compose(a1, unit(a1.point), field, opts, flow=phi, tol=math.inf)
-        r["unit_right"] = max(
-            r["unit_right"],
-            float(np.max(np.abs(phi(right_unit.point.coords, right_unit.t) - q1))),
-            abs(right_unit.t - t1),
-        )
-
-        # inverses: a^-1 after a is the unit at the source, and symmetrically
-        inv = inverse(a1, field, opts, flow=phi)
-        back = compose(inv, a1, field, opts, flow=phi, tol=math.inf)
-        r["inverse_left"] = max(
-            r["inverse_left"],
-            abs(back.t),
-            float(np.max(np.abs(phi(back.point.coords, back.t) - p1))),
-        )
-        fwd = compose(a1, inv, field, opts, flow=phi, tol=math.inf)
-        r["inverse_right"] = max(
-            r["inverse_right"],
-            abs(fwd.t),
-            float(np.max(np.abs(phi(fwd.point.coords, fwd.t) - q1))),
-        )
-
     return GroupoidReport(r, len(arrows), tol, complete=True)
 
 

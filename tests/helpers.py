@@ -481,7 +481,7 @@ def reference_integrate_direction(rhs, y0, sign, residual, eps_z, opts):
     def steps():
         return cv._steps(rows, len(y0))
 
-    thetas = np.arange(1, opts.checkpoints_per_step + 1) / opts.checkpoints_per_step
+    thetas = np.arange(1, cv.CHECKPOINTS_PER_STEP + 1) / cv.CHECKPOINTS_PER_STEP
     while abs(t) < opts.horizon:
         if len(rows) >= opts.max_steps:
             raise cv.StepLimitExceeded(f"exceeded {opts.max_steps} accepted steps")

@@ -373,7 +373,7 @@ class TestWorkAndScan:
     def test_scan_spacing_in_time(self):
         c = self._rotation()
         for side in ("forward", "backward"):
-            assert c.diagnostics[side]["max_h"] / OPTS.checkpoints_per_step <= 2.4e-3
+            assert c.diagnostics[side]["max_h"] / cv.CHECKPOINTS_PER_STEP <= 2.4e-3
 
     def test_short_excursion_found(self):
         # from radius 1 + 1e-6 at angle pi/4 the orbit leaves the square for
@@ -532,7 +532,7 @@ class TestCheckpointStates:
         monkeypatch.setattr(SchemePresentation, "residual_fn", recording_residual_fn)
         c = integrate_max_curve(rotation_field(sq), sq.point((0.5, 0.1)), OPTS)
         assert c.classification == CurveClass.HORIZON_COMPLETE
-        m = OPTS.checkpoints_per_step
+        m = cv.CHECKPOINTS_PER_STEP
         thetas = np.arange(1, m + 1) / m
         expected = []
         for s in (c.forward, c.backward):
@@ -545,7 +545,7 @@ class TestCheckpointStates:
 def _exit_step_checkpoints(c):
     """The (n, m) checkpoint states of the last forward step, m the default
     checkpoints per step."""
-    f, m = c.forward, OPTS.checkpoints_per_step
+    f, m = c.forward, cv.CHECKPOINTS_PER_STEP
     return cv._dense(f.y0[-1][:, None], f.h[-1], f.coeffs[-1].T[..., None], np.arange(1, m + 1) / m)
 
 
@@ -939,7 +939,7 @@ class TestDiagnostics:
         closed = integrate_max_curve(v, sq.point((0.9, 0.9)), OPTS)
         for side, steps in (("forward", closed.forward), ("backward", closed.backward)):
             d = closed.diagnostics[side]
-            assert d["end"] == "exit" and 0 <= d["checkpoint"] < OPTS.checkpoints_per_step
+            assert d["end"] == "exit" and 0 <= d["checkpoint"] < cv.CHECKPOINTS_PER_STEP
             assert d["accepted"] == len(steps) and d["rejected"] >= 0
             assert d["min_h"] == np.abs(steps.h).min()
             assert d["max_h"] == np.abs(steps.h).max()

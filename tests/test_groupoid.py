@@ -1,13 +1,17 @@
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from schemeflow import curves as cv
 from schemeflow import groupoid as gp
-from schemeflow.cring import SchemePoint
+from schemeflow.cring import SchemePoint, SchemePresentation
 from schemeflow.curves import CurveClass, IntegratorOptions, integrate_max_curve
 from schemeflow.derivation import LiftedField
-from schemeflow.expr import GuardViolation, SmoothExpr, const, parse_expr
+from schemeflow.expr import GuardViolation, SmoothExpr, VarList, const, parse_expr
 from schemeflow.flow import closed_form_flow
 from schemeflow.groupoid import (
     Arrow,
@@ -38,11 +42,48 @@ OPTS = IntegratorOptions(horizon=20.0)
 XYT = XY.extended("t")
 PSI = (parse_expr("x + t", XYT), parse_expr("y*exp(t)", XYT))
 LINE_BOX = ((-3.0, 3.0), (-1.0, 1.0))
+XYZ = VarList(("x", "y", "z"))
+SPHERE_PSI = tuple(
+    parse_expr(c, XYZ.extended("t"))
+    for c in ("x*cos(t) - y*sin(t)", "x*sin(t) + y*cos(t)", "z")
+)
 
 
 def line_setup():
     line = thickened_line()
     return line, shear_field(line)
+
+
+def sphere_setup():
+    # the unit sphere with the rotation about z, as schemes/sphere_rotation.json
+    sphere = SchemePresentation(XYZ, ideal_gens=(parse_expr("x^2 + y^2 + z^2 - 1", XYZ),))
+    return sphere, LiftedField.from_strings(["-y", "x", "0"], sphere)
+
+
+LINE = (*line_setup(), PSI)
+SPHERE = (*sphere_setup(), SPHERE_PSI)
+
+
+@st.composite
+def flow_batches(draw):
+    """A scheme (line or sphere) with its field and closed form, and a batch
+    of its points as columns, with repeated points, and times with 0."""
+    scheme, field, psi = draw(st.sampled_from([LINE, SPHERE]))
+    angle = st.floats(-math.pi, math.pi)
+    if scheme is LINE[0]:
+        base = draw(st.lists(st.tuples(st.floats(-3.0, 3.0), st.just(0.0)), min_size=1, max_size=3))
+    else:
+        base = [
+            (math.cos(a) * math.sin(b), math.sin(a) * math.sin(b), math.cos(b))
+            for a, b in draw(st.lists(st.tuples(angle, angle), min_size=1, max_size=3))
+        ]
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=6))
+    times = draw(
+        st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), min_size=len(picks),
+                 max_size=len(picks))
+    )
+    cols = np.array([base[i] for i in picks], dtype=float).T
+    return field, psi, scheme, cols, np.array(times)
 
 
 class TestStructureMaps:
@@ -173,8 +214,8 @@ class TestAxioms:
         # the sources (x = 0) and the targets q1 = 1 and 0.5 stay inside;
         # the curve through the target q1 = 3 of arrow 1 leaves it (second
         # wave), and so does the curve through q12 = 1 + 3 of arrow 0 (third
-        # wave).  The sweep reads q12 of arrow 0 first, so its error is the
-        # one raised.
+        # wave).  The second wave is read before the third, so arrow 1's
+        # target error is the one raised.
         line = thickened_line()
         fenced = SmoothExpr(
             "div", XY, (const(1, XY), const(1, XY)), guard=((-6.5, 6.5), (-10.0, 10.0))
@@ -186,14 +227,16 @@ class TestAxioms:
         with pytest.raises(GuardViolation) as swept:
             check_axioms(v, arrows, opts=opts)
         memo = MemoFlow(v, opts)
+        q1 = memo((0.0, 0.0), 3.0)
+        assert abs(q1[0] - 3.0) <= 1e-9
+        with pytest.raises(GuardViolation) as alone:
+            integrate_max_curve(v, SchemePoint(tuple(float(c) for c in q1)), opts)
+        assert str(swept.value) == str(alone.value)
+        # and the third-wave failure of arrow 0 alone is a different error
         q12 = memo(memo((0.0, 0.0), 1.0), 3.0)
         assert abs(q12[0] - 4.0) <= 1e-9
-        with pytest.raises(GuardViolation) as alone:
-            integrate_max_curve(v, SchemePoint(tuple(float(c) for c in q12)), opts)
-        assert str(swept.value) == str(alone.value)
-        # and the second-wave failure alone is a different error
         with pytest.raises(GuardViolation) as other:
-            memo.curve(tuple(float(c) for c in memo((0.0, 0.0), 3.0)))
+            memo.curve(tuple(float(c) for c in q12))
         assert str(other.value) != str(swept.value)
 
     def test_reused_memo_serves_full_curves_to_the_gate(self, monkeypatch):
@@ -245,6 +288,72 @@ class TestAxioms:
         assert a == b
         c = sample_arrows(line, 25, seed=8, box=LINE_BOX)
         assert a != c
+
+
+class TestBatchedFlow:
+    @settings(max_examples=20, deadline=None)
+    @given(flow_batches())
+    def test_memo_batch_equals_point_calls(self, batch):
+        field, _, _, cols, times = batch
+        states = MemoFlow(field, OPTS)(cols, times)
+        along = MemoFlow(field, OPTS)(cols[:, 0], times)  # one point at many times
+        alone = MemoFlow(field, OPTS)
+        assert states.shape == along.shape == cols.shape
+        for j in range(len(times)):
+            assert states[:, j].tobytes() == alone(cols[:, j], times[j]).tobytes()
+            assert along[:, j].tobytes() == alone(cols[:, 0], times[j]).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(flow_batches())
+    def test_closed_form_batch_equals_point_calls(self, batch):
+        _, psi, scheme, cols, times = batch
+        phi = closed_form_flow(scheme, psi)
+        states = phi(cols, times)
+        along = phi(cols[:, 0], times)  # one point at many times
+        assert states.shape == along.shape == cols.shape
+        for j in range(len(times)):
+            assert states[:, j].tobytes() == phi(cols[:, j], times[j]).tobytes()
+            assert along[:, j].tobytes() == phi(cols[:, 0], times[j]).tobytes()
+
+    def test_one_batch_per_read_to_its_largest_time(self, monkeypatch):
+        line, v = line_setup()
+        memo = MemoFlow(v, OPTS)
+        log = count_integrations(monkeypatch)
+        cols = np.array([[0.0, 1.0, 0.0, 2.5], [0.0, 0.0, 0.0, 0.0]])
+        memo(cols, np.array([0.5, -2.0, 1.5, 0.0]))
+        assert log.batches == [[(0.0, 0.0), (1.0, 0.0), (2.5, 0.0)]]
+        assert log.reaches == [2.0]
+        # within the reach nothing is integrated; beyond it, again
+        memo(cols[:, :2], np.array([-2.0, 1.0]))
+        assert len(log.batches) == 1
+        memo((1.0, 0.0), 3.0)
+        assert log.batches[1:] == [[(1.0, 0.0)]] and log.reaches[1:] == [3.0]
+
+    def test_sweep_reads_each_curve_once_per_wave(self, monkeypatch):
+        line, v = line_setup()
+        sampled = sample_arrows(line, 4, seed=2, box=LINE_BOX)
+        arrows = sampled + sampled[:2]  # repeated sources and targets
+        memo = MemoFlow(v, OPTS)
+        real = cv.evaluate_curve
+        read = []
+
+        def logging(curve, t):
+            read.append(curve.base.coords)
+            return real(curve, t)
+
+        monkeypatch.setattr(cv, "evaluate_curve", logging)
+        assert check_axioms(v, arrows, opts=OPTS, flow=memo).passed
+        swept = list(read)
+        n = len(arrows)
+        q1 = [tuple(memo(a.point.coords, a.t).tolist()) for a in arrows]
+        q12 = [tuple(memo(q, arrows[(i + 1) % n].t).tolist()) for i, q in enumerate(q1)]
+        waves = [{a.point.coords for a in arrows}, set(q1), set(q12)]
+        assert len(waves[0]) == 4 and len(waves[1]) == 4
+        assert len(swept) == sum(len(w) for w in waves)
+        start = 0
+        for w in waves:
+            assert set(swept[start : start + len(w)]) == w
+            start += len(w)
 
 
 class TestIdealInclusions:
