@@ -258,8 +258,13 @@ def check_axioms(
     the inverse of (p, t1) is (q1, -t1).  The flow ``flow`` (a MemoFlow by
     default) is read in three batched calls, or waves: the sources at t1,
     t1 + t2, (t1 + t2) + t3, t1 + 0, 0 + t1 and t1 + (-t1); the targets q1
-    at t2 and -t1 + t1; and the targets' targets q12 at t3.  Each residual
-    is then one array expression over all arrows.
+    at t2, -t1 + t1 and -t1; and the targets' targets q12 at t3.  Each
+    residual is then one array expression over all arrows.  Most are
+    identities of the construction: source_of_composite, unit_left,
+    unit_right and inverse_left compare a composite's source or time with
+    what it is built from, and target_of_composite is flow_law by
+    definition.  flow_law, associativity and inverse_right (phi(q1, -t1)
+    against p) are the residuals of the flow itself.
 
     Refuses with IncompleteFieldError if any sampled base point's curve is
     not horizon-complete, mirroring the completeness hypothesis.  The gate
@@ -283,7 +288,9 @@ def check_axioms(
     q1, q_sum, q_assoc, q_unit_l, q_unit_r, q_back = np.split(
         phi(np.tile(p, len(times)), np.concatenate(times)), len(times), axis=1
     )
-    q12, q_fwd = np.split(phi(np.tile(q1, 2), np.concatenate([t2, -t1 + t1])), 2, axis=1)
+    q12, q_fwd, q_inv = np.split(
+        phi(np.tile(q1, 3), np.concatenate([t2, -t1 + t1, -t1])), 3, axis=1
+    )
     q123 = phi(q12, t3)
 
     def worst(*gaps) -> float:
@@ -298,7 +305,8 @@ def check_axioms(
         "unit_left": worst(q_unit_l - q1, (t1 + 0.0) - t1),
         "unit_right": worst(q_unit_r - q1, (0.0 + t1) - t1),
         "inverse_left": worst(t1 + (-t1), q_back - p),
-        "inverse_right": worst(-t1 + t1, q_fwd - q1),
+        # the inverse (q1, -t1) composes with (p, t1) only if it flows back to p
+        "inverse_right": worst(-t1 + t1, q_fwd - q1, q_inv - p),
     }
     return GroupoidReport(r, len(arrows), tol, complete=True)
 

@@ -180,6 +180,8 @@ class TestAxioms:
         report = check_axioms(v, arrows, tol=1e-6, opts=OPTS, flow=bad_phi)
         assert not report.passed
         assert report.residuals["flow_law"] > 1e-6
+        # the inverse of (p, t) flows back to p + t^2/50, not to p
+        assert report.residuals["inverse_right"] > 1e-6
 
     def test_incomplete_field_refused(self):
         sq = square()
