@@ -259,12 +259,11 @@ def check_axioms(
     default) is read in three batched calls, or waves: the sources at t1,
     t1 + t2, (t1 + t2) + t3, t1 + 0, 0 + t1 and t1 + (-t1); the targets q1
     at t2, -t1 + t1 and -t1; and the targets' targets q12 at t3.  Each
-    residual is then one array expression over all arrows.  Most are
-    identities of the construction: source_of_composite, unit_left,
-    unit_right and inverse_left compare a composite's source or time with
-    what it is built from, and target_of_composite is flow_law by
-    definition.  flow_law, associativity and inverse_right (phi(q1, -t1)
-    against p) are the residuals of the flow itself.
+    residual is then one array expression over all arrows.  Four are
+    identities of the construction, which a composite meets by how it is
+    built: source_of_composite, unit_left, unit_right and inverse_left;
+    target_of_composite is flow_law by definition.  flow_law, associativity
+    and inverse_right (phi(q1, -t1) against p) measure the flow itself.
 
     Refuses with IncompleteFieldError if any sampled base point's curve is
     not horizon-complete, mirroring the completeness hypothesis.  The gate
