@@ -33,7 +33,6 @@ __all__ = [
     "membership_residual",
     "sample_zero_set",
     "box_grid",
-    "batch_values",
 ]
 
 DEFAULT_EPS_Z = 1e-9
@@ -105,36 +104,28 @@ class SchemePresentation:
         A point belongs to the zero set exactly when the residual is <= eps_z.
         The callable takes one point, or an (n, m) array holding m points as
         columns and returning their m residuals; a point is a one-column
-        batch, so its residual is, bit for bit, its column's.  A point or
-        batch with other than n coordinates raises ValueError.  A NaN
-        constraint value is skipped (``np.fmax``).  The constraints follow
-        ``expr.as_callable``'s rules: an overflow gives +-inf (a generator at
-        inf fails membership, a region constraint at -inf holds), and a batch
-        raises where one of its points would.  The residual runs with numpy's
-        floating-point warnings off.  The callable is built once per
+        batch, so its residual is, bit for bit, its column's.  It is one
+        compiled call over the generators and the region constraints, folded
+        with ``np.fmax``, so a NaN constraint value is skipped.  The call
+        follows ``expr.as_callable``'s rules: a point or batch with other than
+        n coordinates raises ValueError, an overflow gives +-inf (a generator
+        at inf fails membership, a region constraint at -inf holds), and a
+        batch raises where one of its points would.  The residual runs with
+        numpy's floating-point warnings off.  The callable is built once per
         presentation.
         """
         return self._residual
 
     @functools.cached_property
     def _residual(self) -> Callable[[Sequence[float]], float]:
-        gen_fns = [ex.as_callable(g) for g in self.ideal_gens]
-        region_fns = [ex.as_callable(g) for g in self.region]
-        n = self.arity
+        constraints = ex.as_callable(self.ideal_gens + self.region)
+        k = len(self.ideal_gens)
 
         def residual(p: Sequence[float]) -> float:
-            point = not (isinstance(p, np.ndarray) and p.ndim == 2)
-            if point:
-                p = np.asarray(p, dtype=float).reshape(-1, 1)
-            if len(p) != n:
-                raise ValueError(f"point length {len(p)} != arity {n}")
             with np.errstate(all="ignore"):
-                r = np.zeros(p.shape[1])
-                for f in gen_fns:
-                    r = np.fmax(r, np.abs(f(p)))
-                for f in region_fns:
-                    r = np.fmax(r, f(p))
-            return float(r[0]) if point else r
+                values = constraints(p)
+                np.abs(values[:k], out=values[:k])
+                return functools.reduce(np.fmax, values, 0.0)
 
         return residual
 
@@ -252,10 +243,11 @@ def element_equal(
     # witness needs headroom above what an ideal element could reach there
     value_tol = max(1e-6, 100.0 * scheme.eps_z, scheme.eps_z**0.5 * 10.0)
     n = scheme.arity
-    coords = [p.coords for p in pts]
-    # row 0 holds d, rows 1..n its gradient
-    d_values = batch_values([d] + [ex.diff(d, i) for i in range(n)], coords)
-    grads = batch_values([ex.diff(g, i) for g in scheme.ideal_gens for i in range(n)], coords)
+    cols = np.reshape([p.coords for p in pts], (-1, n)).T
+    with np.errstate(all="ignore"):
+        # row 0 holds d, rows 1..n its gradient
+        d_values = ex.as_callable([d] + [ex.diff(d, i) for i in range(n)])(cols)
+        grads = ex.as_callable([ex.diff(g, i) for g in scheme.ideal_gens for i in range(n)])(cols)
     grads = grads.reshape(len(scheme.ideal_gens), n, len(pts))
     for j, p in enumerate(pts):
         val = float(d_values[0, j])
@@ -295,19 +287,6 @@ def box_grid(box: Sequence[tuple[float, float]], resolution: int) -> np.ndarray:
     axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
-def batch_values(exprs: Sequence[ex.SmoothExpr], points) -> np.ndarray:
-    """Values of each expression at each point, one point per row of
-    ``points``, as a (len(exprs), len(points)) array: one batched call per
-    expression, with numpy's floating-point warnings off."""
-    out = np.empty((len(exprs), len(points)))
-    if exprs:
-        cols = np.array(points, dtype=float).reshape(len(points), exprs[0].vars.arity).T
-        with np.errstate(all="ignore"):
-            for i, e in enumerate(exprs):
-                out[i] = ex.as_callable(e)(cols)
-    return out
 
 
 def sample_zero_set(
@@ -354,14 +333,13 @@ def _polish(scheme: SchemePresentation, points: np.ndarray, box, steps: int) -> 
     """Gauss-Newton on the generator residual vector for every column of
     ``points`` at once, clipped to the box.  Each step takes the
     minimum-norm least-squares step with ``lstsq``'s default cutoff."""
-    gens = [ex.as_callable(g) for g in scheme.ideal_gens]
-    grads = [
-        [ex.as_callable(ex.diff(g, i)) for i in range(scheme.arity)]
-        for g in scheme.ideal_gens
-    ]
+    k, n = len(scheme.ideal_gens), scheme.arity
+    gens = ex.as_callable(scheme.ideal_gens)
+    # row i * n + j holds d(generator i)/dx_j
+    jacobian = ex.as_callable([ex.diff(g, j) for g in scheme.ideal_gens for j in range(n)])
     lows = np.array([[lo] for lo, _ in box])
     highs = np.array([[hi] for _, hi in box])
-    rcond = np.finfo(float).eps * max(len(gens), scheme.arity)
+    rcond = np.finfo(float).eps * max(k, n)
     q = points.copy()
     active = np.arange(q.shape[1])
     # an overflow gives inf, and a non-finite g, J or step stops its point
@@ -370,10 +348,10 @@ def _polish(scheme: SchemePresentation, points: np.ndarray, box, steps: int) -> 
             if not active.size:
                 break
             p = q[:, active]
-            g = np.array([f(p) for f in gens])
+            g = gens(p)
             moving = ~(np.max(np.abs(g), axis=0) <= 0.01 * scheme.eps_z)
             p, g, active = p[:, moving], g[:, moving], active[moving]
-            J = np.array([[df(p) for df in row] for row in grads]).transpose(2, 0, 1)
+            J = jacobian(p).reshape(k, n, p.shape[1]).transpose(2, 0, 1)
             finite = np.isfinite(J).all(axis=(1, 2)) & np.isfinite(g).all(axis=0)
             p, g, J, active = p[:, finite], g[:, finite], J[finite], active[finite]
             U, s, Vh = np.linalg.svd(J, full_matrices=False)

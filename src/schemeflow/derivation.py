@@ -96,13 +96,8 @@ def lift(field: LiftedField) -> Callable[[Sequence[float]], np.ndarray]:
     """Compiled coefficient evaluation, usable as an ODE right-hand side:
     a point to the (n,) array of coefficient values, or an (n, m) array
     holding m points as columns to the (n, m) array of their values, by
-    ``expr.as_callable``."""
-    fns = [ex.as_callable(c) for c in field.coeffs]
-
-    def rhs(p: Sequence[float]) -> np.ndarray:
-        return np.array([f(p) for f in fns], dtype=float)
-
-    return rhs
+    ``expr.as_callable`` of the coefficient tuple."""
+    return ex.as_callable(field.coeffs)
 
 
 class GeneratorStatus(enum.Enum):
@@ -337,7 +332,8 @@ def _max_on_samples(e, scheme, box, resolution) -> float:
 def _max_abs(e: ex.SmoothExpr, points) -> float:
     """max |e| over ``points`` (one per row) in one batched call; 0.0 for no
     points, and a NaN value is skipped."""
-    (values,) = cring.batch_values([e], points)
+    with np.errstate(all="ignore"):
+        values = ex.as_callable(e)(np.reshape(points, (-1, e.vars.arity)).T)
     return float(np.fmax.reduce(np.abs(values), initial=0.0))
 
 

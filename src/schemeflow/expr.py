@@ -40,7 +40,6 @@ __all__ = [
     "format_expr",
     "as_callable",
     "extend_vars",
-    "free_variables",
 ]
 
 
@@ -245,8 +244,6 @@ def evaluate(e: SmoothExpr, point: Sequence[float]) -> float:
     or a point outside a declared guard box, rather than returning inf or
     NaN there.
     """
-    if len(point) != e.vars.arity:
-        raise ValueError(f"point length {len(point)} != arity {e.vars.arity}")
     return as_callable(e)(point)
 
 
@@ -345,15 +342,6 @@ def extend_vars(e: SmoothExpr, newvars: VarList) -> SmoothExpr:
     if newvars.names[: e.vars.arity] != e.vars.names:
         raise ValueError("new variable list must extend the old one")
     return _subst(e, tuple(var(i, newvars) for i in range(e.vars.arity)), newvars)
-
-
-def free_variables(e: SmoothExpr) -> set[int]:
-    if e.kind == "var":
-        return {e.index}
-    out: set[int] = set()
-    for c in e.children:
-        out |= free_variables(c)
-    return out
 
 
 # -- polynomial bridge ---------------------------------------------------
@@ -749,16 +737,21 @@ def parse_expr(src: str, vars_: VarList) -> SmoothExpr:
 # -- compiled evaluation --------------------------------------------------
 
 
-def as_callable(e: SmoothExpr) -> Callable[[Sequence[float]], float]:
-    """Compile ``e`` into numpy code.
+def as_callable(e: Union[SmoothExpr, Sequence[SmoothExpr]]) -> Callable:
+    """Compile ``e``, one expression or a sequence of k expressions over
+    one variable list, into one numpy function.
 
-    This is the package's only numeric evaluator (``evaluate`` and every
-    residual run it).  The compiled function takes an (n, m) array holding
-    m points as columns, of any numeric dtype, and returns their m values,
-    or one point (any sequence of n numbers) and returns a float; both are
-    evaluated in double precision.  A point is evaluated as a
-    one-column batch, so its value is, bit for bit, its column's value in
-    any batch.  Its rules:
+    This is the package's only numeric evaluator (``evaluate``, the lifted
+    field, every residual and every sampled check run it).  The compiled
+    function takes an (n, m) array holding m points as columns, of any
+    numeric dtype, or one point (any sequence of n numbers); both are
+    evaluated in double precision, and a point or batch with other than n
+    coordinates raises ValueError.  A sequence gives the (k, m) array of
+    values, row i that of expression i, or the (k,) array for a point; one
+    expression gives its m values, or a float for a point.  A point is
+    evaluated as a one-column batch and each row as its expression alone,
+    so a value is, bit for bit, the same in a point, a batch or a tuple.
+    Its rules:
 
     - Sums add and products multiply left to right in double precision,
       with no compensated summation: ``x + 10^16 - 10^16`` at x = 1 is 0.0.
@@ -771,26 +764,31 @@ def as_callable(e: SmoothExpr) -> Callable[[Sequence[float]], float]:
     - GuardViolation for a point outside a declared guard box, a zero
       denominator or the log of a nonpositive value; ValueError for the
       sine or cosine of an infinity.  NaN propagates.  A batch raises where
-      one of its points would, though not necessarily naming that point.
+      one of its points would, though not necessarily naming that point,
+      and a tuple raises what its first raising row raises.
     """
-    f = _compile(e)
+    single = isinstance(e, SmoothExpr)
+    f = _compile((e,) if single else tuple(e))
 
     def compiled(p):
         if isinstance(p, np.ndarray) and p.ndim == 2:
             p = np.asarray(p, dtype=float)  # no copy of a float array
             try:
-                return f(p)
+                values = f(p)
             except FloatingPointError:
                 with np.errstate(all="ignore"):
-                    return f(p)
+                    values = f(p)
+            return values[0] if single else values
         with np.errstate(all="ignore"):
-            return float(f(np.asarray(p, dtype=float).reshape(-1, 1))[0])
+            values = f(np.asarray(p, dtype=float).reshape(-1, 1))[:, 0]
+        return float(values[0]) if single else values
 
     return compiled
 
 
-def _compile(e: SmoothExpr):
-    """The numpy code of ``e``: a function of an (n, m) array of points."""
+def _compile(exprs: tuple[SmoothExpr, ...]):
+    """The numpy code of ``exprs``: a function of an (n, m) array of points
+    to the (k, m) array of their values, one row per expression."""
     guards: dict[str, object] = {}
 
     def emit(node: SmoothExpr) -> str:
@@ -833,15 +831,20 @@ def _compile(e: SmoothExpr):
         guards[name] = node.guard
         return name
 
-    body = emit(e)  # populates the guard table as a side effect
-    if e.kind == "var":
-        body += " * 1.0"  # a new array, not a view of the caller's
-    elif not free_variables(e):
-        # a constant tree yields one number; a batch returns one per point
-        body = f"_full(p.shape[1], {body})"
+    src = "def _compiled(p):\n"
+    if exprs:
+        n = exprs[0].vars.arity
+        if any(x.vars != exprs[0].vars for x in exprs):
+            raise ValueError("expressions over different variable lists")
+        src += f"    if len(p) != {n}:\n"
+        src += f"        raise ValueError(f'point length {{len(p)}} != arity {n}')\n"
+    # each row is assigned into the output, so a constant row broadcasts to
+    # every point and a variable row is copied; emission fills the guard table
+    src += f"    out = _empty(({len(exprs)}, p.shape[1]))\n"
+    src += "".join(f"    out[{i}] = {emit(x)}\n" for i, x in enumerate(exprs))
+    src += "    return out\n"
     ns: dict[str, object] = dict(_HELPERS)
     ns.update(guards)
-    src = f"def _compiled(p):\n    return {body}\n"
     exec(src, ns)  # noqa: S102 - generated from a closed AST, no external input
     return ns["_compiled"]
 
@@ -904,6 +907,6 @@ _HELPERS = {
     "_div": _div,
     "_log": _log,
     "_pow": _pow,
-    "_full": np.full,
+    "_empty": np.empty,
     "_INF": np.inf,
 }

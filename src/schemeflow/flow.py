@@ -281,17 +281,16 @@ def closed_form_flow(scheme: cring.SchemePresentation, psi: Sequence[ex.SmoothEx
     map with the batched protocol of ``groupoid.MemoFlow``: ``phi(point, t)``
     is the state (n,) at one point and time; ``phi(points, times)``, with an
     (n, m) array of points as columns and m times, gives their states as the
-    columns of an (n, m) array (see ``flow_columns``).  Each component is
+    columns of an (n, m) array (see ``flow_columns``).  The components are
     one compiled call on the (n+1, m) batch, with numpy's floating-point
     warnings off as for a point, so each column is bit for bit the state its
     own call gives."""
-    fns = [ex.as_callable(c) for c in psi]
+    components = ex.as_callable(psi)
 
     def phi(points, t) -> np.ndarray:
         cols, times, single = flow_columns(points, t)
-        args = np.vstack([cols, times])
         with np.errstate(all="ignore"):
-            states = np.array([f(args) for f in fns], dtype=float)
+            states = components(np.vstack([cols, times]))
         return states[:, 0] if single else states
 
     return phi
@@ -355,20 +354,21 @@ class FlowIdealPresentation:
         if g.vars != self.extended_vars:
             raise ValueError("candidate must live over the extended variables")
         tol = self.scheme.eps_z if tol is None else tol
+        n = self.scheme.arity
 
         if self.domain is not None:
-            fn = ex.as_callable(g)
+            samples = []  # (x_1..x_n, t) of every sample, in one batched call
             for row in self.domain.rows:
-                if row.error is not None:
-                    continue
-                lo, hi = row.interval.lo, row.interval.hi
-                times = np.linspace(lo, hi, samples_per_row) if hi > lo else [0.0]
-                for t in times:
-                    if abs(fn(tuple(row.point.coords) + (float(t),))) > tol:
-                        return False
+                if row.error is None:
+                    lo, hi = row.interval.lo, row.interval.hi
+                    times = np.linspace(lo, hi, samples_per_row) if hi > lo else [0.0]
+                    samples += [(*row.point.coords, float(t)) for t in times]
+            with np.errstate(all="ignore"):
+                values = ex.as_callable(g)(np.reshape(samples, (-1, n + 1)).T)
+            if np.any(np.abs(values) > tol):  # a NaN sample fails nothing
+                return False
 
         # restriction to t = 0
-        n = self.scheme.arity
         unit_args = tuple(
             ex.var(i, self.scheme.vars) for i in range(n)
         ) + (ex.const(0, self.scheme.vars),)
@@ -378,7 +378,8 @@ class FlowIdealPresentation:
         if poly is not None and ideal is not None:
             return ideal.normal_form(poly).is_zero()
         pts = cring.sample_zero_set(self.scheme, self.scheme.default_box(), 9)
-        (values,) = cring.batch_values([at_unit], [p.coords for p in pts])
+        with np.errstate(all="ignore"):
+            values = ex.as_callable(at_unit)(np.reshape([p.coords for p in pts], (-1, n)).T)
         return bool(np.all(np.abs(values) <= tol))
 
 
@@ -415,9 +416,9 @@ def flow_ideal(
 
 
 def _check_time_zero_identity(scheme, psi, tol):
-    """psi(x, 0) = x on a grid over the default box, one batched call per
-    component; the first failure in grid-row order, then component order,
-    raises."""
+    """psi(x, 0) = x on a grid over the default box, in one batched call of
+    the closed form; the first failure in grid-row order, then component
+    order, raises."""
     grid = cring.box_grid(scheme.default_box(), 5)
     states = closed_form_flow(scheme, psi)(grid.T, 0.0)
     bad = np.abs(states - grid.T) > tol

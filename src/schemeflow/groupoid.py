@@ -339,20 +339,21 @@ def check_ideal_inclusions(
     if psi is None:
         raise ValueError("closed-form flow components are required")
     phi = fl.closed_form_flow(scheme, psi)
-    gen_fns = [ex.as_callable(g) for g in scheme.ideal_gens]
-    proj_res = 0.0
-    flow_res = 0.0
-    count = 0
-    n = len(arrows)
-    for i, a1 in enumerate(arrows):
-        q = tuple(float(c) for c in phi(a1.point.coords, a1.t))
-        a2 = Arrow(cring.SchemePoint(q), arrows[(i + 1) % n].t)
-        m = compose(a2, a1, None, flow=phi)
-        count += 1
-        for g in gen_fns:
-            # the composite projects where the second factor (a1) does
-            proj_res = max(proj_res, abs(g(m.point.coords) - g(a1.point.coords)))
-            lhs = g(tuple(phi(m.point.coords, m.t)))
-            rhs = g(tuple(phi(q, a2.t)))
-            flow_res = max(flow_res, abs(lhs - rhs))
-    return IdealInclusionReport(proj_res, flow_res, count, tol)
+    n = scheme.arity
+    sources = np.reshape([a.point.coords for a in arrows], (-1, n)).T
+    t1 = np.array([a.t for a in arrows])
+    t2 = np.roll(t1, -1)  # arrow i's second factor takes arrow i + 1's time
+    targets = phi(sources, t1)
+    composites = [
+        compose(Arrow(cring.SchemePoint(tuple(q)), t), a1, None, flow=phi)
+        for a1, q, t in zip(arrows, targets.T.tolist(), t2.tolist())
+    ]
+    anchors = np.reshape([m.point.coords for m in composites], (-1, n)).T
+    reached = phi(anchors, np.array([m.t for m in composites]))
+    gens = ex.as_callable(scheme.ideal_gens)
+    with np.errstate(all="ignore"):
+        # the composite projects where the second factor (a1) does
+        gaps = (gens(anchors) - gens(sources), gens(reached) - gens(phi(targets, t2)))
+    # a NaN gap is skipped, as Python's max skipped it
+    proj, flow = (float(np.fmax.reduce(np.abs(g), axis=None, initial=0.0)) for g in gaps)
+    return IdealInclusionReport(proj, flow, len(arrows), tol)

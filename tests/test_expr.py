@@ -134,6 +134,11 @@ class TestEval:
     def test_arity_checked(self):
         with pytest.raises(ValueError):
             evaluate(parse_expr("x", XY), (1,))
+        # the compiled callable checks a point's or a batch's coordinates itself
+        f = as_callable(parse_expr("x*y", XY))
+        for p in [(1.0,), (1.0, 2.0, 3.0), np.ones((3, 4))]:
+            with pytest.raises(ValueError, match=f"point length {len(p)} != arity 2"):
+                f(p)
 
     @staticmethod
     def _check_against_tree_walk(e, points, tol):
@@ -286,8 +291,30 @@ _COORDS = st.one_of(
 
 class TestPointIsOneColumn:
     @settings(max_examples=300, deadline=None)
-    @given(e=_TREES, points=st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=6))
-    def test_point_equals_its_batch_column(self, e, points):
+    @given(
+        e=_TREES,
+        others=st.lists(_TREES, max_size=3),
+        points=st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=6),
+    )
+    def test_point_equals_its_batch_column(self, e, others, points):
+        # a tuple's rows are its members' own values, bit for bit, on a batch
+        # and on each point, and it raises what its first raising member raises
+        members = [e, *others]
+        for arg in [np.array(points).T, *points]:
+            with np.errstate(all="ignore"):
+                try:
+                    rows = as_callable(members)(arg)
+                except (GuardViolation, ValueError) as err:
+                    rows = err
+                wants = []
+                for member in members:
+                    try:
+                        wants.append(np.asarray(as_callable(member)(arg)).tobytes())
+                    except (GuardViolation, ValueError) as err:
+                        assert type(rows) is type(err) and str(rows) == str(err)
+                        break
+                else:
+                    assert [row.tobytes() for row in rows] == wants
         f = as_callable(e)
         with np.errstate(all="ignore"):
             try:
