@@ -18,8 +18,9 @@ assign a coefficient expression to every variable; "flow_closed_form", when
 present, lists expressions over the variables plus "t".  germ_determined is
 recorded as declared, never verified.
 
-Exit codes: 0 success/certified; 1 I/O or parse error, including a
-malformed ``--point`` or ``--box`` (a box axis needs finite bounds lo < hi);
+Exit codes: 0 success/certified; 1 I/O or parse error, including a usage
+error (argparse's message) and a malformed ``--point`` or ``--box`` (a box
+axis needs finite bounds lo < hi);
 2 check failed, input not on the scheme (a ``--point`` whose membership
 residual exceeds the tolerance, an overflow to inf included), a curve over
 its step limit or a Groebner basis over its degree cap; 3 groupoid refused
@@ -231,7 +232,7 @@ def _write_out(text: str, out: Optional[str]) -> None:
 def cmd_check(args) -> int:
     sf = load_scheme(args.scheme, args.tol, args.horizon)
     report = dv.preserves_ideal(sf.field)
-    print(report.summary())
+    _write_out(report.summary() + "\n", args.out)
     return EXIT_OK if report.certified else EXIT_FAILED
 
 
@@ -279,7 +280,7 @@ def cmd_flow(args) -> int:
     except cv.OutsideDefinitionInterval as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILED
-    print(",".join(f"{x:.17g}" for x in state))
+    _write_out(",".join(f"{x:.17g}" for x in state) + "\n", args.out)
     return EXIT_OK
 
 
@@ -297,7 +298,7 @@ def cmd_groupoid(args) -> int:
     except gp.IncompleteFieldError as err:
         print(f"refused: {err}", file=sys.stderr)
         return EXIT_REFUSED
-    print(report.summary())
+    lines = [report.summary()]
     ok = report.passed
     if sf.flow_closed_form is not None:
         cf = fl.validate_closed_form(
@@ -305,29 +306,31 @@ def cmd_groupoid(args) -> int:
             [a.point for a in arrows[: min(10, len(arrows))]],
             [-2.0, -0.5, 0.0, 0.5, 1.0, 2.0], sf.options, curves=flow.curve,
         )
-        print(f"closed form max deviation: {cf.max_deviation:.3e}")
         incl = gp.check_ideal_inclusions(sf.scheme, sf.flow_closed_form, arrows)
-        print(
+        lines += [
+            f"closed form max deviation: {cf.max_deviation:.3e}",
             f"pullback identities: projection {incl.projection_identity:.3e}, "
-            f"flow {incl.flow_identity:.3e}"
-        )
+            f"flow {incl.flow_identity:.3e}",
+        ]
         ok = ok and cf.ok and incl.passed
+    _write_out("\n".join(lines) + "\n", args.out)
     return EXIT_OK if ok else EXIT_FAILED
 
 
 def cmd_validate(args) -> int:
     sf = load_scheme(args.scheme, args.tol, args.horizon)
-    n = sf.scheme.arity
-    print(f"variables: {', '.join(sf.scheme.vars.names)}")
-    print(f"ideal generators: {len(sf.scheme.ideal_gens)}")
-    print(f"region constraints: {len(sf.scheme.region)}")
-    print(f"derivation coefficients: {n}")
+    lines = [
+        f"variables: {', '.join(sf.scheme.vars.names)}",
+        f"ideal generators: {len(sf.scheme.ideal_gens)}",
+        f"region constraints: {len(sf.scheme.region)}",
+        f"derivation coefficients: {sf.scheme.arity}",
+    ]
     if sf.flow_closed_form is not None:
         fl.flow_ideal(sf.scheme, sf.flow_closed_form)  # runs the t=0 identity check
-        print("flow_closed_form: present, t=0 identity ok")
+        lines.append("flow_closed_form: present, t=0 identity ok")
     flags = ", ".join(f"{k}={v}" for k, v in sorted(sf.declared_flags.items()))
-    print(f"declared flags: {flags or '(none)'}")
-    print("ok")
+    lines += [f"declared flags: {flags or '(none)'}", "ok"]
+    _write_out("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -343,7 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
         p.add_argument("--horizon", type=float, default=None, help="horizon override")
-        p.add_argument("--seed", type=int, default=0, help="sampling seed")
 
     p_check = sub.add_parser("check", help="certify ideal preservation")
     common(p_check)
@@ -370,6 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grpd = sub.add_parser("groupoid", help="verify groupoid axioms on sampled arrows")
     common(p_grpd)
     p_grpd.add_argument("--samples", type=int, default=100)
+    p_grpd.add_argument("--seed", type=int, default=0, help="arrow sampling seed")
     p_grpd.add_argument("--box", default=None, help="box as lo:hi,lo:hi,...")
     p_grpd.set_defaults(fn=cmd_groupoid)
 
@@ -382,7 +385,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as stop:
+        # argparse exits 2 on a usage error, but 2 here means a failed check
+        return EXIT_ERROR if stop.code else EXIT_OK
     try:
         return args.fn(args)
     except SchemeFileError as err:

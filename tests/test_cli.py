@@ -273,3 +273,40 @@ class TestValidateCommand:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(bad))
         assert main(["validate", "--scheme", str(p)]) == EXIT_ERROR
+
+
+# every subcommand with the flags it needs on the thickened line
+_COMMAND_TAILS = {
+    "check": [],
+    "curve": ["--point", "2,0", "--samples", "5"],
+    "domain": ["--grid", "3", "--box=-3:3,-1:1"],
+    "flow": ["--point", "1,0", "--time", "2"],
+    "groupoid": ["--samples", "5", "--box=-3:3,-1:1"],
+    "validate": [],
+}
+
+
+class TestFlags:
+    def test_usage_errors_exit_one(self, line_path, capsys):
+        assert main(["check"]) == EXIT_ERROR
+        assert "the following arguments are required: --scheme" in capsys.readouterr().err
+        assert main(["domain", "--scheme", line_path, "--grid", "x"]) == EXIT_ERROR
+        assert "argument --grid: invalid int value: 'x'" in capsys.readouterr().err
+        assert main(["check", "--help"]) == EXIT_OK
+        assert "--scheme" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", sorted(set(_COMMAND_TAILS) - {"groupoid"}))
+    def test_seed_only_on_groupoid(self, command, line_path, capsys):
+        argv = [command, "--scheme", line_path, *_COMMAND_TAILS[command], "--seed", "1"]
+        assert main(argv) == EXIT_ERROR
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(_COMMAND_TAILS))
+    def test_out_holds_what_stdout_would(self, command, line_path, tmp_path, capsys):
+        argv = [command, "--scheme", line_path, *_COMMAND_TAILS[command]]
+        assert main(argv) == EXIT_OK
+        stdout = capsys.readouterr().out
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert stdout and out.read_text() == stdout
