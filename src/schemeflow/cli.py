@@ -33,7 +33,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 from . import cring
@@ -75,15 +75,9 @@ _KNOWN_KEYS = {
     "options",
     "declared_flags",
 }
-_KNOWN_OPTIONS = {
-    "eps_z",
-    "rel_tol",
-    "abs_tol",
-    "horizon",
-    "probe_step",
-    "event_tol",
-    "max_steps",
-}
+# A scheme file's "options" are eps_z, for the presentation, and the fields
+# of IntegratorOptions, each read as the type of its default.
+_INTEGRATOR_OPTIONS = {f.name: type(f.default) for f in fields(cv.IntegratorOptions)}
 
 
 def load_scheme(path: str, tol_override: Optional[float] = None,
@@ -129,7 +123,7 @@ def load_scheme(path: str, tol_override: Optional[float] = None,
     options = raw.get("options", {})
     if not isinstance(options, dict):
         raise SchemeFileError(f"{path}: 'options' must be an object")
-    unknown_opts = set(options) - _KNOWN_OPTIONS
+    unknown_opts = set(options) - {"eps_z", *_INTEGRATOR_OPTIONS}
     if unknown_opts:
         raise SchemeFileError(f"{path}: unknown options {sorted(unknown_opts)}")
     eps_z = float(options.get("eps_z", cring.DEFAULT_EPS_Z))
@@ -181,12 +175,9 @@ def load_scheme(path: str, tol_override: Optional[float] = None,
         except ex.ExprError as err:
             raise SchemeFileError(f"{path}: in 'flow_closed_form': {err}") from err
 
-    opt_kwargs = {}
-    for key in ("rel_tol", "abs_tol", "horizon", "probe_step", "event_tol"):
-        if key in options:
-            opt_kwargs[key] = float(options[key])
-    if "max_steps" in options:
-        opt_kwargs["max_steps"] = int(options["max_steps"])
+    opt_kwargs = {
+        key: kind(options[key]) for key, kind in _INTEGRATOR_OPTIONS.items() if key in options
+    }
     if horizon_override is not None:
         opt_kwargs["horizon"] = horizon_override
     try:

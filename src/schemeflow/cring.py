@@ -122,10 +122,14 @@ class SchemePresentation:
         k = len(self.ideal_gens)
 
         def residual(p: Sequence[float]) -> float:
+            point = not (isinstance(p, np.ndarray) and p.ndim == 2)
+            if point:  # a one-column batch, so errstate is entered once
+                p = np.asarray(p, dtype=float).reshape(-1, 1)
             with np.errstate(all="ignore"):
                 values = constraints(p)
                 np.abs(values[:k], out=values[:k])
-                return functools.reduce(np.fmax, values, 0.0)
+                r = functools.reduce(np.fmax, values, 0.0)
+            return r[0] if point else r
 
         return residual
 

@@ -41,18 +41,19 @@ checkpoint scan, bisection, the singleton probes and ``evaluate_curve`` all
 call it: a checkpoint state is, bit for bit, ``evaluate_curve`` at its time
 t0 + theta*h.
 
-Per-lane errors.  A batched attempt that raises is made again lane by
-lane, so the exception is charged to the lane whose state raised it; the
-other lanes repeat their attempt in the next round.  The extra stages of
-the accepted lanes are made again lane by lane the same way, and the
-lanes that do not raise go on with their step.  A batched residual call
-that raises sends each lane's step to a point-by-point scan, so a failure
-at a later checkpoint never pre-empts an earlier membership exit; an
-overflow gives +-inf (see ``expr.as_callable``), so only a guard violation
-or the sine or cosine of an infinity makes a batch raise.  A point's result
-is its forward lane's exception if that lane raised, otherwise its backward
-lane's, otherwise its curve: what integrating the point alone, forward then
-backward, raises or returns.
+Per-lane errors.  A round is computed, without changing any lane, for all
+live lanes at once: the attempt, the extra stages, the checkpoint scan and
+the bisection of every exit.  If any of it raises, the round is computed
+again for each lane alone; a lane whose own round raises fails with that
+exception, and the other lanes take their step in the same round.  That is
+the one per-lane fallback.  Within a step, a batched residual call that
+raises sends the step's checkpoints through the residual state by state,
+so a failure at a later checkpoint never pre-empts an earlier membership
+exit; an overflow gives +-inf (see ``expr.as_callable``), so only a guard
+violation or the sine or cosine of an infinity makes a batch raise.  A
+point's result is its forward lane's exception if that lane raised,
+otherwise its backward lane's, otherwise its curve: what integrating the
+point alone, forward then backward, raises or returns.
 
 Last bits.  The stacked products, a stacked dot product for the error norm
 and a per-lane Python power in the step controller repeat, lane by lane,
@@ -578,38 +579,33 @@ class _Lockstep:
     # -- rounds ------------------------------------------------------------
 
     def _round(self) -> None:
-        """One attempt on every live lane, then per-lane bookkeeping."""
+        """One attempt on every live lane, then per-lane bookkeeping.
+
+        ``_step`` computes the round of all live lanes at once.  If it
+        raises, it is computed again for each lane alone: a lane whose own
+        round raises fails with that exception, and the others apply their
+        round now, as each would alone.  This is the one per-lane fallback
+        of a round.  If no lane raises alone, the batch's exception is not a
+        per-point failure and is raised."""
         self._end_underflows()
         if not self.lanes:
             return
-        opts, lanes = self.opts, self.lanes
-        t, y, k1 = self.t, self.y, self.k1
-        h_abs = np.minimum(self.h_abs, opts.horizon - np.abs(t))
-        h = self.signs * h_abs
+        rows = np.arange(len(self.lanes))
         try:
-            y_new, K, e5, e3 = _attempt(self.rhs, y, h, k1)
-        except Exception as err:
-            self._charge_attempt_errors(err)
-            return
-
-        err_norm = _error_norms(h, y, y_new, e5, e3, opts)
-        accepted = err_norm <= 1.0
-        # Python's power, as for one curve: numpy's differs in the last bits
-        power = np.array([e**-0.125 if e else math.inf for e in err_norm.tolist()])
-        factor = np.maximum(_MIN_FACTOR, _SAFETY * power)
-        factor = np.where(accepted, np.minimum(_MAX_FACTOR, factor), factor)
-        next_h = h_abs * factor
-
-        for j in (~accepted).nonzero()[0].tolist():
-            lanes[j].rejected += 1
-
-        acc = accepted.nonzero()[0]
-        if len(acc):
-            self._accept(acc, t, y, h, K)
-        self.t = np.where(accepted, t + h, t)
-        self.y = np.where(accepted[:, None], y_new, y)
-        self.k1 = np.where(accepted[:, None], K[:, 12], k1)  # the field at y_new
-        self.h_abs = next_h
+            rounds = [self._step(rows)]
+        except Exception as batch_error:
+            rounds = []
+            for j in rows.tolist():
+                if not self.lanes[j].live:
+                    continue  # its point failed with its forward lane
+                try:
+                    rounds.append(self._step(rows[j : j + 1]))
+                except Exception as err:
+                    self._fail(self.lanes[j], err)
+            if len(rounds) == len(rows):
+                raise batch_error
+        for r in rounds:
+            self._apply(*r)
         self._compact()
 
     def _end_underflows(self) -> None:
@@ -625,93 +621,84 @@ class _Lockstep:
             self._settle(lane)
         self._compact()
 
-    def _charge_attempt_errors(self, batch_error: Exception) -> None:
-        """After a batched attempt raised ``batch_error``: attempt each lane
-        alone, so an exception ends the lane whose state raised it.  The
-        other lanes attempt the same step again next round."""
-        h = self.signs * np.minimum(self.h_abs, self.opts.horizon - np.abs(self.t))
-        self._alone(
-            batch_error,
-            range(len(self.lanes)),
-            lambda j: _attempt(self.rhs, self.y[j : j + 1], h[j : j + 1], self.k1[j : j + 1]),
+    def _step(self, rows: np.ndarray) -> tuple:
+        """The round of the lanes at ``rows``, computed without changing any
+        lane: their next time, state, field value and |h|, which of them
+        accepted their attempt, and for each accepted lane its step's row
+        [t0, h, y0, coeffs] and None or (first failing checkpoint, bound)."""
+        opts = self.opts
+        t, y, k1 = self.t[rows], self.y[rows], self.k1[rows]
+        h_abs = np.minimum(self.h_abs[rows], opts.horizon - np.abs(t))
+        h = self.signs[rows] * h_abs
+        y_new, K, e5, e3 = _attempt(self.rhs, y, h, k1)
+        err_norm = _error_norms(h, y, y_new, e5, e3, opts)
+        accepted = err_norm <= 1.0
+        # Python's power, as for one curve: numpy's differs in the last bits
+        power = np.array([e**-0.125 if e else math.inf for e in err_norm.tolist()])
+        factor = np.maximum(_MIN_FACTOR, _SAFETY * power)
+        factor = np.where(accepted, np.minimum(_MAX_FACTOR, factor), factor)
+        acc = accepted.nonzero()[0]
+        steps, exits = self._scan(t[acc], y[acc], h[acc], K[acc]) if len(acc) else ((), ())
+        return (
+            rows,
+            accepted,
+            np.where(accepted, t + h, t),
+            np.where(accepted[:, None], y_new, y),
+            np.where(accepted[:, None], K[:, 12], k1),  # the field at y_new
+            h_abs * factor,
+            steps,
+            exits,
         )
-        self._compact()
 
-    def _alone(self, batch_error: Exception, rows, call) -> list:
-        """After a batched call raised ``batch_error``: ``call(r)`` for each
-        row r of ``rows``, a lane's own share of that call; the lane whose
-        call raises fails with its exception.  Returns the rows that did not
-        raise, and raises ``batch_error`` if none did: then no lane raises
-        alone, so it is not a per-point failure."""
-        ok = []
-        for r in rows:
-            try:
-                call(r)
-                ok.append(r)
-            except Exception as err:
-                self._fail(self.lanes[r], err)
-        if len(ok) == len(rows):
-            raise batch_error
-        return ok
-
-    def _accept(self, acc, t, y, h, K) -> None:
-        """Store the accepted steps, scan their checkpoints in one residual
-        call, and end the lanes that exit, reach the horizon or the reach, or
-        run out of steps."""
-        opts, reach, residual, eps_z = self.opts, self.reach, self.residual, self.eps_z
-        try:
-            coeffs = _dense_coeffs(self.rhs, y[acc], h[acc], K[acc])
-        except Exception as err:
-            # the extra stages lane by lane: a lane whose stage raises fails
-            acc = np.array(
-                self._alone(
-                    err,
-                    acc.tolist(),
-                    lambda j: _dense_coeffs(self.rhs, y[j : j + 1], h[j : j + 1], K[j : j + 1]),
-                ),
-                dtype=int,
-            )
-            if not len(acc):
-                return
-            coeffs = K[acc].transpose(0, 2, 1) @ _P
-        ya, ha, ta = y[acc], h[acc], t[acc]
-        tcol, hcol = ta[:, None], ha[:, None]
-        rows = np.concatenate((tcol, hcol, ya, coeffs.reshape(len(acc), -1)), axis=1)
+    def _scan(self, t, y, h, K) -> tuple:
+        """The rows [t0, h, y0, coeffs] (lanes, 2 + 8n) of accepted steps
+        from ``t`` with states ``y`` and stages ``K``, and for each step None
+        or (its first failing checkpoint, the bound of the exit): the
+        checkpoints of all steps go through the residual in one call."""
+        residual, eps_z = self.residual, self.eps_z
+        coeffs = _dense_coeffs(self.rhs, y, h, K)
+        tcol, hcol = t[:, None], h[:, None]
+        rows = np.concatenate((tcol, hcol, y, coeffs.reshape(len(t), -1)), axis=1)
         # checkpoint states (n, lanes, checkpoints), at u computed from
         # their times as evaluate_curve computes it
         u = (tcol + hcol * self.thetas - tcol) / hcol
-        states = _dense(ya.T[:, :, None], hcol, coeffs.T[..., None], u)
+        states = _dense(y.T[:, :, None], hcol, coeffs.T[..., None], u)
         try:
-            r = residual(states.reshape(self.n, -1))
-            failing = r.reshape(len(acc), -1) > eps_z
+            failing = residual(states.reshape(self.n, -1)).reshape(len(t), -1) > eps_z
             first = failing.argmax(axis=1).tolist()
-            exits = [f if row[f] else None for f, row in zip(first, failing)]
+            bad = [f if row[f] else None for f, row in zip(first, failing)]
         except (ex.GuardViolation, ValueError):
-            exits = None  # some lane's checkpoints raise: scan lane by lane
-        for a, (j, t0, hj) in enumerate(zip(acc.tolist(), ta.tolist(), ha.tolist())):
+            # state by state: a state raises only if none before it exits
+            bad = [
+                next((k for k, s in enumerate(states[:, a].T) if residual(s) > eps_z), None)
+                for a in range(len(t))
+            ]
+        exits = [
+            None if b is None else (b, self._bisect(t0, hj, y0, c.T, b))
+            for t0, hj, y0, c, b in zip(t.tolist(), h.tolist(), y, coeffs, bad)
+        ]
+        return rows, exits
+
+    def _apply(self, rows, accepted, t, y, k1, h_abs, steps, exits) -> None:
+        """Store a round computed by ``_step`` and end the lanes that exit,
+        reach the horizon or the reach, or run out of steps."""
+        opts, reach = self.opts, self.reach
+        self.t[rows], self.y[rows], self.k1[rows], self.h_abs[rows] = t, y, k1, h_abs
+        for j in rows[~accepted].tolist():
+            self.lanes[j].rejected += 1
+        for j, t1, row, end in zip(rows[accepted].tolist(), t[accepted].tolist(), steps, exits):
             lane = self.lanes[j]
             if not lane.live:
                 continue
-            lane.rows.append(rows[a])
-            try:
-                if exits is None:  # a state raises only if none before it exits
-                    scan = (k for k, s in enumerate(states[:, a].T) if residual(s) > eps_z)
-                    bad = next(scan, None)
-                else:
-                    bad = exits[a]
-                if bad is not None:
-                    bound = self._bisect(t0, hj, ya[a], coeffs[a].T, bad)
-            except Exception as err:
-                self._fail(lane, err)
-                continue
-            if bad is not None:
-                lane.finish("exit", bound, True, False, checkpoint=bad)
+            lane.rows.append(row)
+            if end is not None:
+                lane.finish("exit", end[1], True, False, checkpoint=end[0])
                 self._settle(lane)
-            elif abs(t0 + hj) >= opts.horizon:
+            elif abs(t1) >= opts.horizon:
                 lane.finish("horizon", lane.sign * opts.horizon, True, True)
                 self._settle(lane)
-            elif reach is not None and abs(t0 + hj) >= reach:
-                lane.finish("reach", t0 + hj, True, True)
+            elif reach is not None and abs(t1) >= reach:
+                lane.finish("reach", t1, True, True)
                 self._settle(lane)
             elif len(lane.rows) >= opts.max_steps:
                 self._fail(lane, StepLimitExceeded(f"exceeded {opts.max_steps} accepted steps"))

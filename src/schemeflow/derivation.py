@@ -188,8 +188,7 @@ def preserves_ideal(
         raise ValueError("free fields have no ideal to preserve")
     ideal = scheme.poly_ideal()
     coeffs = None if ideal is None else field.poly_coeffs
-    checks = []
-    numeric_pts = None
+    checks, images = [], []
     for k, g in enumerate(scheme.ideal_gens):
         if coeffs is not None:
             gen = ideal.gens[k]
@@ -197,33 +196,29 @@ def preserves_ideal(
         else:
             image = field.directional(g)
             image_poly = ex.as_polynomial(image)
-        if ideal is not None and image_poly is not None:
-            quotients, nf = pr.normal_form(image_poly, ideal, quotients=True)
-            if nf.is_zero():
-                checks.append(
-                    GeneratorCheck(
-                        g, image, GeneratorStatus.CERTIFIED, quotients=tuple(quotients)
-                    )
-                )
-            else:
-                checks.append(
-                    GeneratorCheck(g, image, GeneratorStatus.NOT_CERTIFIED, residual=nf)
-                )
+        images.append(image)
+        if ideal is None or image_poly is None:
+            checks.append(None)  # numeric: all such images are sampled below
             continue
-        if numeric_pts is None:
-            numeric_pts = cring.sample_zero_set(
-                scheme, box or scheme.default_box(), resolution
+        quotients, nf = pr.normal_form(image_poly, ideal, quotients=True)
+        if nf.is_zero():
+            checks.append(
+                GeneratorCheck(g, image, GeneratorStatus.CERTIFIED, quotients=tuple(quotients))
             )
-        worst = _max_abs(image, [p.coords for p in numeric_pts])
-        checks.append(
-            GeneratorCheck(
-                g,
-                image,
+        else:
+            checks.append(GeneratorCheck(g, image, GeneratorStatus.NOT_CERTIFIED, residual=nf))
+    numeric = [k for k, c in enumerate(checks) if c is None]
+    if numeric:
+        pts = cring.sample_zero_set(scheme, box or scheme.default_box(), resolution)
+        worst = _max_abs([images[k] for k in numeric], [p.coords for p in pts])
+        for k, w in zip(numeric, worst):
+            checks[k] = GeneratorCheck(
+                scheme.ideal_gens[k],
+                images[k],
                 GeneratorStatus.NUMERIC,
-                numeric_residual=worst,
-                sample_count=len(numeric_pts),
+                numeric_residual=w,
+                sample_count=len(pts),
             )
-        )
     note = ""
     if not scheme.ideal_gens and scheme.region:
         note = (
@@ -282,7 +277,7 @@ def related(
     results = []
     sampled = 0.0
     status = RelatednessStatus.CERTIFIED
-    pts = None
+    free = []  # (index in results, difference) on a free source
     for j, wj in enumerate(w.coeffs):
         lhs = v.directional(phi[j])
         rhs = ex.apply_operation(wj, tuple(phi))
@@ -299,22 +294,21 @@ def related(
                 status = _merge_numeric(status)
                 sampled = max(sampled, _max_on_samples(diff, source, box, resolution))
             continue
-        # free source: sample a box grid
-        if pts is None:
-            w = cring.DEFAULT_BOX_HALFWIDTH
-            pts = cring.box_grid(box or ((-w, w),) * v.vars.arity, resolution)
-        worst = _max_abs(diff, pts)
-        sampled = max(sampled, worst)
-        if worst > tol:
-            status = RelatednessStatus.NOT_CERTIFIED
-            results.append(
-                cring.EqualityResult(cring.EqualityStatus.DISTINCT, detail=f"max {worst:.3e}")
-            )
-        else:
-            status = _merge_numeric(status)
-            results.append(
-                cring.EqualityResult(cring.EqualityStatus.UNKNOWN, detail=f"max {worst:.3e}")
-            )
+        free.append((len(results), diff))
+        results.append(None)
+    if free:
+        # free source: sample a box grid, all differences in one call
+        half = cring.DEFAULT_BOX_HALFWIDTH
+        pts = cring.box_grid(box or ((-half, half),) * v.vars.arity, resolution)
+        for (j, _), worst in zip(free, _max_abs([d for _, d in free], pts)):
+            sampled = max(sampled, worst)
+            if worst > tol:
+                status = RelatednessStatus.NOT_CERTIFIED
+                verdict = cring.EqualityStatus.DISTINCT
+            else:
+                status = _merge_numeric(status)
+                verdict = cring.EqualityStatus.UNKNOWN
+            results[j] = cring.EqualityResult(verdict, detail=f"max {worst:.3e}")
     if status is RelatednessStatus.NUMERIC and sampled > tol:
         status = RelatednessStatus.NOT_CERTIFIED
     return RelatednessResult(status, tuple(results), sampled)
@@ -326,15 +320,15 @@ def _merge_numeric(status: RelatednessStatus) -> RelatednessStatus:
 
 def _max_on_samples(e, scheme, box, resolution) -> float:
     pts = cring.sample_zero_set(scheme, box or scheme.default_box(), resolution)
-    return _max_abs(e, [p.coords for p in pts])
+    return _max_abs([e], [p.coords for p in pts])[0]
 
 
-def _max_abs(e: ex.SmoothExpr, points) -> float:
-    """max |e| over ``points`` (one per row) in one batched call; 0.0 for no
-    points, and a NaN value is skipped."""
+def _max_abs(exprs: Sequence[ex.SmoothExpr], points) -> list[float]:
+    """max |e| over ``points`` (one per row) of each expression, all in one
+    batched call; 0.0 for no points, and a NaN value is skipped."""
     with np.errstate(all="ignore"):
-        values = ex.as_callable(e)(np.reshape(points, (-1, e.vars.arity)).T)
-    return float(np.fmax.reduce(np.abs(values), initial=0.0))
+        values = ex.as_callable(exprs)(np.reshape(points, (-1, exprs[0].vars.arity)).T)
+    return np.fmax.reduce(np.abs(values), axis=1, initial=0.0).tolist()
 
 
 def hadamard_decompose(f: pr.Polynomial) -> list[pr.Polynomial]:

@@ -92,12 +92,6 @@ class Polynomial:
         exps = tuple(1 if i == index else 0 for i in range(vars_.arity))
         return cls({exps: Fraction(1)}, vars_)
 
-    @classmethod
-    def from_expr(cls, e: SmoothExpr) -> Optional["Polynomial"]:
-        from .expr import as_polynomial
-
-        return as_polynomial(e)
-
     # -- ring structure ----------------------------------------------------
 
     def _check(self, other: "Polynomial"):

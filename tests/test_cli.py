@@ -12,6 +12,7 @@ from schemeflow.cli import (
     load_scheme,
     main,
 )
+from schemeflow.curves import IntegratorOptions
 
 from helpers import count_integrations
 
@@ -77,6 +78,31 @@ class TestLoadScheme:
         p.write_text(json.dumps(bad))
         with pytest.raises(SchemeFileError, match="unknown keys"):
             load_scheme(str(p))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("rel_tol", 1e-8),
+            ("abs_tol", 1e-9),
+            ("horizon", 7),  # read as 7.0
+            ("probe_step", 1e-5),
+            ("event_tol", 1e-11),
+            ("max_steps", 123),
+            ("unknown_opt", 1),
+        ],
+    )
+    def test_options_reach_the_integrator(self, key, value, tmp_path, capsys):
+        # every IntegratorOptions field, read as its default's type; any
+        # other key exits 1
+        p = tmp_path / "opts.json"
+        p.write_text(json.dumps(dict(LINE_SCHEME, options={key: value})))
+        if key == "unknown_opt":
+            assert main(["validate", "--scheme", str(p)]) == EXIT_ERROR
+            want = f"error: {p}: unknown options ['unknown_opt']\n"
+            assert capsys.readouterr().err == want
+            return
+        got = getattr(load_scheme(str(p)).options, key)
+        assert got == value and type(got) is type(getattr(IntegratorOptions(), key))
 
     def test_non_string_expression_rejected(self, tmp_path):
         bad = dict(SQUARE_SCHEME, region=[3])

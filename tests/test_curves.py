@@ -875,27 +875,49 @@ class TestLockstepErrors:
         assert float(re.search(r"point \((\S+),", str(alone.value)).group(1)) > 3.0
 
     def test_dense_output_stage_error_isolated(self, monkeypatch):
-        # the extra stages of the dense output raise from states past x = 2
-        # (as a field defined only up to there would): the lanes that get
-        # there fail alone, and the other lanes finish their step
-        line = thickened_line()
-        v = shear_field(line)
-        opts = IntegratorOptions(horizon=1.0)
-        real = cv._dense_coeffs
+        # the attempt, the extra stages of the dense output and the bisection
+        # of an exit each raise from some states only (as a field or a
+        # constraint defined only there would): the lanes that get there fail
+        # alone, and the other lanes finish their step
+        real_attempt, real_dense, real_bisect = cv._attempt, cv._dense_coeffs, cv._Lockstep._bisect
 
-        def fenced(rhs, y, h, K):
+        def attempt(rhs, y, h, k1):
+            if np.any(y[:, 0] < -1.1):
+                raise GuardViolation("attempt past x = -1.1")
+            return real_attempt(rhs, y, h, k1)
+
+        def dense_coeffs(rhs, y, h, K):
             if np.any(y[:, 0] > 2.0):
                 raise GuardViolation("past x = 2")
-            return real(rhs, y, h, K)
+            return real_dense(rhs, y, h, K)
 
-        monkeypatch.setattr(cv, "_dense_coeffs", fenced)
-        points = [line.point((x, 0.0)) for x in (0.0, 1.9, -1.0, 2.5, 0.5)]
-        got = _batch(v, points, opts)
-        assert [isinstance(r, GuardViolation) for r in got] == [False, True, False, True, False]
-        for p, r in zip(points, got):
-            assert _same(r, _outcome(v, p, opts))
-            if not isinstance(r, Exception):
-                assert curves_identical(r, reference_integrate_max_curve(v, p, opts))
+        def bisect(self, t0, h, y0, c, bad):
+            if y0[0] > 0.8:
+                raise GuardViolation("bisection from x > 0.8")
+            return real_bisect(self, t0, h, y0, c, bad)
+
+        monkeypatch.setattr(cv, "_attempt", attempt)
+        monkeypatch.setattr(cv, "_dense_coeffs", dense_coeffs)
+        monkeypatch.setattr(cv._Lockstep, "_bisect", bisect)
+        line, sq = thickened_line(), square()
+        cases = (
+            # the line: 1.9 forward and 2.5 at its start meet the extra
+            # stages' fault, -1.0 backward the attempt's
+            (shear_field(line), [line.point((x, 0.0)) for x in (0.0, 1.9, -1.0, 2.5, 0.5)],
+             IntegratorOptions(horizon=1.0), [False, True, True, True, False]),
+            # the square: (0.9, 0.9) and (1.0, -0.2) exit in a step from
+            # x > 0.8, (-0.95, 0.6) exits elsewhere
+            (rotation_field(sq), [sq.point(p) for p in SQUARE_POINTS],
+             IntegratorOptions(horizon=5.0), [False, True, True, False, False, False, False]),
+        )
+        for v, points, opts, raised in cases:
+            got = _batch(v, points, opts)
+            assert [isinstance(r, GuardViolation) for r in got] == raised
+            for p, r in zip(points, got):
+                assert _same(r, _outcome(v, p, opts))
+                if not isinstance(r, Exception):
+                    assert curves_identical(r, reference_integrate_max_curve(v, p, opts))
+        assert got[-1].classification == CurveClass.CLOSED
 
     def test_residual_guard_in_a_batch(self):
         # checkpoints past x = 1.12 make the batched residual raise; each

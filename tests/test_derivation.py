@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import schemeflow.expr as ex
 from schemeflow.cring import EqualityStatus, SchemePresentation, sample_zero_set
 from schemeflow.derivation import (
     GeneratorStatus,
@@ -277,6 +278,26 @@ class TestSampledChecksAreBatched:
         want = max(abs(reference_evaluate(expr_xy("(y - x^2/3)^2"), p.coords)) for p in pts)
         assert r.per_coordinate[1].status is EqualityStatus.UNKNOWN
         assert r.max_sampled == pytest.approx(want, rel=1e-13) and want > 0
+
+
+    def test_one_call_for_all_numeric_images(self, monkeypatch):
+        # the sampler compiles the generators and their Jacobian, the residual
+        # its constraints, and the three images share one compiled call; a free
+        # source's two coordinate differences share one as well
+        compiled = []
+        real = ex.as_callable
+        monkeypatch.setattr(ex, "as_callable", lambda e: compiled.append(e) or real(e))
+        gens = tuple(expr_xy(g) for g in ("y*exp(x)", "sin(y)", "y*cos(x)"))
+        report = preserves_ideal(LiftedField.from_strings(["1", "y"], SchemePresentation(XY, gens)))
+        assert [c.status for c in report.checks] == [GeneratorStatus.NUMERIC] * 3
+        assert len(compiled) == 4
+        compiled.clear()
+        tvl = VarList(("s",))
+        phi = (parse_expr("s^2", tvl), parse_expr("s^3", tvl))
+        target = LiftedField(shear_field(thickened_line()).coeffs, None)
+        r = related(phi, target, LiftedField((parse_expr("1", tvl),), None))
+        assert [c.detail for c in r.per_coordinate] == ["max 5.000e+00", "max 2.000e+01"]
+        assert len(compiled) == 1
 
 
 class TestApply:

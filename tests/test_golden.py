@@ -1,10 +1,12 @@
 """CLI outputs on the example schemes, byte for byte.
 
-``tests/data/golden/`` holds the stdout of each command below.  A change
-that moves any of them must update the file and say which lines moved and
-by how much.  To regenerate one, from the root of a checkout:
+``tests/data/golden/`` holds the stdout of each command below in
+``<name>`` and its stderr in ``<name>.stderr``; every command exits 0.  A
+change that moves any of them must update the file and say which lines
+moved and by how much.  To regenerate one, from the root of a checkout:
 
-    PYTHONPATH=src python -m schemeflow.cli <argv...> > tests/data/golden/<name>
+    PYTHONPATH=src python -m schemeflow.cli <argv...> \
+        > tests/data/golden/<name> 2> tests/data/golden/<name>.stderr
 """
 
 import os
@@ -38,6 +40,9 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_is_byte_identical(name, capsys):
+    """Stdout, stderr and the exit code."""
     assert main(CASES[name]) == 0
-    with open(os.path.join(GOLDEN, name), "rb") as fh:
-        assert capsys.readouterr().out.encode("utf-8") == fh.read()
+    captured = capsys.readouterr()
+    for text, path in ((captured.out, name), (captured.err, name + ".stderr")):
+        with open(os.path.join(GOLDEN, path), "rb") as fh:
+            assert text.encode("utf-8") == fh.read(), path
