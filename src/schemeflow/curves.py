@@ -83,7 +83,10 @@ for |h| < 1e-14*max(1, |t|) ends at t with an open endpoint (underflow).
 The controller's step is compared, not the step clipped to the horizon, so
 a sliver step that lands on the horizon is never an underflow.  Near a
 blow-up the accepted steps shrink as well, and the floor ends the lane as
-soon as they fall below it.
+soon as they fall below it.  The first step, Hairer's guess from the
+field at the base point, is raised to the floor if it falls below it: a
+base coordinate far below ``abs_tol`` under a field of order 1 (1e-16 and
+1 give a guess of about 1e-16) would otherwise end both lanes at t = 0.
 
 Reach.  ``integrate_max_curves(..., reach=r)`` also ends a direction after
 its first accepted step that gets to |t| >= r.  Steps are still clipped
@@ -276,6 +279,9 @@ MAX_LANES = 32
 # accepted step, m this many.
 CHECKPOINTS_PER_STEP = 160
 
+# A lane whose controller asks for |h| < _STEP_FLOOR*max(1, |t|) ends there
+# (see the module docstring).
+_STEP_FLOOR = 1e-14
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -397,7 +403,7 @@ def _initial_step(f, y0, k1, opts: IntegratorOptions) -> float:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.125
-    return min(100 * h0, h1, opts.horizon)
+    return min(max(100 * h0, _STEP_FLOOR), h1, opts.horizon)
 
 
 @dataclass
@@ -612,9 +618,9 @@ class _Lockstep:
         """End, as open endpoints, the lanes whose controller step is below
         the step floor (see the module docstring)."""
         # live lanes have |t| < horizon, so one reduction settles most rounds
-        if self.h_abs.min() >= 1e-14 * max(1.0, self.opts.horizon):
+        if self.h_abs.min() >= _STEP_FLOOR * max(1.0, self.opts.horizon):
             return
-        below = self.h_abs < 1e-14 * np.maximum(1.0, np.abs(self.t))
+        below = self.h_abs < _STEP_FLOOR * np.maximum(1.0, np.abs(self.t))
         for j in below.nonzero()[0].tolist():
             lane = self.lanes[j]
             lane.finish("underflow", float(self.t[j]), False, False, last_h=float(self.h_abs[j]))

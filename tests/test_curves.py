@@ -1083,6 +1083,18 @@ class TestStepFloor:
         assert curves_identical(c, reference_integrate_max_curve(v, point, opts))
 
 
+    @pytest.mark.parametrize("x", [1e-16, 1e-15, -3e-16])
+    def test_tiny_base_coordinate_is_no_underflow(self, x):
+        # Hairer's first-step guess from (x, 0) under (1, y) is about |x|,
+        # below the floor; the translation still runs to the horizon
+        line = thickened_line()
+        v = shear_field(line)
+        point = line.point((x, 0.0))
+        c = integrate_max_curve(v, point, OPTS)
+        assert c.classification == CurveClass.HORIZON_COMPLETE
+        assert curves_identical(c, reference_integrate_max_curve(v, point, OPTS))
+
+
 class TestIntervalFlagsArePlainBool:
     def _flags(self, curve):
         rec = curve.interval
