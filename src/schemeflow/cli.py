@@ -77,7 +77,7 @@ _KNOWN_KEYS = {
 }
 # A scheme file's "options" are eps_z, for the presentation, and the fields
 # of IntegratorOptions, each read as the type of its default.
-_INTEGRATOR_OPTIONS = {f.name: type(f.default) for f in fields(cv.IntegratorOptions)}
+_OPTIONS = {"eps_z": float, **{f.name: type(f.default) for f in fields(cv.IntegratorOptions)}}
 
 
 def load_scheme(path: str, tol_override: Optional[float] = None,
@@ -123,10 +123,11 @@ def load_scheme(path: str, tol_override: Optional[float] = None,
     options = raw.get("options", {})
     if not isinstance(options, dict):
         raise SchemeFileError(f"{path}: 'options' must be an object")
-    unknown_opts = set(options) - {"eps_z", *_INTEGRATOR_OPTIONS}
+    unknown_opts = set(options) - set(_OPTIONS)
     if unknown_opts:
         raise SchemeFileError(f"{path}: unknown options {sorted(unknown_opts)}")
-    eps_z = float(options.get("eps_z", cring.DEFAULT_EPS_Z))
+    opt_kwargs = {key: _number(path, key, value, _OPTIONS[key]) for key, value in options.items()}
+    eps_z = opt_kwargs.pop("eps_z", cring.DEFAULT_EPS_Z)
     if tol_override is not None:
         eps_z = tol_override
 
@@ -175,9 +176,6 @@ def load_scheme(path: str, tol_override: Optional[float] = None,
         except ex.ExprError as err:
             raise SchemeFileError(f"{path}: in 'flow_closed_form': {err}") from err
 
-    opt_kwargs = {
-        key: kind(options[key]) for key, kind in _INTEGRATOR_OPTIONS.items() if key in options
-    }
     if horizon_override is not None:
         opt_kwargs["horizon"] = horizon_override
     try:
@@ -186,6 +184,20 @@ def load_scheme(path: str, tol_override: Optional[float] = None,
         raise SchemeFileError(f"{path}: bad options: {err}") from err
 
     return SchemeFile(scheme, lifted, psi, iopts, dict(flags), path)
+
+
+def _number(path: str, key: str, value, kind: type):
+    """Option ``key`` as ``kind``: a JSON number, not a boolean, integral for int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemeFileError(f"{path}: option {key!r} must be a number")
+    if kind is int:
+        if isinstance(value, float) and not value.is_integer():
+            raise SchemeFileError(f"{path}: option {key!r} must be an integer")
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError as err:  # an integer past the largest double
+        raise SchemeFileError(f"{path}: option {key!r} is too large") from err
 
 
 def _parse_point(text: str, scheme: cring.SchemePresentation) -> cring.SchemePoint:

@@ -71,7 +71,7 @@ class SchemePresentation:
     def __post_init__(self):
         if not self.ideal_gens and not self.region:
             raise ValueError("presentation needs ideal generators or region constraints")
-        if self.eps_z <= 0:
+        if not self.eps_z > 0:  # NaN included
             raise ValueError("zero-set tolerance must be positive")
         for g in self.ideal_gens + self.region:
             if g.vars != self.vars:

@@ -14,19 +14,19 @@ Lanes and rounds.  Curves are integrated in lockstep by
 ``integrate_max_curves``; ``integrate_max_curve`` is a batch of one point.
 A lane is one (base point, direction) pair.  At most ``MAX_LANES`` lanes are
 live; the other points wait in a queue and start as lanes finish.  Starting
-a point evaluates the field at the base point once: that value serves the
-singleton probe, the initial step size and both lanes' first stage.  A round
-then takes one DOP853 attempt on every live lane: each of its twelve new
-stages (eleven, then the field at the new state, which is the next step's
-first stage) is one call of the lifted field (``derivation.lift``) on an
-(n, lanes) array, and the three extra stages of the dense output are three
-more calls on the accepted lanes only; the stage sums, error estimates and
-dense-output coefficients are stacked matrix products; and the dense-output
-states at all checkpoints of every accepted attempt go through the scheme's
-residual in one call.  Whatever one curve decides stays per lane, with the
-rules of one curve: step size and controller, rejection, step-size
-underflow, the horizon, the step limit, the first failing checkpoint and
-its bisection.
+a point tests the base point's membership and evaluates the field there
+once: that value serves the initial step size and both lanes' first stage,
+so each point is integrated once, by its two lanes.  A round then takes one
+DOP853 attempt on every live lane: each of its twelve new stages (eleven,
+then the field at the new state, which is the next step's first stage) is
+one call of the lifted field (``derivation.lift``) on an (n, lanes) array,
+and the three extra stages of the dense output are three more calls on the
+accepted lanes only; the stage sums, error estimates and dense-output
+coefficients are stacked matrix products; and the dense-output states at all
+checkpoints of every accepted attempt go through the scheme's residual in
+one call.  Whatever one curve decides stays per lane, with the rules of one
+curve: step size and controller, rejection, step-size underflow, the
+horizon, the step limit, the first failing checkpoint and its bisection.
 
 Dense output.  A direction's accepted steps are stored as columns
 (``Steps``: ``t0`` (k,), signed ``h`` (k,), ``y0`` (k, n) and ``coeffs``
@@ -37,9 +37,8 @@ continuous output, y0 + h*(u*(c1 + v*(c2 + u*(c3 + v*(c4 + u*(c5 + v*(c6 +
 u*c7))))))), in elementwise numpy arithmetic in that order, so a state's
 bits never depend on how many states are evaluated together; it gives y0
 at u = 0 exactly and the step's new state at u = 1 up to rounding.  The
-checkpoint scan, bisection, the singleton probes and ``evaluate_curve`` all
-call it: a checkpoint state is, bit for bit, ``evaluate_curve`` at its time
-t0 + theta*h.
+checkpoint scan, bisection and ``evaluate_curve`` all call it: a checkpoint
+state is, bit for bit, ``evaluate_curve`` at its time t0 + theta*h.
 
 Per-lane errors.  A round is computed, without changing any lane, for all
 live lanes at once: the attempt, the extra stages, the checkpoint scan and
@@ -78,6 +77,11 @@ bit for bit, one that passed), or open (the lifted solution stopped
 existing: step-size underflow or non-finite state, i.e. finite-time
 blow-up).
 
+Singleton.  A point whose two lanes both end with a membership exit within
+``probe_step`` of 0 has the singleton curve: interval [0, 0], no steps, and
+its lanes' diagnostics.  That is the verdict of testing the states at
++-probe_step, unless an exit lies within ``event_tol`` of probe_step.
+
 Step floor.  Before every attempt, a lane whose step-size controller asks
 for |h| < 1e-14*max(1, |t|) ends at t with an open endpoint (underflow).
 The controller's step is compared, not the step clipped to the horizon, so
@@ -100,9 +104,9 @@ horizon.
 ``IntegralCurve.diagnostics`` holds, for "forward" and "backward", the
 accepted and rejected steps, the smallest and largest accepted |h|
 ("min_h", "max_h") and the reason the direction ended: "horizon", "reach",
-"underflow" (with "last_h", the controller step below the floor), "exit"
+"underflow" (with "last_h", the controller step below the floor) or "exit"
 (with "checkpoint", the index of the first failing checkpoint of the last
-step) or "singleton".
+step).
 """
 
 from __future__ import annotations
@@ -146,16 +150,18 @@ class IntegratorOptions:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     horizon: float = 100.0
-    probe_step: float = 1e-6
+    probe_step: float = 1e-6  # the singleton threshold (see the module docstring)
     event_tol: float = 1e-10
     max_steps: int = 1_000_000
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "horizon", "probe_step", "event_tol"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN included
                 raise ValueError(f"{name} must be positive")
         if not math.isfinite(self.horizon):
             raise ValueError("horizon must be finite")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be at least 1")
 
 
 class CurveClass:
@@ -496,9 +502,6 @@ class _Lockstep:
             except Exception as err:
                 self.finished.append((index, err))
                 continue
-            if isinstance(started, IntegralCurve):
-                self.finished.append((index, started))
-                continue
             lanes = (_Lane(index, 1.0, self.n), _Lane(index, -1.0, self.n))
             self.pending[index] = (point, *lanes)
             self.lanes.extend(lanes)
@@ -514,48 +517,23 @@ class _Lockstep:
             self.signs = np.concatenate([self.signs, np.tile([1.0, -1.0], len(new))])
 
     def _start(self, point: cring.SchemePoint):
-        """A singleton curve, or (y0, field at y0, initial |h|) for the two
-        lanes of ``point``; raises what integrating the point raises before
-        its first step."""
+        """(y0, field at y0, initial |h|) for the two lanes of ``point``;
+        raises what integrating the point raises before its first step."""
         y0 = np.array(point.coords, dtype=float)
         if self.residual(y0) > self.eps_z:
             raise cring.PointNotOnScheme(
                 f"base point {point.coords} is not on the zero set"
             )
         k1 = self.rhs(y0)
-        # singleton probe: all short probes failing on both sides means the
-        # curve reduces to its initial condition
-        if self._singleton_probe(y0, k1):
-            interval = IntervalRecord(0.0, 0.0)
-            end = {"accepted": 0, "rejected": 0, "end": "singleton"}
-            diagnostics = {"forward": end, "backward": dict(end)}
-            none = _steps([], self.n)
-            return IntegralCurve(
-                point, interval, none, none, self.scheme, CurveClass.SINGLETON, diagnostics
-            )
         if not np.all(np.isfinite(k1)):
             raise ex.GuardViolation("field not finite at the base point")
-        if self.opts.max_steps <= 0:
-            raise StepLimitExceeded(f"exceeded {self.opts.max_steps} accepted steps")
         return y0, k1, _initial_step(self.rhs, y0, k1, self.opts)
-
-    def _singleton_probe(self, y0, k1) -> bool:
-        for sign in (+1.0, -1.0):
-            h = sign * 4 * self.opts.probe_step
-            hs = np.array([h])
-            _, K, _, _ = _attempt(self.rhs, y0[None], hs, k1[None])
-            c = _dense_coeffs(self.rhs, y0[None], hs, K)[0]
-            # at t = h/4, h/2 and h, in that order
-            states = _dense(y0[:, None], h, c.T[..., None], np.array([0.25, 0.5, 1]))
-            for state in states.T:
-                if self.residual(state) <= self.eps_z:
-                    return False
-        return True
 
     def _settle(self, lane: _Lane) -> None:
         """Report the point of a lane that just finished, if its result is
         known: the forward lane's exception, else the backward lane's, else
-        the curve."""
+        the curve, which is the singleton when both lanes exit within
+        ``probe_step`` of 0."""
         if lane.index not in self.pending:
             return  # the point already failed
         point, fwd, bwd = self.pending[lane.index]
@@ -568,6 +546,10 @@ class _Lockstep:
             result = bwd.result
         else:
             f, b = fwd.result, bwd.result
+            exits = f.diagnostics["end"] == b.diagnostics["end"] == "exit"
+            if exits and max(f.bound, -b.bound) < self.opts.probe_step:
+                none = _steps([], self.n)  # the singleton: two closed ends at 0
+                f, b = replace(f, steps=none, bound=0.0), replace(b, steps=none, bound=0.0)
             interval = IntervalRecord(
                 b.bound, f.bound, b.closed, f.closed, b.at_horizon, f.at_horizon
             )

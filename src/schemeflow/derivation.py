@@ -278,6 +278,7 @@ def related(
     sampled = 0.0
     status = RelatednessStatus.CERTIFIED
     free = []  # (index in results, difference) on a free source
+    unknown = []  # differences a presented source leaves unknown
     for j, wj in enumerate(w.coeffs):
         lhs = v.directional(phi[j])
         rhs = ex.apply_operation(wj, tuple(phi))
@@ -292,10 +293,14 @@ def related(
                 status = RelatednessStatus.NOT_CERTIFIED
             elif r.status is cring.EqualityStatus.UNKNOWN:
                 status = _merge_numeric(status)
-                sampled = max(sampled, _max_on_samples(diff, source, box, resolution))
+                unknown.append(diff)
             continue
         free.append((len(results), diff))
         results.append(None)
+    if unknown:
+        # presented source: one sample of the zero set, all differences in one call
+        pts = cring.sample_zero_set(source, box or source.default_box(), resolution)
+        sampled = max(sampled, *_max_abs(unknown, [p.coords for p in pts]))
     if free:
         # free source: sample a box grid, all differences in one call
         half = cring.DEFAULT_BOX_HALFWIDTH
@@ -316,11 +321,6 @@ def related(
 
 def _merge_numeric(status: RelatednessStatus) -> RelatednessStatus:
     return status if status is RelatednessStatus.NOT_CERTIFIED else RelatednessStatus.NUMERIC
-
-
-def _max_on_samples(e, scheme, box, resolution) -> float:
-    pts = cring.sample_zero_set(scheme, box or scheme.default_box(), resolution)
-    return _max_abs([e], [p.coords for p in pts])[0]
 
 
 def _max_abs(exprs: Sequence[ex.SmoothExpr], points) -> list[float]:

@@ -88,6 +88,7 @@ class TestLoadScheme:
             ("probe_step", 1e-5),
             ("event_tol", 1e-11),
             ("max_steps", 123),
+            ("max_steps", 1e6),  # an integral float is an integer
             ("unknown_opt", 1),
         ],
     )
@@ -103,6 +104,28 @@ class TestLoadScheme:
             return
         got = getattr(load_scheme(str(p)).options, key)
         assert got == value and type(got) is type(getattr(IntegratorOptions(), key))
+
+    @pytest.mark.parametrize(
+        "key, value, why",
+        [
+            ("horizon", True, "option 'horizon' must be a number"),
+            ("horizon", "abc", "option 'horizon' must be a number"),
+            ("horizon", None, "option 'horizon' must be a number"),
+            ("horizon", 10**400, "option 'horizon' is too large"),
+            ("eps_z", "abc", "option 'eps_z' must be a number"),
+            ("eps_z", False, "option 'eps_z' must be a number"),
+            ("max_steps", 2.7, "option 'max_steps' must be an integer"),
+            ("max_steps", False, "option 'max_steps' must be a number"),
+            ("max_steps", 0, "bad options: max_steps must be at least 1"),
+            ("rel_tol", float("nan"), "bad options: rel_tol must be positive"),
+            ("eps_z", float("nan"), "zero-set tolerance must be positive"),
+        ],
+    )
+    def test_bad_option_values_exit_one(self, key, value, why, tmp_path, capsys):
+        p = tmp_path / "opts.json"
+        p.write_text(json.dumps(dict(LINE_SCHEME, options={key: value})))
+        assert main(["validate", "--scheme", str(p)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {p}: {why}\n"
 
     def test_non_string_expression_rejected(self, tmp_path):
         bad = dict(SQUARE_SCHEME, region=[3])

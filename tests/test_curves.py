@@ -116,6 +116,54 @@ class TestSquareRotation:
         assert c.interval.hi < 0.2
 
 
+class TestSingletonRule:
+    """A point is a singleton when both its lanes exit within probe_step of
+    0.  The reference decides it independently, from states at
+    +-probe_step, 2*probe_step and 4*probe_step of a step of its own; near
+    the square's corners and edges both give the same curve, bit for bit."""
+
+    OPTS = IntegratorOptions(horizon=5.0)
+    CORNERS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
+
+    def _same_as_reference(self, x, y):
+        sq = square()
+        v, p = rotation_field(sq), sq.point((x, y))
+        c = integrate_max_curve(v, p, self.OPTS)
+        assert curves_identical(c, reference_integrate_max_curve(v, p, self.OPTS))
+        return c
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        corner=st.sampled_from(CORNERS),
+        dx=st.floats(0.0, 1e-5),
+        dy=st.floats(0.0, 1e-5),
+    )
+    def test_near_corners(self, corner, dx, dy):
+        cx, cy = corner
+        self._same_as_reference(cx * (1.0 - dx), cy * (1.0 - dy))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        axis=st.sampled_from((0, 1)),
+        side=st.sampled_from((1.0, -1.0)),
+        depth=st.floats(0.0, 1e-5),
+        along=st.floats(-1.0, 1.0),
+    )
+    def test_near_edges(self, axis, side, depth, along):
+        edge = side * (1.0 - depth)
+        self._same_as_reference(*((edge, along) if axis == 0 else (along, edge)))
+
+    def test_corner_distances_around_probe_step(self):
+        # exits at about the corner distance d, so the sweep crosses
+        # probe_step (1e-6) on every corner
+        classes = set()
+        for cx, cy in self.CORNERS:
+            for d in np.logspace(-7.5, -5.0, 26).tolist():
+                c = self._same_as_reference(cx * (1.0 - d), cy * (1.0 - d))
+                classes.add((d < self.OPTS.probe_step, c.classification))
+        assert classes == {(True, CurveClass.SINGLETON), (False, CurveClass.CLOSED)}
+
+
 class TestCircleIdeal:
     def test_stays_on_circle_to_horizon(self):
         circ = circle()
@@ -620,8 +668,7 @@ class TestBatchedScan:
         c = integrate_max_curve(shear_field(line), line.point((0.0, 0.0)), OPTS)
         assert c.classification == CurveClass.HORIZON_COMPLETE
         steps = len(c.forward) + len(c.backward)
-        probes = 1 + 2 * 3  # base point, then three probes per direction
-        assert calls[0] <= steps + probes
+        assert calls[0] <= steps + 1  # the base point, then one call per step
 
 
 class TestCsvExport:
@@ -798,7 +845,7 @@ class TestLockstepBatches:
         v = rotation_field(sq)
         points = [sq.point(p) for p in ((0.5, 0.1), (0.9, 0.9), (1.0, 1.0))]
         order = [i for i, _ in integrate_max_curves(v, points, self.SQ_OPTS)]
-        assert order == [2, 1, 0]  # singleton at once, then the exit, then the horizon
+        assert order == [2, 1, 0]  # singleton after one step, then the exit, then the horizon
 
     def test_field_evaluated_once_at_each_base_point(self, monkeypatch):
         sq = square()
@@ -859,6 +906,11 @@ class TestLockstepErrors:
         errors = {str(r) for r in got if isinstance(r, Exception)}
         assert errors == {"exceeded 8 accepted steps"}
 
+    def test_max_steps_below_one_rejected(self):
+        # the options refuse it, so no point needs a check of its own
+        with pytest.raises(ValueError, match="max_steps must be at least 1"):
+            IntegratorOptions(max_steps=0)
+
     def test_forward_error_wins(self):
         # the backward lane leaves the strip first (x < -1), the forward one
         # later (x > 3): the point reports the forward lane's exception
@@ -905,10 +957,10 @@ class TestLockstepErrors:
             # stages' fault, -1.0 backward the attempt's
             (shear_field(line), [line.point((x, 0.0)) for x in (0.0, 1.9, -1.0, 2.5, 0.5)],
              IntegratorOptions(horizon=1.0), [False, True, True, True, False]),
-            # the square: (0.9, 0.9) and (1.0, -0.2) exit in a step from
-            # x > 0.8, (-0.95, 0.6) exits elsewhere
+            # the square: the singleton (1.0, 1.0), (0.9, 0.9) and (1.0, -0.2)
+            # exit in a step from x > 0.8, (-0.95, 0.6) exits elsewhere
             (rotation_field(sq), [sq.point(p) for p in SQUARE_POINTS],
-             IntegratorOptions(horizon=5.0), [False, True, True, False, False, False, False]),
+             IntegratorOptions(horizon=5.0), [True, True, True, False, False, False, False]),
         )
         for v, points, opts, raised in cases:
             got = _batch(v, points, opts)
@@ -969,7 +1021,10 @@ class TestDiagnostics:
         assert whole.diagnostics["forward"]["end"] == "horizon"
         assert whole.diagnostics["backward"]["end"] == "horizon"
         corner = integrate_max_curve(v, sq.point((1.0, 1.0)), OPTS)
-        assert corner.diagnostics["forward"] == {"accepted": 0, "rejected": 0, "end": "singleton"}
+        assert corner.classification == CurveClass.SINGLETON
+        for side in ("forward", "backward"):
+            d = corner.diagnostics[side]
+            assert d["end"] == "exit" and d["checkpoint"] == 0
 
     def test_underflow_records_last_step(self):
         plane = SchemePresentation(XY, region=(expr_xy("0 - 1"),))

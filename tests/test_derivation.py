@@ -279,6 +279,24 @@ class TestSampledChecksAreBatched:
         assert r.per_coordinate[1].status is EqualityStatus.UNKNOWN
         assert r.max_sampled == pytest.approx(want, rel=1e-13) and want > 0
 
+    def test_one_sample_for_all_unknown_coordinates(self, monkeypatch):
+        # each unknown coordinate's equality check samples the zero set, and
+        # the largest difference comes from one more sample for all of them
+        forbid_evaluate(monkeypatch)
+        import schemeflow.cring as cring
+
+        calls = []
+        real = cring.sample_zero_set
+        monkeypatch.setattr(cring, "sample_zero_set", lambda *a: calls.append(a) or real(*a))
+        cubic = SchemePresentation(XY, ideal_gens=(expr_xy("(y - x^2/3)^3"),))
+        v = LiftedField.from_strings(["(y - x^2/3)^2", "2*(y - x^2/3)^2"], cubic)
+        w = LiftedField((expr_xy("0"), expr_xy("0")), None)
+        r = related(tuple(variables("x y")), w, v)
+        assert [c.status for c in r.per_coordinate] == [EqualityStatus.UNKNOWN] * 2
+        assert len(calls) == 3
+        pts = real(cubic, cubic.default_box(), 9)
+        want = max(abs(reference_evaluate(expr_xy("2*(y - x^2/3)^2"), p.coords)) for p in pts)
+        assert r.max_sampled == pytest.approx(want, rel=1e-13) and want > 0
 
     def test_one_call_for_all_numeric_images(self, monkeypatch):
         # the sampler compiles the generators and their Jacobian, the residual

@@ -25,6 +25,7 @@ CASES = {
     "domain_square_rotation.csv": ["domain", "--scheme", SQUARE, "--grid", "5"],
     "domain_thickened_line.csv": ["domain", "--scheme", LINE, "--grid", "5"],
     "curve_square_rotation.csv": ["curve", "--scheme", SQUARE, "--point", "0.5,0.1"],
+    "curve_square_corner.csv": ["curve", "--scheme", SQUARE, "--point", "1,1"],  # a singleton
     "curve_thickened_line.csv": ["curve", "--scheme", LINE, "--point", "0.5,1e-5"],
     "flow_thickened_line.txt": ["flow", "--scheme", LINE, "--point", "0.5,1e-5", "--time", "1.0"],
     "check_square_rotation.txt": ["check", "--scheme", SQUARE],
