@@ -906,11 +906,6 @@ class TestLockstepErrors:
         errors = {str(r) for r in got if isinstance(r, Exception)}
         assert errors == {"exceeded 8 accepted steps"}
 
-    def test_max_steps_below_one_rejected(self):
-        # the options refuse it, so no point needs a check of its own
-        with pytest.raises(ValueError, match="max_steps must be at least 1"):
-            IntegratorOptions(max_steps=0)
-
     def test_forward_error_wins(self):
         # the backward lane leaves the strip first (x < -1), the forward one
         # later (x > 3): the point reports the forward lane's exception
