@@ -24,7 +24,7 @@ axis needs finite bounds lo < hi);
 2 check failed, input not on the scheme (a ``--point`` whose membership
 residual exceeds the tolerance, an overflow to inf included), a curve over
 its step limit or a Groebner basis over its degree cap; 3 groupoid refused
-(field not complete on the sampled domain).
+(a sampled curve, or a curve the axiom sweep reads, is not horizon-complete).
 """
 
 from __future__ import annotations

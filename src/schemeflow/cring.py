@@ -298,25 +298,38 @@ def sample_zero_set(
     box: Optional[tuple[tuple[float, float], ...]] = None,
     resolution: int = 9,
     polish_steps: int = 30,
+    limit: Optional[int] = None,
 ) -> list[SchemePoint]:
     """Deterministic zero-set sample: grid scan plus damped Gauss-Newton
     polish of near-misses on the squared generator residual, with dedup at
     half the grid spacing.
 
-    Three batched passes over the grid.  The scan evaluates the residual on
-    every grid point in one call; exact hits come first, in grid order.  The
-    polish moves all misses together, one batched evaluation of the
-    generators and their gradients per step, each point stopping on its own
-    (converged, non-finite, negligible step, or out of steps).  The dedup
-    keeps a candidate unless an earlier kept one lies closer than half the grid
-    spacing in every coordinate, comparing only candidates in neighbouring
-    cells of that side.  Polished coordinates may differ in the last bits
-    from a point-by-point solve (numpy arithmetic, one stacked SVD instead
-    of one least-squares solve per point); where a Jacobian's smallest
-    singular value sits at the rank cutoff, the two can step differently.
+    The scan evaluates the residual on every grid point in one call; exact
+    hits come first, in grid order, then the polished misses, in grid order.
+    The polish moves a batch of misses together, one batched evaluation of
+    the generators and their gradients per step, each point stopping on its
+    own (converged, non-finite, negligible step, or out of steps).  The
+    dedup keeps a candidate unless an earlier kept one lies closer than half
+    the grid spacing in every coordinate, comparing only candidates in
+    neighbouring cells of that side.  Polished coordinates may differ in
+    the last bits from a point-by-point solve (numpy arithmetic, one stacked
+    SVD instead of one least-squares solve per point); where a Jacobian's
+    smallest singular value sits at the rank cutoff, the two can step
+    differently.
+
+    With ``limit`` (at least 1), the sample is the first ``limit`` points of
+    the full one, or all of it when it has fewer.  The misses are then
+    polished in chunks, in grid order: ``limit`` of them first, each later
+    chunk twice as large, until ``limit`` points are kept.  A point's polish
+    depends on no other point, so the kept points are the full sample's, bit
+    for bit, wherever numpy's elementwise evaluation of the generators does
+    not depend on the array's length (see the ``curves`` module docstring;
+    polynomials qualify).  Without a limit, all misses form one batch.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2 per axis")
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be at least 1")
     box = box or scheme.default_box()
     if len(box) != scheme.arity:
         raise ValueError("box dimension mismatch")
@@ -325,18 +338,27 @@ def sample_zero_set(
     residual = scheme.residual_fn()
     grid = box_grid(box, resolution).T
     hit = residual(grid) <= scheme.eps_z
-    candidates = [grid[:, hit]]
-    if scheme.ideal_gens:
-        polished = _polish(scheme, grid[:, ~hit], box, polish_steps)
-        candidates.append(polished[:, residual(polished) <= scheme.eps_z])
-    points = np.concatenate(candidates, axis=1).T
-    return [SchemePoint(tuple(points[i].tolist())) for i in _dedup(points, 0.5 * spacing)]
+    dedup = _Dedup(box, 0.5 * spacing)
+    dedup.add(grid[:, hit].T)
+    misses = grid[:, ~hit]
+    if scheme.ideal_gens and misses.shape[1]:
+        polish = _polisher(scheme, box, polish_steps)
+        start, size = 0, limit or misses.shape[1]
+        while start < misses.shape[1] and (limit is None or len(dedup.kept) < limit):
+            polished = polish(misses[:, start : start + size])
+            dedup.add(polished[:, residual(polished) <= scheme.eps_z].T)
+            start, size = start + size, 2 * size
+    return [SchemePoint(tuple(p)) for p in dedup.kept[:limit]]
 
 
-def _polish(scheme: SchemePresentation, points: np.ndarray, box, steps: int) -> np.ndarray:
-    """Gauss-Newton on the generator residual vector for every column of
-    ``points`` at once, clipped to the box.  Each step takes the
-    minimum-norm least-squares step with ``lstsq``'s default cutoff."""
+def _polisher(
+    scheme: SchemePresentation, box, steps: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Gauss-Newton on the generator residual vector for every column of a
+    points array at once, clipped to the box.  Each step takes the
+    minimum-norm least-squares step with ``lstsq``'s default cutoff.  The
+    generators and their Jacobian are compiled once, here, for every batch
+    the returned function polishes."""
     k, n = len(scheme.ideal_gens), scheme.arity
     gens = ex.as_callable(scheme.ideal_gens)
     # row i * n + j holds d(generator i)/dx_j
@@ -344,27 +366,31 @@ def _polish(scheme: SchemePresentation, points: np.ndarray, box, steps: int) -> 
     lows = np.array([[lo] for lo, _ in box])
     highs = np.array([[hi] for _, hi in box])
     rcond = np.finfo(float).eps * max(k, n)
-    q = points.copy()
-    active = np.arange(q.shape[1])
-    # an overflow gives inf, and a non-finite g, J or step stops its point
-    with np.errstate(all="ignore"):
-        for _ in range(steps):
-            if not active.size:
-                break
-            p = q[:, active]
-            g = gens(p)
-            moving = ~(np.max(np.abs(g), axis=0) <= 0.01 * scheme.eps_z)
-            p, g, active = p[:, moving], g[:, moving], active[moving]
-            J = jacobian(p).reshape(k, n, p.shape[1]).transpose(2, 0, 1)
-            finite = np.isfinite(J).all(axis=(1, 2)) & np.isfinite(g).all(axis=0)
-            p, g, J, active = p[:, finite], g[:, finite], J[finite], active[finite]
-            U, s, Vh = np.linalg.svd(J, full_matrices=False)
-            inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > rcond * s[:, :1])
-            step = np.einsum("arn,ar->na", Vh, inv * np.einsum("akr,ka->ar", U, -g))
-            moving = np.isfinite(step).all(axis=0) & ~(np.max(np.abs(step), axis=0) < 1e-16)
-            active = active[moving]
-            q[:, active] = np.clip(p[:, moving] + step[:, moving], lows, highs)
-    return q
+
+    def polish(points: np.ndarray) -> np.ndarray:
+        q = points.copy()
+        active = np.arange(q.shape[1])
+        # an overflow gives inf, and a non-finite g, J or step stops its point
+        with np.errstate(all="ignore"):
+            for _ in range(steps):
+                if not active.size:
+                    break
+                p = q[:, active]
+                g = gens(p)
+                moving = ~(np.max(np.abs(g), axis=0) <= 0.01 * scheme.eps_z)
+                p, g, active = p[:, moving], g[:, moving], active[moving]
+                J = jacobian(p).reshape(k, n, p.shape[1]).transpose(2, 0, 1)
+                finite = np.isfinite(J).all(axis=(1, 2)) & np.isfinite(g).all(axis=0)
+                p, g, J, active = p[:, finite], g[:, finite], J[finite], active[finite]
+                U, s, Vh = np.linalg.svd(J, full_matrices=False)
+                inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > rcond * s[:, :1])
+                step = np.einsum("arn,ar->na", Vh, inv * np.einsum("akr,ka->ar", U, -g))
+                moving = np.isfinite(step).all(axis=0) & ~(np.max(np.abs(step), axis=0) < 1e-16)
+                active = active[moving]
+                q[:, active] = np.clip(p[:, moving] + step[:, moving], lows, highs)
+        return q
+
+    return polish
 
 
 # Cells are a hair wider than the dedup radius, so rounding in a cell index
@@ -372,37 +398,50 @@ def _polish(scheme: SchemePresentation, points: np.ndarray, box, steps: int) -> 
 _CELL_WIDENING = 1.0 + 1e-6
 
 
-def _dedup(points: np.ndarray, radius: float) -> list[int]:
-    """Indices of the rows of ``points`` kept by a greedy scan in row order:
-    a row is dropped when an earlier kept row lies closer than ``radius`` in
-    every coordinate.  Kept rows are hashed into cells of side ``radius``,
-    so each row is compared only with those in the 3^n cells around it."""
-    if not len(points) or radius <= 0:
-        # a degenerate box axis gives a zero radius, within which nothing lies
-        return list(range(len(points)))
-    # cell coordinates start at 1 and stay below base - 1, so a neighbour's
-    # coordinates are digits in [0, base) and its key is unique
-    cells = np.floor((points - points.min(axis=0)) / (radius * _CELL_WIDENING)) + 1
-    base = int(cells.max()) + 2
-    weights = [base**i for i in range(points.shape[1])]
+class _Dedup:
+    """Greedy dedup of points fed in batches, in order: a point is dropped
+    when an earlier kept point lies closer than ``radius`` in every
+    coordinate.  Kept points are hashed into cells of side ``radius``
+    anchored at the box's low corner, so each point is compared only with
+    those in the 3^n cells around it.  Which points are kept does not depend
+    on where the cells are anchored, nor on how the points are batched.
+    Points must lie in the box."""
 
-    def key(cell):
-        return sum(int(c) * w for c, w in zip(cell, weights))
+    def __init__(self, box: Sequence[tuple[float, float]], radius: float):
+        self.radius = radius
+        self.kept: list[list[float]] = []  # in the order they were kept
+        self._width = radius * _CELL_WIDENING
+        self._lows = np.array([lo for lo, _ in box], dtype=float)
+        # cell coordinates start at 1 and stay below base - 1, so a
+        # neighbour's coordinates are digits in [0, base) and its key is unique
+        if radius > 0:
+            base = int(max(np.floor((hi - lo) / self._width) for lo, hi in box)) + 3
+            self._weights = [base**i for i in range(len(box))]
+            # the own cell first, where a duplicate is likeliest
+            self._deltas = sorted(
+                (self._key(d) for d in itertools.product((-1, 0, 1), repeat=len(box))),
+                key=abs,
+            )
+        self._cells: dict[int, list[list[float]]] = {}
 
-    # the own cell first, where a duplicate is likeliest
-    deltas = sorted(
-        (key(d) for d in itertools.product((-1, 0, 1), repeat=points.shape[1])), key=abs
-    )
-    kept: dict[int, list[list[float]]] = {}
-    keep = []
-    for i, (p, cell) in enumerate(zip(points.tolist(), cells.tolist())):
-        k = key(cell)
-        if any(
-            all(abs(a - b) < radius for a, b in zip(p, q))
-            for d in deltas
-            for q in kept.get(k + d, ())
-        ):
-            continue
-        kept.setdefault(k, []).append(p)
-        keep.append(i)
-    return keep
+    def _key(self, cell) -> int:
+        return sum(int(c) * w for c, w in zip(cell, self._weights))
+
+    def add(self, points: np.ndarray) -> None:
+        """Feed the rows of ``points``, appending those kept to ``kept``."""
+        if self.radius <= 0:
+            # a degenerate box axis gives a zero radius, within which nothing lies
+            self.kept += points.tolist()
+            return
+        radius, cells_of = self.radius, self._cells
+        cells = np.floor((points - self._lows) / self._width) + 1
+        for p, cell in zip(points.tolist(), cells.tolist()):
+            k = self._key(cell)
+            if any(
+                all(abs(a - b) < radius for a, b in zip(p, q))
+                for d in self._deltas
+                for q in cells_of.get(k + d, ())
+            ):
+                continue
+            cells_of.setdefault(k, []).append(p)
+            self.kept.append(p)

@@ -138,7 +138,14 @@ __all__ = [
 
 
 class OutsideDefinitionInterval(Exception):
-    """Requested a time beyond where the curve exists on the scheme."""
+    """Requested a time beyond where the curve exists on the scheme: ``t``,
+    the first such time, on ``curve``."""
+
+    def __init__(self, curve: "IntegralCurve", t: float):
+        rec = curve.interval
+        super().__init__(f"t={t} outside definition interval [{rec.lo}, {rec.hi}]")
+        self.curve = curve
+        self.t = t
 
 
 class StepLimitExceeded(Exception):
@@ -780,9 +787,7 @@ def evaluate_curve(curve: IntegralCurve, t) -> np.ndarray:
     rec = curve.interval
     inside = curve.defined_at(flat)
     if not inside.all():
-        raise OutsideDefinitionInterval(
-            f"t={float(flat[~inside][0])} outside definition interval [{rec.lo}, {rec.hi}]"
-        )
+        raise OutsideDefinitionInterval(curve, float(flat[~inside][0]))
     # a time clipped to 0 gets the base point; an interval end at 0 is the
     # only one a direction without steps can have
     states = np.repeat(np.array(curve.base.coords, dtype=float)[:, None], len(flat), axis=1)

@@ -9,7 +9,8 @@ the two pullback identities relating composition to the projections are
 checked pointwise on composable pairs when a closed-form flow is available.
 
 Fields whose sampled curves stop before the horizon are refused outright:
-the construction needs all of them complete.
+the construction needs all of them complete.  So is a sweep that reads a
+curve through a target outside that curve's interval.
 """
 
 from __future__ import annotations
@@ -195,8 +196,14 @@ def sample_arrows(
     resolution: int = 15,
 ) -> list[Arrow]:
     """Deterministic arrow sample: zero-set grid points paired with seeded
-    uniform times in [-time_span, time_span]."""
-    points = cring.sample_zero_set(scheme, box or scheme.default_box(), resolution)
+    uniform times in [-time_span, time_span].  Arrow i anchors at point
+    i % len of the first ``count`` points of the zero-set sample, in its
+    (grid) order, so the arrows cycle through the sample when it has fewer
+    points; only those points are sampled (``sample_zero_set``'s limit)."""
+    # a count below 1 gives no arrows, which check_axioms refuses
+    points = cring.sample_zero_set(
+        scheme, box or scheme.default_box(), resolution, limit=max(count, 1)
+    )
     if not points:
         raise ValueError("no zero-set points found to anchor arrows")
     rng = random.Random(seed)
@@ -229,17 +236,20 @@ def _key(coords) -> tuple[float, ...]:
     return tuple(float(c) for c in coords)
 
 
+def _refusal(curve: cv.IntegralCurve, state: str) -> IncompleteFieldError:
+    rec = curve.interval
+    return IncompleteFieldError(
+        f"curve through {_key(curve.base.coords)} {state} [{rec.lo:g}, {rec.hi:g}]; "
+        "groupoid structure requires horizon-complete curves"
+    )
+
+
 def _completeness_gate(memo: MemoFlow, arrows) -> None:
     memo.fill([_key(a.point.coords) for a in arrows])
     for a in arrows:
-        coords = _key(a.point.coords)
-        curve = memo.curve(coords)
+        curve = memo.curve(_key(a.point.coords))
         if curve.classification != cv.CurveClass.HORIZON_COMPLETE:
-            raise IncompleteFieldError(
-                f"curve through {coords} is {curve.classification} on "
-                f"[{curve.interval.lo:g}, {curve.interval.hi:g}]; groupoid "
-                "structure requires horizon-complete curves"
-            )
+            raise _refusal(curve, f"is {curve.classification} on")
 
 
 def check_axioms(
@@ -266,7 +276,8 @@ def check_axioms(
     and inverse_right (phi(q1, -t1) against p) measure the flow itself.
 
     Refuses with IncompleteFieldError if any sampled base point's curve is
-    not horizon-complete, mirroring the completeness hypothesis.  The gate
+    not horizon-complete, mirroring the completeness hypothesis, and if the
+    sweep reads a curve (a target's) at a time outside its interval.  The gate
     integrates the sources' curves to the horizon; a MemoFlow passed as
     ``flow`` holds them afterwards, so callers can reuse them.  A MemoFlow
     integrates the curves of each later wave in one batch, only to the
@@ -284,13 +295,17 @@ def check_axioms(
     t1 = np.array([a.t for a in arrows], dtype=float)
     t2, t3 = np.roll(t1, -1), np.roll(t1, -2)  # the next two arrows' times
     times = [t1, t1 + t2, (t1 + t2) + t3, t1 + 0.0, 0.0 + t1, t1 + (-t1)]
-    q1, q_sum, q_assoc, q_unit_l, q_unit_r, q_back = np.split(
-        phi(np.tile(p, len(times)), np.concatenate(times)), len(times), axis=1
-    )
-    q12, q_fwd, q_inv = np.split(
-        phi(np.tile(q1, 3), np.concatenate([t2, -t1 + t1, -t1])), 3, axis=1
-    )
-    q123 = phi(q12, t3)
+    try:
+        q1, q_sum, q_assoc, q_unit_l, q_unit_r, q_back = np.split(
+            phi(np.tile(p, len(times)), np.concatenate(times)), len(times), axis=1
+        )
+        q12, q_fwd, q_inv = np.split(
+            phi(np.tile(q1, 3), np.concatenate([t2, -t1 + t1, -t1])), 3, axis=1
+        )
+        q123 = phi(q12, t3)
+    except cv.OutsideDefinitionInterval as err:
+        # a target's curve cut short before a time the sweep reads
+        raise _refusal(err.curve, f"is read at t={err.t:g}, outside") from err
 
     def worst(*gaps) -> float:
         return float(np.max([np.max(np.abs(g)) for g in gaps]))

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -15,6 +16,10 @@ from schemeflow.cli import (
 from schemeflow.curves import IntegratorOptions
 
 from helpers import count_integrations
+
+SPHERE_PATH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "schemes", "sphere_rotation.json"
+)
 
 LINE_SCHEME = {
     "variables": ["x", "y"],
@@ -308,6 +313,20 @@ class TestGroupoidCommand:
         code = main(["groupoid", "--scheme", square_path, "--samples", "10"])
         assert code == EXIT_REFUSED
         assert "refused" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed, samples", [(5, 100), (0, 150), (2, 150)])
+    def test_refuses_a_target_curve_cut_short(self, seed, samples, capsys):
+        # drift cuts a target's curve short of a time the axiom sweep reads
+        code = main([
+            "groupoid", "--scheme", SPHERE_PATH, "--seed", str(seed), "--samples", str(samples),
+        ])
+        captured = capsys.readouterr()
+        assert code == EXIT_REFUSED
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        (line,) = captured.err.splitlines()
+        assert line.startswith("refused: curve through (")
+        assert " outside [" in line and line.endswith("requires horizon-complete curves")
 
 
 class TestValidateCommand:

@@ -14,7 +14,7 @@ from schemeflow.cring import (
     EqualityStatus,
     PointNotOnScheme,
     SchemePresentation,
-    _dedup,
+    _Dedup,
     box_grid,
     element_equal,
     in_zero_set,
@@ -370,6 +370,51 @@ class TestBatchedSampler:
             sample_zero_set(pole, _BOX2, 5)
 
 
+class TestLimitedSample:
+    """A limit keeps a prefix of the full sample, polishing the misses in
+    doubling chunks.  Every call gets a fresh copy of its presentation, so
+    no residual compiled here is cached on a _SAMPLER_CASES presentation."""
+
+    @pytest.mark.parametrize("name", sorted(_SAMPLER_CASES))
+    def test_is_a_prefix_of_the_full_sample(self, name):
+        scheme, box, resolution, _ = _SAMPLER_CASES[name]
+        full = [p.coords for p in sample_zero_set(replace(scheme), box, resolution)]
+        for k in sorted({1, 2, 3, len(full) - 1, len(full), len(full) + 5}):
+            got = sample_zero_set(replace(scheme), box, resolution, limit=k)
+            assert [p.coords for p in got] == full[:k], k
+
+    def test_limit_below_one_is_refused(self):
+        for k in (0, -3):
+            with pytest.raises(ValueError, match="limit"):
+                sample_zero_set(square(), _BOX2, 5, limit=k)
+
+    def test_chunks_share_one_compile(self, monkeypatch):
+        scheme, box, resolution, _ = _SAMPLER_CASES["sphere-15"]
+        compiled = []  # per compiled callable, the column count of each call
+        compile_ = ex.as_callable
+
+        def counting(e):
+            f = compile_(e)
+            widths = []
+            compiled.append(widths)
+
+            def counted(p):
+                widths.append(np.shape(p)[-1] if np.ndim(p) == 2 else 1)
+                return f(p)
+
+            return counted
+
+        monkeypatch.setattr(ex, "as_callable", counting)
+        got = sample_zero_set(replace(scheme), box, resolution, limit=40)
+        assert len(got) == 40
+        # the residual, then the generators and their Jacobian, once each
+        assert len(compiled) == 3
+        scan, *chunks = compiled[0]
+        assert scan == resolution**3
+        assert len(chunks) >= 3
+        assert chunks == [40 * 2**i for i in range(len(chunks))]
+
+
 @st.composite
 def _dedup_candidates(draw, dim):
     """Seeded candidates on and one ulp either side of multiples of the
@@ -395,12 +440,30 @@ def _dedup_candidates(draw, dim):
     return pts, radius
 
 
+def _dedup(points, radius, chunk=None, below=0.0):
+    """The rows a _Dedup keeps when fed ``points`` in chunks of ``chunk``
+    rows (all at once by default), on a box from ``below`` radii under the
+    points' smallest coordinates to their largest."""
+    box = tuple(zip(points.min(axis=0) - below * radius, points.max(axis=0)))
+    dedup = _Dedup(box, radius)
+    chunk = chunk or len(points)
+    for start in range(0, len(points), chunk):
+        dedup.add(points[start : start + chunk])
+    return dedup.kept
+
+
 class TestDedup:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(case=st.one_of(_dedup_candidates(2), _dedup_candidates(3)))
-    def test_matches_quadratic_reference(self, case):
+    @given(
+        case=st.one_of(_dedup_candidates(2), _dedup_candidates(3)),
+        chunk=st.integers(1, 80),
+        below=st.sampled_from([0.0, 0.37, 1.0, 5.5]),
+    )
+    def test_matches_quadratic_reference(self, case, chunk, below):
+        # neither the cells' anchor nor the batching changes what is kept
         pts, radius = case
-        assert _dedup(pts, radius) == reference_dedup(pts, radius)
+        want = pts[reference_dedup(pts, radius)].tolist()
+        assert _dedup(pts, radius, chunk, below) == want
 
     def test_degenerate_box_keeps_every_hit(self):
         # a zero-width axis gives a zero dedup radius, so repeated points stay
@@ -412,7 +475,8 @@ class TestDedup:
     def test_distance_exactly_the_radius_is_kept(self):
         r = 0.25
         pts = np.array([[0.0, 0.0], [r, 0.0], [0.0, np.nextafter(r, 0.0)], [-r, r]])
-        assert _dedup(pts, r) == reference_dedup(pts, r) == [0, 1, 3]
+        assert reference_dedup(pts, r) == [0, 1, 3]
+        assert _dedup(pts, r) == pts[[0, 1, 3]].tolist()
 
 
 class TestElementEqual:

@@ -33,6 +33,10 @@ CASES = {
     "groupoid_sphere_rotation.txt": [
         "groupoid", "--scheme", SPHERE, "--samples", "3", "--seed", "5",
     ],
+    # 100 arrows read sample points past several of the sampler's polish chunks
+    "groupoid_sphere_rotation_100.txt": [
+        "groupoid", "--scheme", SPHERE, "--samples", "100", "--seed", "1",
+    ],
     "groupoid_thickened_line.txt": [
         "groupoid", "--scheme", LINE, "--samples", "20", "--seed", "7", "--box=-3:3,-1:1",
     ],

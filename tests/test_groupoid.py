@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from schemeflow import curves as cv
 from schemeflow import groupoid as gp
-from schemeflow.cring import SchemePoint, SchemePresentation
+from schemeflow.cring import SchemePoint, SchemePresentation, sample_zero_set
 from schemeflow.curves import CurveClass, IntegratorOptions, integrate_max_curve
 from schemeflow.derivation import LiftedField
 from schemeflow.expr import GuardViolation, SmoothExpr, VarList, const, parse_expr
@@ -145,6 +146,26 @@ class TestStructureMaps:
         line, v = line_setup()
         u = unit(line.point((2.0, 0.0)))
         assert inverse(u, v, OPTS) == u
+
+
+class TestSampleArrows:
+    @pytest.mark.parametrize("count", [3, 300])
+    def test_arrows_cycle_through_the_full_sample(self, count):
+        # the sphere's sample has 242 points: 3 arrows read a prefix of it,
+        # 300 read all of it and wrap around
+        sphere, _ = sphere_setup()
+        points = sample_zero_set(sphere, sphere.default_box(), 15)
+        assert 3 < len(points) < 300
+        rng = random.Random(11)
+        want = [Arrow(points[i % len(points)], rng.uniform(-3.0, 3.0)) for i in range(count)]
+        assert sample_arrows(sphere, count, seed=11) == want
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_no_arrows_below_one(self, count):
+        line, v = line_setup()
+        assert sample_arrows(line, count, box=LINE_BOX) == []
+        with pytest.raises(ValueError, match="need at least one arrow"):
+            check_axioms(v, sample_arrows(line, count, box=LINE_BOX), opts=OPTS)
 
 
 class TestAxioms:
