@@ -19,8 +19,9 @@ present, lists expressions over the variables plus "t".  germ_determined is
 recorded as declared, never verified.
 
 Exit codes: 0 success/certified; 1 I/O or parse error, including a usage
-error (argparse's message) and a malformed ``--point`` or ``--box`` (a box
-axis needs finite bounds lo < hi);
+error (argparse's message), a malformed ``--point`` (a NaN coordinate
+included) or ``--box`` (a box axis needs finite bounds lo < hi), and an
+array too large for memory (such as a huge ``--grid``);
 2 check failed, input not on the scheme (a ``--point`` whose membership
 residual exceeds the tolerance, an overflow to inf included), a curve over
 its step limit or a Groebner basis over its degree cap; 3 groupoid refused
@@ -404,6 +405,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (cv.StepLimitExceeded, pr.DegreeCapExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILED
+    except MemoryError as err:  # numpy refuses an impossible array at once
+        print(f"error: out of memory: {err}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

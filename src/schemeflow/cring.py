@@ -138,7 +138,11 @@ class SchemePresentation:
         return RingElement(e, self)
 
     def point(self, coords: Sequence[float], tol: Optional[float] = None) -> SchemePoint:
+        """The point at ``coords`` if it is on the zero set (residual within
+        ``tol``, default eps_z); a NaN coordinate raises ValueError."""
         coords = tuple(float(c) for c in coords)
+        if np.isnan(coords).any():
+            raise ValueError(f"point {coords} has a NaN coordinate")
         r = membership_residual(self, coords)
         if r > (self.eps_z if tol is None else tol):
             raise PointNotOnScheme(
@@ -190,8 +194,11 @@ def membership_residual(scheme: SchemePresentation, point: Sequence[float]) -> f
 
 def in_zero_set(scheme: SchemePresentation, point: Sequence[float]) -> bool:
     """True iff all ideal generators vanish and all region constraints hold
-    at the point, to the presentation's tolerance."""
-    return membership_residual(scheme, point) <= scheme.eps_z
+    at the point, to the presentation's tolerance.  A point with a NaN
+    coordinate is not in the zero set, although its residual skips the NaN
+    constraint values it gives."""
+    r = membership_residual(scheme, point)
+    return r <= scheme.eps_z and not np.isnan(np.asarray(point, dtype=float)).any()
 
 
 class EqualityStatus(enum.Enum):
@@ -287,10 +294,15 @@ def element_equal(
 
 def box_grid(box: Sequence[tuple[float, float]], resolution: int) -> np.ndarray:
     """The ``resolution``-per-axis grid on an axis-aligned box, one point per
-    row in C order (the last coordinate varies fastest)."""
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    row in C order (the last coordinate varies fastest).  The grid is
+    allocated first, so a grid too large for memory raises MemoryError
+    before anything of its size is computed."""
+    n, r = len(box), max(resolution, 0)
+    grid = np.empty((r**n, n))
+    cube = grid.reshape((r,) * n + (n,))
+    for i, (lo, hi) in enumerate(box):
+        cube[..., i] = np.linspace(lo, hi, resolution).reshape((-1,) + (1,) * (n - 1 - i))
+    return grid
 
 
 def sample_zero_set(

@@ -45,14 +45,17 @@ live lanes at once: the attempt, the extra stages, the checkpoint scan and
 the bisection of every exit.  If any of it raises, the round is computed
 again for each lane alone; a lane whose own round raises fails with that
 exception, and the other lanes take their step in the same round.  That is
-the one per-lane fallback.  Within a step, a batched residual call that
-raises sends the step's checkpoints through the residual state by state,
-so a failure at a later checkpoint never pre-empts an earlier membership
-exit; an overflow gives +-inf (see ``expr.as_callable``), so only a guard
-violation or the sine or cosine of an infinity makes a batch raise.  A
-point's result is its forward lane's exception if that lane raised,
-otherwise its backward lane's, otherwise its curve: what integrating the
-point alone, forward then backward, raises or returns.
+the one per-lane fallback.  A bisection call that raises is computed again
+one level at a time, whose states are exactly the ones the walks visit, so
+a state that no walk visits never fails a lane.  Within a step, a batched
+residual call that raises sends the step's checkpoints through the residual
+state by state, so a failure at a later checkpoint never pre-empts an
+earlier membership exit; an overflow gives +-inf (see
+``expr.as_callable``), so only a guard violation or the sine or cosine of
+an infinity makes a batch raise.  A point's result is its forward lane's
+exception if that lane raised, otherwise its backward lane's, otherwise its
+curve: what integrating the point alone, forward then backward, raises or
+returns.
 
 Last bits.  The stacked products, a stacked dot product for the error norm
 and a per-lane Python power in the step controller repeat, lane by lane,
@@ -60,7 +63,9 @@ the arithmetic of a curve integrated alone, so a curve depends on its batch
 only if numpy's elementwise evaluation of the field or the residual does.
 Sums, products and negation never do (rotations, translations); powers,
 quotients, exp, log, sin, cos and the cutoffs go through numpy functions
-that nothing documents to be independent of the array's length.
+that nothing documents to be independent of the array's length.  The
+residual sees each checkpoint and bisection state in a batch: with the
+other lanes' states and, in the bisection, with states of later levels.
 
 Membership scan.  ``CHECKPOINTS_PER_STEP`` states at u = 1/m, 2/m, ..., 1
 of each accepted step are tested; at m = 160 and the default tolerances a
@@ -68,7 +73,10 @@ rotation's longest steps (about 0.33) put them about 2.1e-3 apart in time.
 The first failing checkpoint is localized by bisection on times between it
 and the checkpoint before it (or the step's start), each state at u
 computed from its time as ``evaluate_curve`` computes it; the bound is the
-last time whose state passed.
+last time whose state passed.  The exits of a round bisect together,
+``BISECT_DEPTH`` levels per residual call: a call holds the 2^depth - 1
+midpoints that each exit's next levels could visit, each computed as the
+walk computes it, and each walk reads the ones it visits.
 
 Interval endpoints carry three epistemic flags: reached the horizon (no
 claim of completeness), closed (the localized boundary state itself passes
@@ -291,6 +299,12 @@ MAX_LANES = 32
 # The membership scan tests the states at u = 1/m, 2/m, ..., 1 of every
 # accepted step, m this many.
 CHECKPOINTS_PER_STEP = 160
+
+# The bisection of a round's exits evaluates this many levels per residual
+# call (see ``_Lockstep._bisect``): 2^depth - 1 states per exit, depth of them
+# visited.  Of depths 3-6, 5 spent the least time bisecting the square
+# rotation's domain jobs (2-core x86-64 host).
+BISECT_DEPTH = 5
 
 # A lane whose controller asks for |h| < _STEP_FLOOR*max(1, |t|) ends there
 # (see the module docstring).
@@ -649,7 +663,8 @@ class _Lockstep:
         """The rows [t0, h, y0, coeffs] (lanes, 2 + 8n) of accepted steps
         from ``t`` with states ``y`` and stages ``K``, and for each step None
         or (its first failing checkpoint, the bound of the exit): the
-        checkpoints of all steps go through the residual in one call."""
+        checkpoints of all steps go through the residual in one call, and
+        the exits of all steps are bisected together."""
         residual, eps_z = self.residual, self.eps_z
         coeffs = _dense_coeffs(self.rhs, y, h, K)
         tcol, hcol = t[:, None], h[:, None]
@@ -668,10 +683,12 @@ class _Lockstep:
                 next((k for k, s in enumerate(states[:, a].T) if residual(s) > eps_z), None)
                 for a in range(len(t))
             ]
-        exits = [
-            None if b is None else (b, self._bisect(t0, hj, y0, c.T, b))
-            for t0, hj, y0, c, b in zip(t.tolist(), h.tolist(), y, coeffs, bad)
-        ]
+        exits = [None] * len(t)
+        out = [a for a, b in enumerate(bad) if b is not None]
+        if out:
+            bounds = self._bisect(t[out], h[out], y[out], coeffs[out], [bad[a] for a in out])
+            for a, bound in zip(out, bounds):
+                exits[a] = (bad[a], bound)
         return rows, exits
 
     def _apply(self, rows, accepted, t, y, k1, h_abs, steps, exits) -> None:
@@ -698,25 +715,61 @@ class _Lockstep:
             elif len(lane.rows) >= opts.max_steps:
                 self._fail(lane, StepLimitExceeded(f"exceeded {opts.max_steps} accepted steps"))
 
-    def _bisect(self, t0: float, h: float, y0, c, bad: int) -> float:
-        """The bound of the first membership failure inside the step from
-        ``t0`` (coefficients ``c`` (7, n)) whose checkpoint ``bad`` is the
-        first to fail.  Bisects on times, each state at u computed from its
-        time as ``evaluate_curve`` computes it, and returns the last time
-        whose state passed (a checkpoint's time, or t0, whose state the scan
-        or the start passed), so the bound's state passes: a membership exit
-        is closed."""
-        residual, eps_z = self.residual, self.eps_z
-        lo = t0 + float(self.thetas[bad - 1]) * h if bad else t0
-        hi = t0 + float(self.thetas[bad]) * h
-        while abs(hi - lo) > self.opts.event_tol:
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break  # adjacent floats: no time between them to test
-            if residual(_dense(y0, h, c, (mid - t0) / h)) > eps_z:
-                hi = mid
-            else:
-                lo = mid
+    def _bisect(self, t0, h, y0, coeffs, bad: list) -> list:
+        """The bounds of the first membership failures inside the steps from
+        ``t0`` (lanes,) with signed steps ``h`` (lanes,), states ``y0``
+        (lanes, n) and coefficients ``coeffs`` (lanes, n, 7), whose
+        checkpoints ``bad`` are the first to fail.  Bisects each on times,
+        each state at u computed from its time as ``evaluate_curve``
+        computes it, and returns the last time whose state passed (a
+        checkpoint's time, or t0, whose state the scan or the start passed),
+        so the bound's state passes: a membership exit is closed.  The lanes
+        bisect together, ``BISECT_DEPTH`` levels per residual call, and a
+        call that raises is computed again at depth 1 (see the module
+        docstring)."""
+        tol, thetas = self.opts.event_tol, self.thetas.tolist()
+        ts, hs = t0.tolist(), h.tolist()
+        lo = [a + thetas[b - 1] * hj if b else a for a, hj, b in zip(ts, hs, bad)]
+        hi = [a + thetas[b] * hj for a, hj, b in zip(ts, hs, bad)]
+
+        def done(j):
+            mid = 0.5 * (lo[j] + hi[j])
+            # adjacent floats leave no time between them to test
+            return abs(hi[j] - lo[j]) <= tol or mid == lo[j] or mid == hi[j]
+
+        def chunk(depth):
+            # each live lane's midpoints in heap order: node i's children
+            # are 2i + 1 (its state fails: hi = mid) and 2i + 2 (lo = mid)
+            mids = []
+            for j in live:
+                spans, m = [(lo[j], hi[j])], []
+                for i in range(2**depth - 1):
+                    a, b = spans[i]
+                    m.append(0.5 * (a + b))
+                    spans += [(a, m[i]), (m[i], b)]
+                mids.append(m)
+            hl = h[live, None]
+            u = (np.array(mids) - t0[live, None]) / hl
+            states = _dense(y0.T[:, live, None], hl, coeffs.T[..., live, None], u)
+            failing = self.residual(states.reshape(self.n, -1)) > self.eps_z
+            return mids, failing.reshape(len(live), -1).tolist()
+
+        live = [j for j in range(len(bad)) if not done(j)]
+        while live:
+            try:
+                depth, (mids, failing) = BISECT_DEPTH, chunk(BISECT_DEPTH)
+            except (ex.GuardViolation, ValueError):  # what the residual raises
+                depth, (mids, failing) = 1, chunk(1)
+            for j, m, f in zip(live, mids, failing):
+                node = 0
+                for _ in range(depth):
+                    if done(j):
+                        break
+                    if f[node]:
+                        hi[j], node = m[node], 2 * node + 1
+                    else:
+                        lo[j], node = m[node], 2 * node + 2
+            live = [j for j in live if not done(j)]
         return lo
 
     def _compact(self) -> None:

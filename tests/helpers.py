@@ -503,21 +503,32 @@ def reference_integrate_direction(rhs, y0, sign, residual, eps_z, opts):
         checkpoints = cv._dense(y[:, None], h, c.T[..., None], ((t + thetas * h) - t) / h)
         bad = next((j for j, s in enumerate(checkpoints.T) if residual(s) > eps_z), None)
         if bad is not None:
-            # bisect on times: the bound is the last time whose state passed
-            lo = t + float(thetas[bad - 1]) * h if bad else t
-            hi = t + float(thetas[bad]) * h
-            while abs(hi - lo) > opts.event_tol and lo != 0.5 * (lo + hi) != hi:
-                mid = 0.5 * (lo + hi)
-                if residual(cv._dense(y, h, c.T, (mid - t) / h)) > eps_z:
-                    hi = mid
-                else:
-                    lo = mid
-            return steps(), lo, True, False
+            bound, _ = reference_bisect(residual, eps_z, t, h, y, c, bad, opts.event_tol)
+            return steps(), bound, True, False
         t = t + h
         y = y_new
         k1 = K[12]
         h_abs = h_next
     return steps(), sign * opts.horizon, True, True
+
+
+def reference_bisect(residual, eps_z, t, h, y, c, bad, event_tol):
+    """The bisection of one exit, one state per residual call, in the step
+    from ``t`` (signed step ``h``, state ``y``, coefficients ``c`` (n, 7))
+    whose checkpoint ``bad`` fails first: (the bound, the levels walked).
+    It bisects on times; the bound is the last time whose state passed."""
+    thetas = np.arange(1, cv.CHECKPOINTS_PER_STEP + 1) / cv.CHECKPOINTS_PER_STEP
+    lo = t + float(thetas[bad - 1]) * h if bad else t
+    hi = t + float(thetas[bad]) * h
+    levels = 0
+    while abs(hi - lo) > event_tol and lo != 0.5 * (lo + hi) != hi:
+        mid = 0.5 * (lo + hi)
+        levels += 1
+        if residual(cv._dense(y, h, c.T, (mid - t) / h)) > eps_z:
+            hi = mid
+        else:
+            lo = mid
+    return lo, levels
 
 
 def reference_integrate_max_curve(field, point, opts=cv.IntegratorOptions()):

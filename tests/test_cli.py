@@ -224,6 +224,13 @@ class TestCurveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "residual inf" in err
 
+    @pytest.mark.parametrize("command", ["curve", "flow"])
+    def test_nan_point_exits_one(self, command, square_path, capsys):
+        # the square's constraints are all NaN there, so its residual reads 0
+        argv = [command, "--scheme", square_path, "--point", "nan,0"]
+        assert main(argv + (["--time", "0.5"] if command == "flow" else [])) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: point (nan, 0.0) has a NaN coordinate\n"
+
     def test_step_limit_exits_two(self, tmp_path, capsys):
         p = tmp_path / "short.json"
         p.write_text(json.dumps(dict(LINE_SCHEME, options={"horizon": 20.0, "max_steps": 2})))
@@ -289,6 +296,13 @@ class TestDomainCommand:
         code = main(["domain", "--scheme", square_path, "--grid", "3", f"--box={box}"])
         assert code == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error: box axis")
+
+    def test_impossible_grid_exits_one(self, square_path, capsys):
+        # 10^16 grid points: numpy refuses the allocation at once.  Never
+        # test with a grid that could really be allocated.
+        assert main(["domain", "--scheme", square_path, "--grid", "100000000"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
 
     def test_deterministic_bytes(self, line_path, tmp_path):
         a = tmp_path / "a.csv"

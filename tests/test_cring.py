@@ -57,6 +57,18 @@ class TestMembership:
         assert in_zero_set(half_line, (-1.0, 0.0))
         assert not in_zero_set(half_line, (1.0, 0.0))
 
+    def test_nan_coordinate_is_not_a_point(self):
+        # the residual skips NaN constraint values, and every constraint of
+        # the square is NaN at (nan, 0), so it reads 0 there; membership
+        # still fails
+        sq, line = square(), thickened_line()
+        nan = float("nan")
+        assert sq.residual_fn()((nan, 0.0)) == 0.0
+        for scheme, p in ((sq, (nan, 0.0)), (sq, (0.5, nan)), (line, (nan, 0.0))):
+            assert not in_zero_set(scheme, p)
+            with pytest.raises(ValueError, match=r"point \(.*\) has a NaN coordinate"):
+                scheme.point(p)
+
     def test_point_constructor_validates(self):
         line = thickened_line()
         p = line.point((2.0, 0.0))

@@ -31,6 +31,7 @@ from helpers import (
     curves_identical,
     expr_xy,
     first_steps,
+    reference_bisect,
     reference_integrate_max_curve,
     rotation_field,
     shear_field,
@@ -938,10 +939,10 @@ class TestLockstepErrors:
                 raise GuardViolation("past x = 2")
             return real_dense(rhs, y, h, K)
 
-        def bisect(self, t0, h, y0, c, bad):
-            if y0[0] > 0.8:
+        def bisect(self, t0, h, y0, coeffs, bad):
+            if np.any(y0[:, 0] > 0.8):
                 raise GuardViolation("bisection from x > 0.8")
-            return real_bisect(self, t0, h, y0, c, bad)
+            return real_bisect(self, t0, h, y0, coeffs, bad)
 
         monkeypatch.setattr(cv, "_attempt", attempt)
         monkeypatch.setattr(cv, "_dense_coeffs", dense_coeffs)
@@ -999,6 +1000,164 @@ class TestLockstepErrors:
         assert str(got[1]) == "point length 1 != arity 2"
         for i in (0, 2):
             assert curves_identical(got[i], integrate_max_curve(v, points[i], OPTS))
+
+
+class _BisectionLog:
+    """What ``_instrument`` saw: residual calls, rounds, the residual calls
+    a per-lane walk of each bisection's exits needs in chunks of
+    ``BISECT_DEPTH`` levels, the exits of each bisection, the states the
+    batched bisection evaluated, the states the per-lane walks visit, and
+    the residual calls that raised on the poisoned state."""
+
+    def __init__(self):
+        self.calls = self.rounds = self.chunks = self.raised = 0
+        self.exits: list[int] = []
+        self.chunk_states: set = set()
+        self.walk_states: set = set()
+        self.bisecting = False
+
+
+def _instrument(monkeypatch, poison=None) -> _BisectionLog:
+    """Log the lockstep's residual calls, and raise GuardViolation on a call
+    that holds the state ``poison``.  Each bisection is replayed, lane by
+    lane, with the per-lane walk (``reference_bisect``), whose bounds it must
+    return bit for bit."""
+    log = _BisectionLog()
+    real_fn, real_bisect, real_step = (
+        SchemePresentation.residual_fn, cv._Lockstep._bisect, cv._Lockstep._step
+    )
+
+    def residual_fn(scheme):
+        f = real_fn(scheme)
+
+        def logged(p):
+            log.calls += 1
+            states = {tuple(s) for s in np.reshape(p, (scheme.arity, -1)).T.tolist()}
+            if log.bisecting:
+                log.chunk_states |= states
+            if poison in states:
+                log.raised += 1
+                raise GuardViolation("poisoned state")
+            return f(p)
+
+        return logged
+
+    def step(self, rows):
+        log.rounds += 1
+        return real_step(self, rows)
+
+    def bisect(self, t0, h, y0, coeffs, bad):
+        f = real_fn(self.scheme)
+
+        def walked(s):
+            log.walk_states.add(tuple(s.tolist()))
+            return f(s)
+
+        walks = [
+            reference_bisect(walked, self.eps_z, a, hj, y, c, b, self.opts.event_tol)
+            for a, hj, y, c, b in zip(t0.tolist(), h.tolist(), y0, coeffs, bad)
+        ]
+        log.chunks += math.ceil(max(levels for _, levels in walks) / cv.BISECT_DEPTH)
+        log.exits.append(len(bad))
+        log.bisecting = True
+        try:
+            bounds = real_bisect(self, t0, h, y0, coeffs, bad)
+        finally:
+            log.bisecting = False
+        assert np.array(bounds).tobytes() == np.array([b for b, _ in walks]).tobytes()
+        return bounds
+
+    monkeypatch.setattr(SchemePresentation, "residual_fn", residual_fn)
+    monkeypatch.setattr(cv._Lockstep, "_step", step)
+    monkeypatch.setattr(cv._Lockstep, "_bisect", bisect)
+    return log
+
+
+def _drift_off_line():
+    """The thickened line (|y| <= 3.2e-5) under a field that leaves it at
+    1e-5 per unit time: every point exits both ways near t = +-3.2."""
+    line = thickened_line()
+    return line, LiftedField.from_strings(["1", "1/100000"], line)
+
+
+class TestBatchedBisection:
+    """The exits of a round bisect together, ``BISECT_DEPTH`` levels per
+    residual call, and give the per-lane walk's bounds bit for bit."""
+
+    SQ_OPTS = IntegratorOptions(horizon=2.0)
+    LINE_OPTS = IntegratorOptions(horizon=5.0)
+    # near the square's corners: each exits the square at least one way
+    CORNERS = [(0.95, 0.9), (-0.9, 0.97), (0.99, -0.8), (-0.85, -0.85), (1.0, 0.7), (0.8, -1.0)]
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        near_square=st.lists(
+            st.tuples(
+                st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0]),
+                st.floats(0.0, 0.2), st.floats(0.0, 0.2),
+            ),
+            min_size=2, max_size=16,
+        ),
+        on_line=st.lists(st.floats(-3e-5, 3e-5), min_size=2, max_size=16),
+    )
+    def test_batches_match_the_per_curve_loop(self, near_square, on_line):
+        sq = square()
+        line, drift = _drift_off_line()
+        cases = (
+            (rotation_field(sq), [sq.point((sx * (1 - a), sy * (1 - b))) for sx, sy, a, b in near_square],
+             self.SQ_OPTS),
+            (drift, [line.point((0.25 * k, y)) for k, y in enumerate(on_line)], self.LINE_OPTS),
+        )
+        for v, points, opts in cases:
+            for p, c in zip(points, _batch(v, points, opts)):
+                assert curves_identical(c, reference_integrate_max_curve(v, p, opts))
+
+    @pytest.mark.parametrize("case", ["square", "line"])
+    def test_residual_calls_bounded(self, case, monkeypatch):
+        if case == "square":
+            sq = square()
+            v, points, opts = rotation_field(sq), [sq.point(p) for p in self.CORNERS], self.SQ_OPTS
+        else:
+            line, v = _drift_off_line()
+            points = [line.point((0.5 * k, y)) for k, y in enumerate((-3e-5, -1e-5, 0.0, 2e-5))]
+            opts = self.LINE_OPTS
+        log = _instrument(monkeypatch)
+        _batch(v, points, opts)
+        assert max(log.exits) >= 2  # lanes that exit in the same round
+        # one scan per round, one call per chunk of levels, the base points
+        assert log.calls <= log.rounds + log.chunks + len(points)
+
+    def test_raise_on_a_state_the_walk_never_visits(self, monkeypatch):
+        sq = square()
+        v = rotation_field(sq)
+        points = [sq.point(p) for p in SQUARE_POINTS]
+        opts = IntegratorOptions(horizon=5.0)
+        want = [reference_integrate_max_curve(v, p, opts) for p in points]
+        log = _instrument(monkeypatch)
+        _batch(v, points, opts)
+        # a chunk holds the visited states and others
+        assert log.walk_states < log.chunk_states
+        monkeypatch.undo()
+        log = _instrument(monkeypatch, poison=min(log.chunk_states - log.walk_states))
+        got = _batch(v, points, opts)
+        assert log.raised >= 1
+        assert all(curves_identical(c, w) for c, w in zip(got, want))
+
+    def test_raise_on_a_visited_state_fails_that_point_alone(self, monkeypatch):
+        sq = square()
+        v = rotation_field(sq)
+        points = [sq.point(p) for p in SQUARE_POINTS]
+        opts = IntegratorOptions(horizon=5.0)
+        want = [reference_integrate_max_curve(v, p, opts) for p in points]
+        k = SQUARE_POINTS.index((0.9, 0.9))
+        log = _instrument(monkeypatch)
+        _batch(v, [points[k]], opts)  # the states its walks visit
+        monkeypatch.undo()
+        log = _instrument(monkeypatch, poison=max(log.walk_states))
+        got = _batch(v, points, opts)
+        assert log.raised >= 1
+        assert [isinstance(r, GuardViolation) for r in got] == [i == k for i in range(len(points))]
+        assert all(curves_identical(c, w) for i, (c, w) in enumerate(zip(got, want)) if i != k)
 
 
 class TestDiagnostics:
