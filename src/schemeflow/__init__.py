@@ -52,6 +52,7 @@ from .expr import (
 from .flow import (
     FlowDomain,
     FlowIdealPresentation,
+    MemoFlow,
     flow_domain,
     flow_eval,
     flow_ideal,

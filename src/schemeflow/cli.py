@@ -23,8 +23,9 @@ error (argparse's message), a malformed ``--point`` (a NaN coordinate
 included) or ``--box`` (a box axis needs finite bounds lo < hi), and an
 array too large for memory (such as a huge ``--grid``);
 2 check failed, input not on the scheme (a ``--point`` whose membership
-residual exceeds the tolerance, an overflow to inf included), a curve over
-its step limit or a Groebner basis over its degree cap; 3 groupoid refused
+residual exceeds the tolerance, an overflow to inf included), a ``--time``
+outside the curve's definition interval, a curve over its step limit or a
+Groebner basis over its degree cap; 3 groupoid refused
 (a sampled curve, or a curve the axiom sweep reads, is not horizon-complete).
 """
 
@@ -242,11 +243,7 @@ def cmd_check(args) -> int:
 
 def cmd_curve(args) -> int:
     sf = load_scheme(args.scheme, args.tol, args.horizon)
-    try:
-        point = _parse_point(args.point, sf.scheme)
-    except cring.PointNotOnScheme as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAILED
+    point = _parse_point(args.point, sf.scheme)
     curve = cv.integrate_max_curve(sf.field, point, sf.options)
     _write_out(cv.curve_to_csv(curve, samples=args.samples), args.out)
     print(
@@ -263,7 +260,7 @@ def cmd_domain(args) -> int:
     grid = cring.sample_zero_set(sf.scheme, box, args.grid)
     domain = fl.flow_domain(sf.field, grid, sf.options)
     _write_out(fl.domain_to_csv(domain), args.out)
-    report = fl.t_convexity_check(domain, opts=sf.options)
+    report = fl.t_convexity_check(domain)
     print(
         f"rows {len(domain.rows)}, t-convexity "
         + ("ok" if report.ok else f"VIOLATED ({len(report.violations)})"),
@@ -274,16 +271,8 @@ def cmd_domain(args) -> int:
 
 def cmd_flow(args) -> int:
     sf = load_scheme(args.scheme, args.tol, args.horizon)
-    try:
-        point = _parse_point(args.point, sf.scheme)
-    except cring.PointNotOnScheme as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAILED
-    try:
-        state = fl.flow_eval(sf.field, point, args.time, sf.options)
-    except cv.OutsideDefinitionInterval as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAILED
+    point = _parse_point(args.point, sf.scheme)
+    state = fl.flow_eval(sf.field, point, args.time, sf.options)
     _write_out(",".join(f"{x:.17g}" for x in state) + "\n", args.out)
     return EXIT_OK
 
@@ -296,19 +285,15 @@ def cmd_groupoid(args) -> int:
         time_span=min(3.0, sf.options.horizon / 2), box=box,
     )
     tol = args.tol if args.tol is not None else 1e-6
-    flow = gp.MemoFlow(sf.field, sf.options)
-    try:
-        report = gp.check_axioms(sf.field, arrows, tol=tol, opts=sf.options, flow=flow)
-    except gp.IncompleteFieldError as err:
-        print(f"refused: {err}", file=sys.stderr)
-        return EXIT_REFUSED
+    flow = fl.MemoFlow(sf.field, sf.options)
+    report = gp.check_axioms(flow, arrows, tol=tol)
     lines = [report.summary()]
     ok = report.passed
     if sf.flow_closed_form is not None:
         cf = fl.validate_closed_form(
-            sf.scheme, sf.field, sf.flow_closed_form,
+            flow, sf.flow_closed_form,
             [a.point for a in arrows[: min(10, len(arrows))]],
-            [-2.0, -0.5, 0.0, 0.5, 1.0, 2.0], sf.options, curves=flow.curve,
+            [-2.0, -0.5, 0.0, 0.5, 1.0, 2.0],
         )
         incl = gp.check_ideal_inclusions(sf.scheme, sf.flow_closed_form, arrows)
         lines += [
@@ -396,15 +381,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_ERROR if stop.code else EXIT_OK
     try:
         return args.fn(args)
-    except SchemeFileError as err:
+    except (SchemeFileError, ex.ExprError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
-    except (ex.ExprError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    except (cv.StepLimitExceeded, pr.DegreeCapExceeded) as err:
+    except (
+        cring.PointNotOnScheme,
+        cv.OutsideDefinitionInterval,
+        cv.StepLimitExceeded,
+        pr.DegreeCapExceeded,
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILED
+    except gp.IncompleteFieldError as err:
+        print(f"refused: {err}", file=sys.stderr)
+        return EXIT_REFUSED
     except MemoryError as err:  # numpy refuses an impossible array at once
         print(f"error: out of memory: {err}", file=sys.stderr)
         return EXIT_ERROR

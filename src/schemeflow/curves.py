@@ -202,8 +202,8 @@ class IntervalRecord:
     def is_singleton(self) -> bool:
         return self.lo == 0.0 and self.hi == 0.0
 
-    def contains(self, t: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= t <= self.hi + slack
+    def contains(self, t: float) -> bool:
+        return self.lo <= t <= self.hi
 
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10): stage s is

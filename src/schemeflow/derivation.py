@@ -75,6 +75,12 @@ class LiftedField:
         polys = tuple(ex.as_polynomial(a) for a in self.coeffs)
         return None if None in polys else polys
 
+    @functools.cached_property
+    def rhs(self) -> Callable[[Sequence[float]], np.ndarray]:
+        """The coefficients compiled by ``expr.as_callable`` (see ``lift``).
+        Compiled once per field."""
+        return ex.as_callable(self.coeffs)
+
     @classmethod
     def from_strings(
         cls, sources: Sequence[str], home: cring.SchemePresentation
@@ -96,8 +102,9 @@ def lift(field: LiftedField) -> Callable[[Sequence[float]], np.ndarray]:
     """Compiled coefficient evaluation, usable as an ODE right-hand side:
     a point to the (n,) array of coefficient values, or an (n, m) array
     holding m points as columns to the (n, m) array of their values, by
-    ``expr.as_callable`` of the coefficient tuple."""
-    return ex.as_callable(field.coeffs)
+    ``expr.as_callable`` of the coefficient tuple, compiled once per field
+    (``LiftedField.rhs``)."""
+    return field.rhs
 
 
 class GeneratorStatus(enum.Enum):

@@ -1,5 +1,6 @@
 """Flows assembled from maximal curves: the domain table, flow evaluation,
-and the presentation of the flow ideal over the extended variable list.
+the cached numeric flow and the closed forms checked against it, and the
+presentation of the flow ideal over the extended variable list.
 
 The flow domain is sampled as a table of (base point, definition interval)
 rows.  Its two structural facts are checked rather than assumed: slices are
@@ -8,7 +9,11 @@ trajectory at scaled times) and the unit section sits inside the domain.
 While each row's curve is integrated, the membership residuals at the times
 the t-convexity check probes are recorded on the row, so the check reads
 them instead of integrating the curve again; only those few numbers outlive
-the curve.
+the curve.  The table keeps the options its curves were integrated with,
+so a row the check integrates again gets the same curve.
+
+The numeric flow is a ``MemoFlow``, which holds the field, the options and
+the curves integrated so far; the checks that read a flow take it whole.
 
 The flow ideal over (x_1..x_n, t) carries two generator families: the base
 generators reindexed through the projection, and, when a closed-form flow
@@ -20,8 +25,9 @@ are not constructible in closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +39,7 @@ from . import expr as ex
 __all__ = [
     "FlowDomain",
     "DomainRow",
+    "MemoFlow",
     "FlowIdealPresentation",
     "ConvexityReport",
     "ClosedFormReport",
@@ -67,7 +74,7 @@ class FlowDomain:
     scheme: cring.SchemePresentation
     field: dv.LiftedField
     rows: tuple[DomainRow, ...]
-    horizon: float
+    opts: cv.IntegratorOptions  # those the rows' curves were integrated with
 
     @property
     def all_horizon_complete(self) -> bool:
@@ -99,18 +106,16 @@ def flow_domain(
             rows[i] = DomainRow(
                 grid[i], c.interval, c.classification, residuals=_probe_residuals(c, residual)
             )
-    return FlowDomain(scheme, field, tuple(rows), opts.horizon)
+    return FlowDomain(scheme, field, tuple(rows), opts)
 
 
-def _probe_times(
-    interval: cv.IntervalRecord, subdivisions: int = CONVEXITY_SUBDIVISIONS
-) -> list[tuple[float, float]]:
+def _probe_times(interval: cv.IntervalRecord) -> list[tuple[float, float]]:
     """(endpoint, a*endpoint) for each nonzero endpoint of ``interval`` and a
     uniform grid of a in [0, 1]: the times t_convexity_check probes."""
     return [
         (endpoint, float(a) * endpoint)
         for endpoint in sorted({interval.lo, interval.hi} - {0.0})
-        for a in np.linspace(0.0, 1.0, subdivisions)
+        for a in np.linspace(0.0, 1.0, CONVEXITY_SUBDIVISIONS)
     ]
 
 
@@ -162,32 +167,25 @@ class ConvexityReport:
         return not self.violations
 
 
-def t_convexity_check(
-    domain: FlowDomain,
-    subdivisions: int = CONVEXITY_SUBDIVISIONS,
-    opts: Optional[cv.IntegratorOptions] = None,
-) -> ConvexityReport:
+def t_convexity_check(domain: FlowDomain) -> ConvexityReport:
     """For every row and both interval endpoints, membership of the
     trajectory at a*t for a uniform grid of a in [0, 1]; slices of the
     domain are intervals, so honest tables report zero violations.
 
     Residuals the row recorded while its curve was integrated are read as
-    they are.  A row missing any probe time (other ``subdivisions``, bounds
-    altered after the fact, a hand-built row) has its curve integrated again
-    with ``opts``, all such rows in one batch; a time outside that curve is a
-    violation."""
-    opts = opts or cv.IntegratorOptions(horizon=domain.horizon)
-    scheme = domain.scheme
-    residual = scheme.residual_fn()
-    tol = 10.0 * scheme.eps_z
+    they are.  A row missing any probe time (bounds altered after the fact,
+    a hand-built row) has its curve integrated again with ``domain.opts``,
+    all such rows in one batch; a time outside that curve is a violation."""
+    tol = 10.0 * domain.scheme.eps_z
+    probes = {
+        i: _probe_times(row.interval) for i, row in enumerate(domain.rows) if row.error is None
+    }
     missing = {}
-    for i, row in enumerate(domain.rows):
-        if row.error is None:
-            times = _probe_times(row.interval, subdivisions)
-            gaps = [ta for _, ta in times if ta not in row.residuals]
-            if gaps:
-                missing[i] = gaps
-    recomputed = _recompute_residuals(domain, missing, opts, residual)
+    for i, times in probes.items():
+        gaps = [ta for _, ta in times if ta not in domain.rows[i].residuals]
+        if gaps:
+            missing[i] = gaps
+    recomputed = _recompute_residuals(domain, missing)
     violations = []
     checks = 0
     for i, row in enumerate(domain.rows):
@@ -196,7 +194,7 @@ def t_convexity_check(
                 ConvexityViolation(row.point, 0.0, 0.0, f"row error: {row.error}")
             )
             continue
-        times = _probe_times(row.interval, subdivisions)
+        times = probes[i]
         if not times:
             checks += 1
             continue
@@ -224,17 +222,18 @@ def t_convexity_check(
     return ConvexityReport(tuple(violations), checks)
 
 
-def _recompute_residuals(domain: FlowDomain, missing: dict, opts, residual) -> dict:
+def _recompute_residuals(domain: FlowDomain, missing: dict) -> dict:
     """Residuals at the probe times ``missing`` lists per row index, from
-    the rows' curves integrated again in one batch, each dropped once read.
-    Maps a row index to its residuals (a time outside the curve left out),
-    or to the exception integrating its curve raised."""
+    the rows' curves integrated again with ``domain.opts`` in one batch, each
+    dropped once read.  Maps a row index to its residuals (a time outside
+    the curve left out), or to the exception integrating its curve raised."""
     if not missing:
         return {}
+    residual = domain.scheme.residual_fn()
     index = list(missing)
     points = [domain.rows[i].point for i in index]
     out = {}
-    for j, curve in cv.integrate_max_curves(domain.field, points, opts):
+    for j, curve in cv.integrate_max_curves(domain.field, points, domain.opts):
         i = index[j]
         if isinstance(curve, Exception):
             out[i] = curve
@@ -278,7 +277,7 @@ def flow_columns(points, t) -> tuple[np.ndarray, np.ndarray, bool]:
 
 def closed_form_flow(scheme: cring.SchemePresentation, psi: Sequence[ex.SmoothExpr]):
     """Compile closed-form flow components over (x_1..x_n, t) into a flow
-    map with the batched protocol of ``groupoid.MemoFlow``: ``phi(point, t)``
+    map with the batched protocol of ``MemoFlow``: ``phi(point, t)``
     is the state (n,) at one point and time; ``phi(points, times)``, with an
     (n, m) array of points as columns and m times, gives their states as the
     columns of an (n, m) array (see ``flow_columns``).  The components are
@@ -296,36 +295,101 @@ def closed_form_flow(scheme: cring.SchemePresentation, psi: Sequence[ex.SmoothEx
     return phi
 
 
+class MemoFlow:
+    """The numeric flow of ``field`` integrated with ``opts``: the maximal
+    curves, one per base point, cached for the completeness gate, the axiom
+    sweep and closed-form validation; the same integrator and curve
+    evaluation as flow_eval.
+
+    A call follows the batched protocol of ``closed_form_flow``:
+    ``(point, t)`` gives the state (n,), and ``(points, times)``, with an
+    (n, m) array of points as columns and m times, gives their states as the
+    columns of an (n, m) array, each bit for bit the state its own call
+    gives.  The call integrates, in one lockstep batch, the curves of its
+    points that are not cached to at least its largest |t|, then reads each
+    distinct curve with one ``evaluate_curve`` call.  If several curves
+    raise, the first column's error is raised.
+
+    ``fill`` integrates many base points in one lockstep batch, to the
+    horizon or only to a ``reach`` (see ``curves.integrate_max_curves``),
+    and records per point the reach it was integrated to.  ``curve`` serves
+    only curves integrated to the horizon; a call serves any cached curve
+    that reaches its largest |t|.  A cached curve that falls short is
+    integrated again, so every value read is the one the curve integrated
+    to the horizon gives.  A point whose integration raises caches the
+    exception (an error beyond the reach is not seen), and each read of the
+    point raises it again."""
+
+    def __init__(self, field: dv.LiftedField, opts: cv.IntegratorOptions):
+        self.field = field
+        self.opts = opts
+        # base point -> (reach, curve or exception); reach inf: the horizon
+        self._curves: dict[tuple[float, ...], tuple[float, object]] = {}
+
+    def fill(self, keys: Sequence[tuple[float, ...]], reach: Optional[float] = None) -> None:
+        """Integrate, in one batch, the curves of the base points ``keys``
+        not cached yet at least to ``reach`` (None: to the horizon)."""
+        if reach is not None and not reach < self.opts.horizon:  # nan too
+            reach = None
+        need = math.inf if reach is None else reach
+        missing = [
+            k for k in dict.fromkeys(keys) if k not in self._curves or self._curves[k][0] < need
+        ]
+        if not missing:
+            return
+        points = [cring.SchemePoint(k) for k in missing]
+        for i, result in cv.integrate_max_curves(self.field, points, self.opts, reach=reach):
+            self._curves[missing[i]] = (need, result)
+
+    def _cached(self, coords: tuple[float, ...]) -> cv.IntegralCurve:
+        c = self._curves[coords][1]
+        if isinstance(c, Exception):
+            raise c
+        return c
+
+    def curve(self, coords: tuple[float, ...]) -> cv.IntegralCurve:
+        self.fill([coords])
+        return self._cached(coords)
+
+    def __call__(self, points, t) -> np.ndarray:
+        cols, times, single = flow_columns(points, t)
+        keys = [tuple(c) for c in cols.T.tolist()]
+        self.fill(keys, float(np.abs(times).max(initial=0.0)))
+        columns: dict[tuple[float, ...], list[int]] = {}
+        for j, k in enumerate(keys):
+            columns.setdefault(k, []).append(j)
+        states = np.empty(cols.shape)
+        for k, js in columns.items():
+            states[:, js] = cv.evaluate_curve(self._cached(k), times[js])
+        return states[:, 0] if single else states
+
+
 def validate_closed_form(
-    scheme: cring.SchemePresentation,
-    field: dv.LiftedField,
+    flow: MemoFlow,
     psi: Sequence[ex.SmoothExpr],
     points: Sequence[cring.SchemePoint],
     times: Sequence[float],
-    opts: cv.IntegratorOptions = cv.IntegratorOptions(),
     tol: float = 1e-6,
-    curves: Optional[Callable[[tuple[float, ...]], cv.IntegralCurve]] = None,
 ) -> ClosedFormReport:
     """Compare a claimed closed-form flow against the numeric flow on a
     sample; the closed form is never reconstructed, only validated.
 
-    ``curves``, when given, maps a point's coordinates to its maximal curve
-    (already integrated with ``opts``); otherwise the points' curves are
-    integrated here, in one batch."""
-    phi = closed_form_flow(scheme, psi)
+    The points' curves are read from ``flow``, which integrates those it
+    does not hold yet in one batch.  Each curve is compared at the times
+    it is defined at (``IntegralCurve.defined_at``); the first point whose
+    integration raised raises."""
+    phi = closed_form_flow(flow.field.home, psi)
     points = list(points)
-    if curves is None:
-        batch = dict(cv.integrate_max_curves(field, points, opts))
+    flow.fill([p.coords for p in points])
+    times = np.array(times, dtype=float)
     worst = 0.0
     count = 0
-    for i, p in enumerate(points):
-        curve = curves(p.coords) if curves is not None else batch[i]
-        if isinstance(curve, Exception):
-            raise curve
-        inside = [t for t in times if curve.interval.contains(t, 1e-12 * max(1.0, abs(t)))]
-        if inside:
-            num = cv.evaluate_curve(curve, np.array(inside))
-            sym = phi(p.coords, np.array(inside))
+    for p in points:
+        curve = flow.curve(p.coords)
+        inside = times[curve.defined_at(times)]
+        if len(inside):
+            num = cv.evaluate_curve(curve, inside)
+            sym = phi(p.coords, inside)
             # Python's max: a NaN deviation never becomes the worst
             worst = max([worst, *np.abs(num - sym).max(axis=0).tolist()])
             count += len(inside)

@@ -8,6 +8,11 @@ flow image.  All of the axioms are checked numerically on sampled arrows;
 the two pullback identities relating composition to the projections are
 checked pointwise on composable pairs when a closed-form flow is available.
 
+The flow is passed whole.  The structure maps read any flow map with the
+batched protocol of ``flow.MemoFlow``, such as ``flow.closed_form_flow``;
+``check_axioms`` takes the ``MemoFlow`` itself, which holds the field, the
+integrator options and the curves already integrated.
+
 Fields whose sampled curves stop before the horizon are refused outright:
 the construction needs all of them complete.  So is a sweep that reads a
 curve through a target outside that curve's interval.
@@ -15,7 +20,6 @@ curve through a target outside that curve's interval.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -24,13 +28,11 @@ import numpy as np
 
 from . import cring
 from . import curves as cv
-from . import derivation as dv
 from . import expr as ex
 from . import flow as fl
 
 __all__ = [
     "Arrow",
-    "MemoFlow",
     "GroupoidReport",
     "IdealInclusionReport",
     "IncompleteFieldError",
@@ -66,91 +68,17 @@ class Arrow:
     t: float
 
 
-# A flow map with the batched protocol of MemoFlow and flow.closed_form_flow:
+# A flow map with the batched protocol of flow.MemoFlow and flow.closed_form_flow:
 # (point, t) -> (n,) state, or ((n, m) points as columns, m times) -> (n, m).
 FlowFn = Callable[[Sequence[float], float], np.ndarray]
-
-
-class MemoFlow:
-    """Flow evaluation through the maximal curves with one curve per base
-    point; the same integrator and curve evaluation as flow_eval, cached for
-    the completeness gate, the axiom sweep and closed-form validation.
-
-    A call follows the batched protocol of ``flow.closed_form_flow``:
-    ``(point, t)`` gives the state (n,), and ``(points, times)``, with an
-    (n, m) array of points as columns and m times, gives their states as the
-    columns of an (n, m) array, each bit for bit the state its own call
-    gives.  The call integrates, in one lockstep batch, the curves of its
-    points that are not cached to at least its largest |t|, then reads each
-    distinct curve with one ``evaluate_curve`` call.  If several curves
-    raise, the first column's error is raised.
-
-    ``fill`` integrates many base points in one lockstep batch, to the
-    horizon or only to a ``reach`` (see ``curves.integrate_max_curves``),
-    and records per point the reach it was integrated to.  ``curve`` serves
-    only curves integrated to the horizon; a call serves any cached curve
-    that reaches its largest |t|.  A cached curve that falls short is
-    integrated again, so every value read is the one the curve integrated
-    to the horizon gives.  A point whose integration raises caches the
-    exception (an error beyond the reach is not seen), and each read of the
-    point raises it again."""
-
-    def __init__(self, field: dv.LiftedField, opts: cv.IntegratorOptions):
-        self.field = field
-        self.opts = opts
-        # base point -> (reach, curve or exception); reach inf: the horizon
-        self._curves: dict[tuple[float, ...], tuple[float, object]] = {}
-
-    def fill(self, keys: Sequence[tuple[float, ...]], reach: Optional[float] = None) -> None:
-        """Integrate, in one batch, the curves of the base points ``keys``
-        not cached yet at least to ``reach`` (None: to the horizon)."""
-        if reach is not None and not reach < self.opts.horizon:  # nan too
-            reach = None
-        need = math.inf if reach is None else reach
-        missing = [
-            k for k in dict.fromkeys(keys) if k not in self._curves or self._curves[k][0] < need
-        ]
-        if not missing:
-            return
-        points = [cring.SchemePoint(k) for k in missing]
-        for i, result in cv.integrate_max_curves(self.field, points, self.opts, reach=reach):
-            self._curves[missing[i]] = (need, result)
-
-    def _cached(self, coords: tuple[float, ...]) -> cv.IntegralCurve:
-        c = self._curves[coords][1]
-        if isinstance(c, Exception):
-            raise c
-        return c
-
-    def curve(self, coords: tuple[float, ...]) -> cv.IntegralCurve:
-        self.fill([coords])
-        return self._cached(coords)
-
-    def __call__(self, points, t) -> np.ndarray:
-        cols, times, single = fl.flow_columns(points, t)
-        keys = [tuple(c) for c in cols.T.tolist()]
-        self.fill(keys, float(np.abs(times).max(initial=0.0)))
-        columns: dict[tuple[float, ...], list[int]] = {}
-        for j, k in enumerate(keys):
-            columns.setdefault(k, []).append(j)
-        states = np.empty(cols.shape)
-        for k, js in columns.items():
-            states[:, js] = cv.evaluate_curve(self._cached(k), times[js])
-        return states[:, 0] if single else states
 
 
 def source(arrow: Arrow) -> cring.SchemePoint:
     return arrow.point
 
 
-def target(
-    arrow: Arrow,
-    field: dv.LiftedField,
-    opts: cv.IntegratorOptions = cv.IntegratorOptions(),
-    flow: Optional[FlowFn] = None,
-) -> np.ndarray:
-    phi = flow or MemoFlow(field, opts)
-    return phi(arrow.point.coords, arrow.t)
+def target(arrow: Arrow, flow: FlowFn) -> np.ndarray:
+    return flow(arrow.point.coords, arrow.t)
 
 
 def unit(point: cring.SchemePoint) -> Arrow:
@@ -158,31 +86,19 @@ def unit(point: cring.SchemePoint) -> Arrow:
 
 
 def compose(
-    a2: Arrow,
-    a1: Arrow,
-    field: dv.LiftedField,
-    opts: cv.IntegratorOptions = cv.IntegratorOptions(),
-    flow: Optional[FlowFn] = None,
-    tol: float = DEFAULT_COMPOSABILITY_TOL,
+    a2: Arrow, a1: Arrow, flow: FlowFn, tol: float = DEFAULT_COMPOSABILITY_TOL
 ) -> Arrow:
     """(q, t2) after (p, t1) requires q to match the flow of (p, t1); the
     composite rides the first arrow's base point for the summed time."""
-    phi = flow or MemoFlow(field, opts)
-    reached = phi(a1.point.coords, a1.t)
+    reached = flow(a1.point.coords, a1.t)
     residual = float(np.max(np.abs(reached - np.array(a2.point.coords))))
     if residual > tol:
         raise NonComposableError(residual)
     return Arrow(a1.point, a1.t + a2.t)
 
 
-def inverse(
-    a: Arrow,
-    field: dv.LiftedField,
-    opts: cv.IntegratorOptions = cv.IntegratorOptions(),
-    flow: Optional[FlowFn] = None,
-) -> Arrow:
-    phi = flow or MemoFlow(field, opts)
-    reached = phi(a.point.coords, a.t)
+def inverse(a: Arrow, flow: FlowFn) -> Arrow:
+    reached = flow(a.point.coords, a.t)
     endpoint = cring.SchemePoint(tuple(float(c) for c in reached))
     return Arrow(endpoint, -a.t)
 
@@ -244,7 +160,7 @@ def _refusal(curve: cv.IntegralCurve, state: str) -> IncompleteFieldError:
     )
 
 
-def _completeness_gate(memo: MemoFlow, arrows) -> None:
+def _completeness_gate(memo: fl.MemoFlow, arrows) -> None:
     memo.fill([_key(a.point.coords) for a in arrows])
     for a in arrows:
         curve = memo.curve(_key(a.point.coords))
@@ -253,11 +169,10 @@ def _completeness_gate(memo: MemoFlow, arrows) -> None:
 
 
 def check_axioms(
-    field: dv.LiftedField,
+    flow: fl.MemoFlow,
     arrows: Sequence[Arrow],
     tol: float = 1e-6,
-    opts: cv.IntegratorOptions = cv.IntegratorOptions(),
-    flow: Optional[FlowFn] = None,
+    phi: Optional[FlowFn] = None,
 ) -> GroupoidReport:
     """Max residuals over the sampled arrows for: the flow law, source and
     target of composites, associativity, unit laws, and inverse laws.
@@ -265,12 +180,12 @@ def check_axioms(
     Arrow i is paired with arrows i + 1 and i + 2 (cyclically): with p its
     source, t1, t2, t3 their times, q1 = phi(p, t1) and q12 = phi(q1, t2),
     a composite rides p for the summed time, the unit at q is (q, 0) and
-    the inverse of (p, t1) is (q1, -t1).  The flow ``flow`` (a MemoFlow by
-    default) is read in three batched calls, or waves: the sources at t1,
-    t1 + t2, (t1 + t2) + t3, t1 + 0, 0 + t1 and t1 + (-t1); the targets q1
-    at t2, -t1 + t1 and -t1; and the targets' targets q12 at t3.  Each
-    residual is then one array expression over all arrows.  Four are
-    identities of the construction, which a composite meets by how it is
+    the inverse of (p, t1) is (q1, -t1).  The flow ``flow`` (or ``phi``, a
+    closed form, when given) is read in three batched calls, or waves: the
+    sources at t1, t1 + t2, (t1 + t2) + t3, t1 + 0, 0 + t1 and t1 + (-t1);
+    the targets q1 at t2, -t1 + t1 and -t1; and the targets' targets q12 at
+    t3.  Each residual is then one array expression over all arrows.  Four
+    are identities of the construction, which a composite meets by how it is
     built: source_of_composite, unit_left, unit_right and inverse_left;
     target_of_composite is flow_law by definition.  flow_law, associativity
     and inverse_right (phi(q1, -t1) against p) measure the flow itself.
@@ -278,8 +193,8 @@ def check_axioms(
     Refuses with IncompleteFieldError if any sampled base point's curve is
     not horizon-complete, mirroring the completeness hypothesis, and if the
     sweep reads a curve (a target's) at a time outside its interval.  The gate
-    integrates the sources' curves to the horizon; a MemoFlow passed as
-    ``flow`` holds them afterwards, so callers can reuse them.  A MemoFlow
+    integrates the sources' curves to the horizon in ``flow``, which holds
+    them afterwards, so callers can reuse them.  Without ``phi``, ``flow``
     integrates the curves of each later wave in one batch, only to the
     largest |t| of the arrows, as far as the sweep reads them.  An error
     from integrating a curve surfaces in wave order: sources, then targets,
@@ -287,9 +202,8 @@ def check_axioms(
     """
     if not arrows:
         raise ValueError("need at least one arrow")
-    memo = flow if isinstance(flow, MemoFlow) else MemoFlow(field, opts)
-    _completeness_gate(memo, arrows)
-    phi = flow or memo
+    _completeness_gate(flow, arrows)
+    phi = flow if phi is None else phi
 
     p = np.array([a.point.coords for a in arrows], dtype=float).T  # sources as columns
     t1 = np.array([a.t for a in arrows], dtype=float)
@@ -360,7 +274,7 @@ def check_ideal_inclusions(
     t2 = np.roll(t1, -1)  # arrow i's second factor takes arrow i + 1's time
     targets = phi(sources, t1)
     composites = [
-        compose(Arrow(cring.SchemePoint(tuple(q)), t), a1, None, flow=phi)
+        compose(Arrow(cring.SchemePoint(tuple(q)), t), a1, phi)
         for a1, q, t in zip(arrows, targets.T.tolist(), t2.tolist())
     ]
     anchors = np.reshape([m.point.coords for m in composites], (-1, n)).T

@@ -587,10 +587,11 @@ def curves_identical(a, b) -> bool:
 class IntegrationLog:
     """The base points ``curves.integrate_max_curves`` is asked for, one list
     per call (``integrate_max_curve`` is a call with one point), and the
-    ``reach`` of each call."""
+    options and ``reach`` of each call."""
 
     def __init__(self):
         self.batches: list[list[tuple]] = []
+        self.options: list[cv.IntegratorOptions] = []
         self.reaches: list = []
 
     @property
@@ -605,6 +606,7 @@ def count_integrations(monkeypatch) -> IntegrationLog:
     def counting(field, points, opts=cv.IntegratorOptions(), reach=None):
         points = list(points)
         log.batches.append([p.coords for p in points])
+        log.options.append(opts)
         log.reaches.append(reach)
         return real(field, points, opts, reach)
 

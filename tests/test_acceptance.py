@@ -37,6 +37,7 @@ from schemeflow.expr import (
     var,
 )
 from schemeflow.flow import (
+    MemoFlow,
     closed_form_flow,
     flow_domain,
     scale_row_bounds,
@@ -245,19 +246,19 @@ def test_criterion_7_flow_domain_structure():
     line = thickened_line()
     lgrid = sample_zero_set(line, ((-3, 3), (-1, 1)), 25)
     ldom = flow_domain(shear_field(line), lgrid, OPTS)
-    lrep = t_convexity_check(ldom, 11, OPTS)
+    lrep = t_convexity_check(ldom)
 
     sq = square()
     sgrid = sample_zero_set(sq, ((-1, 1), (-1, 1)), 5)  # 25 interior points
     sgrid = sgrid + [sq.point((0.9, 0.9)), sq.point((1.0, 1.0))]
     sdom = flow_domain(rotation_field(sq), sgrid, OPTS)
-    srep = t_convexity_check(sdom, 11, OPTS)
+    srep = t_convexity_check(sdom)
 
     chord_index = next(
         i for i, row in enumerate(sdom.rows) if row.point.coords == (0.9, 0.9)
     )
     faulted = scale_row_bounds(sdom, chord_index, 1.1)
-    frep = t_convexity_check(faulted, 11, OPTS)
+    frep = t_convexity_check(faulted)
 
     ok = (
         len(ldom.rows) >= 25
@@ -281,10 +282,10 @@ def test_criterion_8_groupoid_suite():
     v = shear_field(line)
     arrows = sample_arrows(line, 100, seed=0, box=((-3, 3), (-1, 1)))
 
-    numeric = check_axioms(v, arrows, tol=1e-6, opts=OPTS)
+    numeric = check_axioms(MemoFlow(v, OPTS), arrows, tol=1e-6)
     psi = (parse_expr("x + t", XYT), parse_expr("y*exp(t)", XYT))
     closed = check_axioms(
-        v, arrows, tol=1e-12, opts=OPTS, flow=closed_form_flow(line, psi)
+        MemoFlow(v, OPTS), arrows, tol=1e-12, phi=closed_form_flow(line, psi)
     )
     incl = check_ideal_inclusions(line, psi, arrows, tol=1e-9)
 

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from schemeflow import expr as ex
 from schemeflow import polyring as pr
 from schemeflow.cli import (
     EXIT_ERROR,
@@ -341,6 +342,22 @@ class TestGroupoidCommand:
         (line,) = captured.err.splitlines()
         assert line.startswith("refused: curve through (")
         assert " outside [" in line and line.endswith("requires horizon-complete curves")
+
+    def test_field_compiled_once_per_job(self, monkeypatch):
+        # the completeness gate and both sweep waves integrate curves; they
+        # share one compiled right-hand side
+        compiled = []
+        real = ex.as_callable
+
+        def counting(e):
+            compiled.append(e)
+            return real(e)
+
+        monkeypatch.setattr(ex, "as_callable", counting)
+        argv = ["groupoid", "--scheme", SPHERE_PATH, "--samples", "3", "--seed", "5"]
+        assert main(argv) == EXIT_OK
+        coeffs = load_scheme(SPHERE_PATH).field.coeffs
+        assert sum(e == coeffs for e in compiled) == 1
 
 
 class TestValidateCommand:

@@ -8,6 +8,7 @@ from schemeflow.cring import sample_zero_set
 from schemeflow.curves import CurveClass, IntegratorOptions, integrate_max_curve, evaluate_curve
 from schemeflow.expr import GuardViolation, evaluate, parse_expr
 from schemeflow.flow import (
+    MemoFlow,
     _probe_residuals,
     closed_form_flow,
     domain_to_csv,
@@ -115,18 +116,18 @@ class TestFlowEval:
 class TestTConvexity:
     def test_line_domain_clean(self):
         _, _, W = line_domain()
-        report = t_convexity_check(W, 11, OPTS)
+        report = t_convexity_check(W)
         assert report.ok and report.checks > 0
 
     def test_square_domain_clean(self):
         _, _, W = square_domain()
-        report = t_convexity_check(W, 11, OPTS)
+        report = t_convexity_check(W)
         assert report.ok
 
     def test_fault_injection_detected(self):
         _, _, W = square_domain()
         bad = scale_row_bounds(W, 3, 1.1)  # inflate the (0.9, 0.9) chord row
-        report = t_convexity_check(bad, 11, OPTS)
+        report = t_convexity_check(bad)
         assert not report.ok
         assert any(v.point.coords == (0.9, 0.9) for v in report.violations)
 
@@ -138,7 +139,7 @@ class TestTConvexity:
             probes = {a * e for e in endpoints for a in np.linspace(0.0, 1.0, 11)}
             assert row.residuals.keys() == probes
         log = count_integrations(monkeypatch)
-        assert t_convexity_check(W, 11, OPTS).ok
+        assert t_convexity_check(W).ok
         assert log.points == []
 
     def test_recorded_residuals_are_those_of_each_state(self):
@@ -169,31 +170,35 @@ class TestTConvexity:
         _, _, W = square_domain()
         bare = replace(W, rows=tuple(replace(r, residuals={}) for r in W.rows))
         log = count_integrations(monkeypatch)
-        assert t_convexity_check(bare, 11, OPTS) == t_convexity_check(W, 11, OPTS)
+        assert t_convexity_check(bare) == t_convexity_check(W)
         non_singleton = [r for r in W.rows if {r.interval.lo, r.interval.hi} - {0.0}]
         assert len(log.points) == len(non_singleton)
         assert len(log.batches) == 1
         # and the fault is found the same way
-        report = t_convexity_check(scale_row_bounds(bare, 3, 1.1), 11, OPTS)
+        report = t_convexity_check(scale_row_bounds(bare, 3, 1.1))
         assert any(v.point.coords == (0.9, 0.9) for v in report.violations)
 
-    def test_other_subdivisions_integrate_again(self, monkeypatch):
-        _, _, W = square_domain()
+    def test_rows_integrate_again_with_the_domain_options(self, monkeypatch):
+        sq = square()
+        opts = IntegratorOptions(rel_tol=1e-6, abs_tol=1e-8, horizon=5.0)
+        grid = [sq.point(c) for c in [(0.0, 0.0), (0.5, 0.5), (0.9, 0.9)]]
+        W = flow_domain(rotation_field(sq), grid, opts)
+        assert W.opts == opts
+        bare = replace(W, rows=tuple(replace(r, residuals={}) for r in W.rows))
         log = count_integrations(monkeypatch)
-        report = t_convexity_check(W, 7, OPTS)
-        assert report.ok and report.checks > 0
-        non_singleton = [r for r in W.rows if {r.interval.lo, r.interval.hi} - {0.0}]
-        assert len(log.points) == len(non_singleton)
-        assert len(log.batches) == 1
+        assert t_convexity_check(bare) == t_convexity_check(W)
+        assert log.options == [opts]
 
 
 class TestClosedForm:
     PSI = (parse_expr("x + t", XYT), parse_expr("y*exp(t)", XYT))
 
     def test_validate_against_numeric_flow(self):
-        line, field, W = line_domain(9)
+        _, field, W = line_domain(9)
         pts = [row.point for row in W.rows]
-        rep = validate_closed_form(line, field, self.PSI, pts, [-5.0, -1.0, 0.0, 2.0, 5.0], OPTS)
+        rep = validate_closed_form(
+            MemoFlow(field, OPTS), self.PSI, pts, [-5.0, -1.0, 0.0, 2.0, 5.0]
+        )
         assert rep.ok and rep.max_deviation <= 1e-6
 
     def test_flow_map_callable(self):
@@ -202,24 +207,25 @@ class TestClosedForm:
         assert np.allclose(phi((1.0, 0.0), 2.0), [3.0, 0.0])
         assert np.allclose(phi((0.0, 2.0), 1.0), [1.0, 2.0 * math.e])
 
-    def test_curve_source_replaces_integration(self, monkeypatch):
-        line, field, W = line_domain(9)
+    def test_memo_curves_serve_validation(self, monkeypatch):
+        # a flow that holds the points' curves integrates nothing; a fresh
+        # one integrates every point in one batch, to the same report
+        _, field, W = line_domain(9)
         pts = [row.point for row in W.rows]
         times = [-5.0, -1.0, 0.0, 2.0, 5.0]
-        stored = {p.coords: integrate_max_curve(field, p, OPTS) for p in pts}
+        filled = MemoFlow(field, OPTS)
+        filled.fill([p.coords for p in pts])
         log = count_integrations(monkeypatch)
-        with_source = validate_closed_form(
-            line, field, self.PSI, pts, times, OPTS, curves=stored.__getitem__
-        )
+        with_curves = validate_closed_form(filled, self.PSI, pts, times)
         assert log.points == []
-        without = validate_closed_form(line, field, self.PSI, pts, times, OPTS)
+        fresh = validate_closed_form(MemoFlow(field, OPTS), self.PSI, pts, times)
         assert len(log.points) == len(pts) and len(log.batches) == 1
-        assert with_source == without
+        assert with_curves == fresh
 
     def test_broken_form_flagged(self):
-        line, field, W = line_domain(9)
+        _, field, W = line_domain(9)
         bad = (parse_expr("x + t + t^2/10", XYT), parse_expr("y*exp(t)", XYT))
-        rep = validate_closed_form(line, field, bad, [row.point for row in W.rows], [1.0, 3.0], OPTS)
+        rep = validate_closed_form(MemoFlow(field, OPTS), bad, [row.point for row in W.rows], [1.0, 3.0])
         assert not rep.ok
 
 

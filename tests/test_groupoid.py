@@ -13,11 +13,10 @@ from schemeflow.cring import SchemePoint, SchemePresentation, sample_zero_set
 from schemeflow.curves import CurveClass, IntegratorOptions, integrate_max_curve
 from schemeflow.derivation import LiftedField
 from schemeflow.expr import GuardViolation, SmoothExpr, VarList, const, parse_expr
-from schemeflow.flow import closed_form_flow
+from schemeflow.flow import MemoFlow, closed_form_flow
 from schemeflow.groupoid import (
     Arrow,
     IncompleteFieldError,
-    MemoFlow,
     NonComposableError,
     check_axioms,
     check_ideal_inclusions,
@@ -92,12 +91,12 @@ class TestStructureMaps:
         line, v = line_setup()
         a = Arrow(line.point((1.0, 0.0)), 2.0)
         assert source(a).coords == (1.0, 0.0)
-        assert np.allclose(target(a, v, OPTS), [3.0, 0.0], atol=1e-9)
+        assert np.allclose(target(a, MemoFlow(v, OPTS)), [3.0, 0.0], atol=1e-9)
 
     def test_zero_time_target_is_source(self):
         line, v = line_setup()
         a = Arrow(line.point((4.0, 0.0)), 0.0)
-        assert tuple(target(a, v, OPTS)) == (4.0, 0.0)
+        assert tuple(target(a, MemoFlow(v, OPTS))) == (4.0, 0.0)
 
     def test_corner_arrow_has_no_target(self):
         from schemeflow.curves import OutsideDefinitionInterval
@@ -105,20 +104,21 @@ class TestStructureMaps:
         sq = square()
         a = Arrow(sq.point((1.0, 1.0)), 0.3)
         with pytest.raises(OutsideDefinitionInterval):
-            target(a, rotation_field(sq), OPTS)
+            target(a, MemoFlow(rotation_field(sq), OPTS))
 
     def test_compose_adds_times_on_first_base(self):
         line, v = line_setup()
         a1 = Arrow(line.point((1.0, 0.0)), 2.0)
         a2 = Arrow(line.point((3.0, 0.0)), 5.0)
-        m = compose(a2, a1, v, OPTS)
+        flow = MemoFlow(v, OPTS)
+        m = compose(a2, a1, flow)
         assert m.point.coords == (1.0, 0.0) and m.t == 7.0
-        assert np.allclose(target(m, v, OPTS), [8.0, 0.0], atol=1e-8)
+        assert np.allclose(target(m, flow), [8.0, 0.0], atol=1e-8)
 
     def test_compose_with_unit_is_identity(self):
         line, v = line_setup()
         a = Arrow(line.point((1.0, 0.0)), 2.0)
-        m = compose(a, unit(a.point), v, OPTS)
+        m = compose(a, unit(a.point), MemoFlow(v, OPTS))
         assert m.point.coords == a.point.coords and m.t == a.t
 
     def test_non_composable_rejected(self):
@@ -126,7 +126,7 @@ class TestStructureMaps:
         a1 = Arrow(line.point((1.0, 0.0)), 2.0)
         a2 = Arrow(line.point((9.0, 0.0)), 1.0)
         with pytest.raises(NonComposableError):
-            compose(a2, a1, v, OPTS)
+            compose(a2, a1, MemoFlow(v, OPTS))
 
     def test_unit_shape(self):
         line, _ = line_setup()
@@ -136,16 +136,17 @@ class TestStructureMaps:
     def test_inverse_anchors_negated_time_at_target(self):
         line, v = line_setup()
         a = Arrow(line.point((1.0, 0.0)), 2.0)
-        inv = inverse(a, v, OPTS)
+        flow = MemoFlow(v, OPTS)
+        inv = inverse(a, flow)
         assert np.allclose(inv.point.coords, (3.0, 0.0), atol=1e-9)
         assert inv.t == -2.0
-        back = compose(inv, a, v, OPTS)
+        back = compose(inv, a, flow)
         assert back.t == 0.0 and back.point.coords == (1.0, 0.0)
 
     def test_inverse_of_unit_is_unit(self):
         line, v = line_setup()
         u = unit(line.point((2.0, 0.0)))
-        assert inverse(u, v, OPTS) == u
+        assert inverse(u, MemoFlow(v, OPTS)) == u
 
 
 class TestSampleArrows:
@@ -165,14 +166,14 @@ class TestSampleArrows:
         line, v = line_setup()
         assert sample_arrows(line, count, box=LINE_BOX) == []
         with pytest.raises(ValueError, match="need at least one arrow"):
-            check_axioms(v, sample_arrows(line, count, box=LINE_BOX), opts=OPTS)
+            check_axioms(MemoFlow(v, OPTS), sample_arrows(line, count, box=LINE_BOX))
 
 
 class TestAxioms:
     def test_numeric_flow_passes(self):
         line, v = line_setup()
         arrows = sample_arrows(line, 100, seed=0, box=LINE_BOX)
-        report = check_axioms(v, arrows, tol=1e-6, opts=OPTS)
+        report = check_axioms(MemoFlow(v, OPTS), arrows, tol=1e-6)
         assert report.passed
         assert max(report.residuals.values()) <= 1e-6
 
@@ -180,13 +181,13 @@ class TestAxioms:
         line, v = line_setup()
         arrows = sample_arrows(line, 100, seed=0, box=LINE_BOX)
         phi = closed_form_flow(line, PSI)
-        report = check_axioms(v, arrows, tol=1e-12, opts=OPTS, flow=phi)
+        report = check_axioms(MemoFlow(v, OPTS), arrows, tol=1e-12, phi=phi)
         assert report.passed
 
     def test_unit_arrows_have_zero_residuals(self):
         line, v = line_setup()
         arrows = [unit(line.point((float(k), 0.0))) for k in range(-2, 3)]
-        report = check_axioms(v, arrows, tol=1e-12, opts=OPTS)
+        report = check_axioms(MemoFlow(v, OPTS), arrows, tol=1e-12)
         assert report.passed
         assert max(report.residuals.values()) == 0.0
 
@@ -198,7 +199,7 @@ class TestAxioms:
             parse_expr("y*exp(t)", XYT),
         )
         bad_phi = closed_form_flow(line, bad_psi)
-        report = check_axioms(v, arrows, tol=1e-6, opts=OPTS, flow=bad_phi)
+        report = check_axioms(MemoFlow(v, OPTS), arrows, tol=1e-6, phi=bad_phi)
         assert not report.passed
         assert report.residuals["flow_law"] > 1e-6
         # the inverse of (p, t) flows back to p + t^2/50, not to p
@@ -208,13 +209,14 @@ class TestAxioms:
         sq = square()
         arrows = sample_arrows(sq, 10, seed=0, box=((-2, 2), (-2, 2)), resolution=9)
         with pytest.raises(IncompleteFieldError):
-            check_axioms(rotation_field(sq), arrows, opts=OPTS)
+            check_axioms(MemoFlow(rotation_field(sq), OPTS), arrows)
 
     def test_each_base_point_integrated_once(self, monkeypatch):
         line, v = line_setup()
         arrows = sample_arrows(line, 12, seed=3, box=LINE_BOX)
+        memo = MemoFlow(v, OPTS)
         log = count_integrations(monkeypatch)
-        assert check_axioms(v, arrows, opts=OPTS).passed
+        assert check_axioms(memo, arrows).passed
         calls = Counter(log.points)
         assert max(calls.values()) == 1
         assert {a.point.coords for a in arrows} <= set(calls)
@@ -222,9 +224,7 @@ class TestAxioms:
         # the targets' targets only as far as the sweep reads them
         assert len(log.batches) == 3
         assert log.reaches == [None] + 2 * [max(abs(a.t) for a in arrows)]
-        # a MemoFlow passed in keeps the gate's curves for the caller
-        memo = MemoFlow(v, OPTS)
-        check_axioms(v, arrows, opts=OPTS, flow=memo)
+        # the flow keeps the gate's curves for the caller
         before = len(log.points)
         for a in arrows:
             memo.curve(a.point.coords)
@@ -248,7 +248,7 @@ class TestAxioms:
         origin = line.point((0.0, 0.0))
         arrows = [Arrow(origin, 1.0), Arrow(origin, 3.0), Arrow(origin, 0.5)]
         with pytest.raises(GuardViolation) as swept:
-            check_axioms(v, arrows, opts=opts)
+            check_axioms(MemoFlow(v, opts), arrows)
         memo = MemoFlow(v, opts)
         q1 = memo((0.0, 0.0), 3.0)
         assert abs(q1[0] - 3.0) <= 1e-9
@@ -269,20 +269,20 @@ class TestAxioms:
         arrows = sample_arrows(line, 6, seed=5, box=LINE_BOX)
         memo = MemoFlow(v, OPTS)
         log = count_integrations(monkeypatch)
-        assert check_axioms(v, arrows, opts=OPTS, flow=memo).passed
-        targets = [Arrow(inverse(a, v, OPTS, flow=memo).point, a.t) for a in arrows]
+        assert check_axioms(memo, arrows).passed
+        targets = [Arrow(inverse(a, memo).point, a.t) for a in arrows]
         keys = {a.point.coords for a in targets}
         assert keys <= set(log.batches[1]) and log.reaches[1] == max(abs(a.t) for a in arrows)
         gated = []
-        real = gp.MemoFlow.curve
+        real = MemoFlow.curve
 
         def recording(self, coords):
             gated.append(real(self, coords))
             return gated[-1]
 
-        monkeypatch.setattr(gp.MemoFlow, "curve", recording)
+        monkeypatch.setattr(MemoFlow, "curve", recording)
         first = len(log.batches)
-        assert check_axioms(v, targets, opts=OPTS, flow=memo).passed
+        assert check_axioms(memo, targets).passed
         # the short curves are integrated again, to the horizon, for the gate
         assert set(log.batches[first]) == keys and log.reaches[first] is None
         assert len(gated) == len(targets)
@@ -365,7 +365,7 @@ class TestBatchedFlow:
             return real(curve, t)
 
         monkeypatch.setattr(cv, "evaluate_curve", logging)
-        assert check_axioms(v, arrows, opts=OPTS, flow=memo).passed
+        assert check_axioms(memo, arrows).passed
         swept = list(read)
         n = len(arrows)
         q1 = [tuple(memo(a.point.coords, a.t).tolist()) for a in arrows]

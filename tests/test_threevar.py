@@ -15,7 +15,7 @@ from schemeflow.curves import (
 )
 from schemeflow.derivation import LiftedField, preserves_ideal
 from schemeflow.expr import VarList, parse_expr
-from schemeflow.flow import flow_domain, t_convexity_check
+from schemeflow.flow import MemoFlow, flow_domain, t_convexity_check
 from schemeflow.groupoid import check_axioms, sample_arrows
 
 XYZ = VarList(("x", "y", "z"))
@@ -57,7 +57,7 @@ class TestThreeVariablePlane:
         assert all(abs(p.coords[2]) <= 1e-4 for p in pts)
         dom = flow_domain(drift_field(scheme), pts, OPTS)
         assert dom.all_horizon_complete
-        assert t_convexity_check(dom, 7, OPTS).ok
+        assert t_convexity_check(dom).ok
 
     def test_groupoid_passes(self):
         scheme = plane_scheme()
@@ -65,7 +65,7 @@ class TestThreeVariablePlane:
             scheme, 30, seed=0, time_span=2.0,
             box=((-1, 1), (-1, 1), (-1, 1)), resolution=3,
         )
-        report = check_axioms(drift_field(scheme), arrows, tol=1e-6, opts=OPTS)
+        report = check_axioms(MemoFlow(drift_field(scheme), OPTS), arrows, tol=1e-6)
         assert report.passed
 
 
