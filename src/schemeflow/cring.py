@@ -98,17 +98,29 @@ class SchemePresentation:
             return None
         return pr.PolyIdeal(tuple(polys))
 
+    def constraint_fn(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The compiled constraint table: an (n, m) array holding m points as
+        columns to the (k, m) array of their signed constraint values, one
+        row per ideal generator, then one per region constraint.  It is one
+        ``expr.as_callable`` of the constraints, with that function's rules,
+        built once per presentation; ``residual_fn`` is its fold."""
+        return self._constraints
+
+    @functools.cached_property
+    def _constraints(self) -> Callable[[np.ndarray], np.ndarray]:
+        return ex.as_callable(self.ideal_gens + self.region)
+
     def residual_fn(self) -> Callable[[Sequence[float]], float]:
         """Compiled membership residual: max over |generator| and max(region, 0).
 
         A point belongs to the zero set exactly when the residual is <= eps_z.
         The callable takes one point, or an (n, m) array holding m points as
         columns and returning their m residuals; a point is a one-column
-        batch, so its residual is, bit for bit, its column's.  It is one
-        compiled call over the generators and the region constraints, folded
-        with ``np.fmax``, so a NaN constraint value is skipped.  The call
-        follows ``expr.as_callable``'s rules: a point or batch with other than
-        n coordinates raises ValueError, an overflow gives +-inf (a generator
+        batch, so its residual is, bit for bit, its column's.  It is one call
+        of the constraint table (``constraint_fn``), folded with ``np.fmax``,
+        so a NaN constraint value is skipped.  The call follows
+        ``expr.as_callable``'s rules: a point or batch with other than n
+        coordinates raises ValueError, an overflow gives +-inf (a generator
         at inf fails membership, a region constraint at -inf holds), and a
         batch raises where one of its points would.  The residual runs with
         numpy's floating-point warnings off.  The callable is built once per
@@ -118,7 +130,7 @@ class SchemePresentation:
 
     @functools.cached_property
     def _residual(self) -> Callable[[Sequence[float]], float]:
-        constraints = ex.as_callable(self.ideal_gens + self.region)
+        constraints = self._constraints
         k = len(self.ideal_gens)
 
         def residual(p: Sequence[float]) -> float:
@@ -132,6 +144,23 @@ class SchemePresentation:
             return r[0] if point else r
 
         return residual
+
+    def constraint_majorants(self) -> Optional[tuple]:
+        """The a-priori error data of the constraint table's rows, when every
+        constraint is a polynomial tree (``expr.majorant``), else None:
+        (fn, roundings, degrees), where fn maps an (n, m) array of coordinate
+        bounds X to the (k, m) majorant values m_i(X), and roundings and
+        degrees hold each row's rounding count and tree degree.  Built once
+        per presentation."""
+        return self._majorants
+
+    @functools.cached_property
+    def _majorants(self) -> Optional[tuple]:
+        data = [ex.majorant(c) for c in self.ideal_gens + self.region]
+        if None in data:
+            return None
+        majorants, roundings, degrees = zip(*data)
+        return ex.as_callable(majorants), roundings, degrees
 
     def element(self, source) -> "RingElement":
         e = ex.parse_expr(source, self.vars) if isinstance(source, str) else source

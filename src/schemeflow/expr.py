@@ -36,6 +36,7 @@ __all__ = [
     "diff",
     "apply_operation",
     "as_polynomial",
+    "majorant",
     "simplify",
     "format_expr",
     "as_callable",
@@ -399,6 +400,70 @@ class _NotPolynomial(Exception):
     pass
 
 
+_NORMAL = (Fraction(np.finfo(float).tiny), Fraction(np.finfo(float).max))
+
+
+def majorant(e: SmoothExpr) -> Optional[tuple[SmoothExpr, int, int]]:
+    """A-priori error data of ``e``'s compiled evaluation, when ``e`` is a
+    polynomial tree: constants, variables, sums, products, negation, powers
+    and quotients by a nonzero constant, with no guard.  Else None.
+
+    Returns (m, k, d).  The majorant m is ``e`` with every constant replaced
+    by its absolute value and every negation dropped, so for X >= 0 and any
+    point with |x| <= X coordinatewise, |e(x)| <= m(X), and m is nondecreasing
+    in each X_i.  d is the degree of the tree (sums take the largest degree,
+    products add them), so m(s*X) <= s^d * m(X) for s >= 1.  k counts the
+    roundings on the worst path of the compiled code (``as_callable``), so
+    that the computed value is within gamma_k * m(X) of e(x), gamma_k =
+    k*u/(1 - k*u) and u = 2^-53, in the standard model of floating-point
+    arithmetic, without underflow (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., ch. 2-3): a constant that is not a double
+    counts 1; a sum of j terms, added left to right, its largest count plus
+    j - 1; a product of j factors the sum of their counts plus j - 1; a
+    quotient by a constant its numerator's count plus 2; and the j-th power
+    of a node counting c, j*c plus the larger of j - 1 (repeated products)
+    and 4 (a ``pow`` call within two units in the last place).
+    """
+    kind = e.kind
+    vl = e.vars
+    if kind == "const":
+        try:
+            exact = float(e.value) == e.value
+        except OverflowError:  # compiled as +-inf, so m(X) is inf
+            exact = False
+        return const(abs(e.value), vl), int(not exact), 0
+    if kind == "var":
+        return e, 0, 1
+    if kind == "div":
+        num, den = e.children
+        # a denominator outside the normal doubles rounds to 0 (every point
+        # raises), to a subnormal or to inf
+        if e.guard is not None or den.kind != "const":
+            return None
+        if not _NORMAL[0] <= abs(den.value) <= _NORMAL[1]:
+            return None
+        top = majorant(num)
+        if top is None:
+            return None
+        m, k, d = top
+        return SmoothExpr("mul", vl, (const(1 / abs(den.value), vl), m)), k + 2, d
+    if kind not in ("add", "mul", "neg", "pow"):
+        return None
+    parts = [majorant(c) for c in e.children]
+    if None in parts:
+        return None
+    ms, ks, ds = zip(*parts)
+    if kind == "neg":
+        return parts[0]
+    if kind == "pow":
+        j = e.exponent
+        rounds = 0 if j < 2 else max(j - 1, 4)
+        return SmoothExpr("pow", vl, ms, exponent=j), j * ks[0] + rounds, j * ds[0]
+    if kind == "add":
+        return SmoothExpr("add", vl, ms), max(ks) + len(ks) - 1, max(ds)
+    return SmoothExpr("mul", vl, ms), sum(ks) + len(ks) - 1, sum(ds)
+
+
 # -- simplification (conservative: fold constants, 0/1 identities, flatten) --
 
 
@@ -573,6 +638,13 @@ def _fmt_base(e: SmoothExpr) -> str:
 # term   := factor (('*'|'/') factor)*
 # factor := base ('^' INT)?
 # base   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')' | '-' base
+#
+# A NUMBER is digits with at most one '.', and an optional decimal exponent
+# ('e' or 'E', an optional sign, digits); it is the exact rational it names,
+# so 2.5e-3 is 1/400.  An exponent above _MAX_EXPONENT is refused: 10^k is
+# built exactly, and a double is 0 or inf far below it.
+
+_MAX_EXPONENT = 9999
 
 
 class _Tokenizer:
@@ -597,6 +669,8 @@ class _Tokenizer:
                 while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
                     seen_dot = seen_dot or src[j] == "."
                     j += 1
+                if j < n and src[j] in "eE":
+                    j = self._exponent(i, j)
                 self.tokens.append(("num", src[i:j], i))
                 i = j
                 continue
@@ -613,6 +687,20 @@ class _Tokenizer:
                 continue
             raise ParseError(f"unexpected character {ch!r}", i)
         self.tokens.append(("end", "", n))
+
+    def _exponent(self, start: int, e: int) -> int:
+        """The end of the decimal exponent, at ``e``, of the number that
+        starts at ``start``."""
+        src, n = self.src, len(self.src)
+        j = e + 1 + (e + 1 < n and src[e + 1] in "+-")
+        k = j
+        while k < n and src[k].isdigit():
+            k += 1
+        if k == j:
+            raise ParseError(f"malformed number {src[start:k]!r}: exponent without digits", e)
+        if int(src[j:k]) > _MAX_EXPONENT:
+            raise ParseError(f"exponent {src[j:k]} above {_MAX_EXPONENT}", j)
+        return k
 
     def peek(self):
         return self.tokens[self.cursor]
@@ -661,7 +749,7 @@ class _Parser:
         if self.toks.peek()[0] == "^":
             self.toks.next()
             kind, text, pos = self.toks.next()
-            if kind != "num" or "." in text:
+            if kind != "num" or not text.isdigit():
                 raise ParseError("expected integer exponent after '^'", pos)
             return SmoothExpr("pow", self.vars, (base,), exponent=int(text))
         return base

@@ -275,7 +275,7 @@ def flow_columns(points, t) -> tuple[np.ndarray, np.ndarray, bool]:
     return np.broadcast_to(cols, (len(cols), m)), np.broadcast_to(times, (m,)), single
 
 
-def closed_form_flow(scheme: cring.SchemePresentation, psi: Sequence[ex.SmoothExpr]):
+def closed_form_flow(psi: Sequence[ex.SmoothExpr]):
     """Compile closed-form flow components over (x_1..x_n, t) into a flow
     map with the batched protocol of ``MemoFlow``: ``phi(point, t)``
     is the state (n,) at one point and time; ``phi(points, times)``, with an
@@ -378,7 +378,7 @@ def validate_closed_form(
     does not hold yet in one batch.  Each curve is compared at the times
     it is defined at (``IntegralCurve.defined_at``); the first point whose
     integration raised raises."""
-    phi = closed_form_flow(flow.field.home, psi)
+    phi = closed_form_flow(psi)
     points = list(points)
     flow.fill([p.coords for p in points])
     times = np.array(times, dtype=float)
@@ -484,7 +484,7 @@ def _check_time_zero_identity(scheme, psi, tol):
     the closed form; the first failure in grid-row order, then component
     order, raises."""
     grid = cring.box_grid(scheme.default_box(), 5)
-    states = closed_form_flow(scheme, psi)(grid.T, 0.0)
+    states = closed_form_flow(psi)(grid.T, 0.0)
     bad = np.abs(states - grid.T) > tol
     if bad.any():
         j = int(np.argmax(bad.any(axis=0)))

@@ -267,7 +267,7 @@ def check_ideal_inclusions(
     """
     if psi is None:
         raise ValueError("closed-form flow components are required")
-    phi = fl.closed_form_flow(scheme, psi)
+    phi = fl.closed_form_flow(psi)
     n = scheme.arity
     sources = np.reshape([a.point.coords for a in arrows], (-1, n)).T
     t1 = np.array([a.t for a in arrows])

@@ -285,7 +285,7 @@ def test_criterion_8_groupoid_suite():
     numeric = check_axioms(MemoFlow(v, OPTS), arrows, tol=1e-6)
     psi = (parse_expr("x + t", XYT), parse_expr("y*exp(t)", XYT))
     closed = check_axioms(
-        MemoFlow(v, OPTS), arrows, tol=1e-12, phi=closed_form_flow(line, psi)
+        MemoFlow(v, OPTS), arrows, tol=1e-12, phi=closed_form_flow(psi)
     )
     incl = check_ideal_inclusions(line, psi, arrows, tol=1e-9)
 

@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from schemeflow import expr as ex
@@ -14,9 +17,12 @@ from schemeflow.cli import (
     load_scheme,
     main,
 )
+from schemeflow.cring import SchemePresentation
 from schemeflow.curves import IntegratorOptions
 
 from helpers import count_integrations
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 SPHERE_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "schemes", "sphere_rotation.json"
@@ -239,6 +245,39 @@ class TestCurveCommand:
         assert "error: exceeded 2 accepted steps" in capsys.readouterr().err
 
 
+    def test_stiff_field_prints_only_the_step_limit(self, tmp_path):
+        # the stiff field's accepted steps overflow the dense output; numpy's
+        # warnings about that must not reach stderr
+        p = tmp_path / "stiff.json"
+        p.write_text(json.dumps({
+            "variables": ["x", "y"],
+            "ideal": ["y"],
+            "derivation": {"x": "-1000000*x", "y": "0"},
+            "options": {"horizon": 1.0, "max_steps": 3000},
+        }))
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "schemeflow.cli", "curve", "--scheme", str(p), "--point", "1,0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_FAILED
+        assert proc.stderr == "error: exceeded 3000 accepted steps\n"
+        assert proc.stdout == ""
+
+    def test_scientific_notation_in_a_scheme_file(self, tmp_path, capsys):
+        # 1e6 and 1E6 are the exact integer, 2.5e-3 the exact 1/400
+        p = tmp_path / "sci.json"
+        p.write_text(json.dumps(dict(
+            LINE_SCHEME, derivation={"x": "2.5e-3*1E6 - 1.5e3", "y": "1e0*y"}
+        )))
+        sf = load_scheme(str(p))
+        assert ex.format_expr(sf.field.coeffs[0]) == "1000"
+        code = main(["flow", "--scheme", str(p), "--point", "1,0", "--time", "2"])
+        assert code == EXIT_OK
+        x, y = capsys.readouterr().out.strip().split(",")
+        assert abs(float(x) - 2001.0) <= 1e-9 and float(y) == 0.0
+
+
 class TestFlowCommand:
     def test_flow_value(self, line_path, capsys):
         code = main(["flow", "--scheme", line_path, "--point", "1,0", "--time", "2"])
@@ -291,6 +330,28 @@ class TestDomainCommand:
         assert {"singleton", "closed", "horizon-complete"} <= {r.split(",")[-1] for r in rows}
         assert len(log.points) == len(rows) == len(set(log.points))
         assert len(log.batches) == 1
+
+    def test_base_points_checked_in_batches(self, square_path, tmp_path, monkeypatch):
+        # every residual call of the run has a batch of points, none one point
+        real = SchemePresentation.residual_fn
+        widths = []
+
+        def recording_residual_fn(scheme):
+            f = real(scheme)
+
+            def recording(p):
+                widths.append(p.shape[1] if isinstance(p, np.ndarray) and p.ndim == 2 else 1)
+                return f(p)
+
+            return recording
+
+        monkeypatch.setattr(SchemePresentation, "residual_fn", recording_residual_fn)
+        out = tmp_path / "domain.csv"
+        code = main([
+            "domain", "--scheme", square_path, "--grid", "9", "--box=-1:1,-1:1", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        assert widths and widths.count(1) == 0
 
     @pytest.mark.parametrize("box", ["0:0,-1:1", "1:-1,-1:1", "-1:inf,-1:1", "nan:1,-1:1"])
     def test_empty_or_reversed_box_exits_one(self, square_path, box, capsys):

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -561,15 +562,16 @@ class TestSegmentLookup:
 
 
 class TestCheckpointStates:
-    def test_scanned_states_are_evaluate_curve_at_their_times(self, monkeypatch):
-        # every state a round's membership scan reads is the curve at its
-        # time t0 + theta*h, bit for bit
-        sq = square()
-        scanned = []
-        real = SchemePresentation.residual_fn
+    """Every state a round's membership scan reads is the curve at its time
+    t0 + theta*h, bit for bit, and the scan reads the checkpoints of exactly
+    the accepted steps that the screen did not clear."""
 
-        def recording_residual_fn(scheme):
-            f = real(scheme)
+    def _scanned_and_expected(self, monkeypatch, scheme, point):
+        scanned, cleared = [], set()
+        real_fn, real_clears = SchemePresentation.residual_fn, cv._Screen.clears
+
+        def recording_residual_fn(s):
+            f = real_fn(s)
 
             def recording(p):
                 if isinstance(p, np.ndarray) and p.ndim == 2:
@@ -578,17 +580,44 @@ class TestCheckpointStates:
 
             return recording
 
+        def recording_clears(screen, t, y, h, coeffs):
+            out = real_clears(screen, t, y, h, coeffs)
+            cleared.update(zip(t[out].tolist(), h[out].tolist()))
+            return out
+
         monkeypatch.setattr(SchemePresentation, "residual_fn", recording_residual_fn)
-        c = integrate_max_curve(rotation_field(sq), sq.point((0.5, 0.1)), OPTS)
+        monkeypatch.setattr(cv._Screen, "clears", recording_clears)
+        c = integrate_max_curve(rotation_field(scheme), scheme.point(point), OPTS)
         assert c.classification == CurveClass.HORIZON_COMPLETE
         m = cv.CHECKPOINTS_PER_STEP
         thetas = np.arange(1, m + 1) / m
-        expected = []
+        # the base point's own check is the run's first residual call
+        expected = [bytes(np.array(point, dtype=float))]
+        steps = 0
         for s in (c.forward, c.backward):
-            for t0, h in zip(s.t0, s.h):
-                expected.extend(map(bytes, evaluate_curve(c, t0 + thetas * h).T.copy()))
-        assert len(expected) == m * (len(c.forward) + len(c.backward)) > 2 * m
+            for t0, h in zip(s.t0.tolist(), s.h.tolist()):
+                if (t0, h) not in cleared:
+                    steps += 1
+                    expected.extend(map(bytes, evaluate_curve(c, t0 + thetas * h).T.copy()))
+        screened = sum(d["screened"] for d in c.diagnostics.values())
+        assert screened == len(cleared)
+        assert steps == len(c.forward) + len(c.backward) - screened
         assert sorted(scanned) == sorted(expected)
+        return steps, screened
+
+    def test_scanned_steps_on_the_square(self, monkeypatch):
+        # the unit circle touches the square's edges, so the steps near the
+        # four contact points are scanned and the others cleared
+        steps, screened = self._scanned_and_expected(monkeypatch, square(), (1.0, 0.0))
+        assert steps > 2 and screened > 2
+
+    def test_every_step_scanned_with_a_transcendental_region(self, monkeypatch):
+        # cos(x) - 2 <= 0 holds everywhere but is not a polynomial, so no
+        # step is screened
+        region = square().region + (expr_xy("cos(x) - 2"),)
+        scheme = SchemePresentation(XY, region=region)
+        steps, screened = self._scanned_and_expected(monkeypatch, scheme, (0.5, 0.1))
+        assert screened == 0 and steps > 2
 
 
 def _exit_step_checkpoints(c):
@@ -990,6 +1019,25 @@ class TestLockstepErrors:
         assert str(got[1]) == "base point (0.0, 0.5) is not on the zero set"
         assert curves_identical(got[2], integrate_max_curve(v, points[2], OPTS))
 
+    def test_results_arrive_in_the_same_order_whatever_the_check_chunk(self, monkeypatch):
+        # 40 points, every third off the zero set: the base points are checked
+        # ahead in chunks, and each result still arrives when its point
+        # would be started
+        line = thickened_line()
+        v = shear_field(line)
+        points = [SchemePoint((0.1 * i, 0.5 if i % 3 == 0 else 0.0)) for i in range(40)]
+
+        def arrivals():
+            return [
+                (i, type(r).__name__, r.interval if isinstance(r, cv.IntegralCurve) else str(r))
+                for i, r in integrate_max_curves(v, points, IntegratorOptions(horizon=2.0))
+            ]
+
+        ahead = arrivals()
+        monkeypatch.setattr(cv, "BASE_CHECK", 1)
+        assert arrivals() == ahead
+        assert sum(name == "PointNotOnScheme" for _, name, _ in ahead) == 14
+
     def test_short_point_among_others(self):
         # the residual checks the length before it reads the coordinates
         line = thickened_line()
@@ -1367,3 +1415,122 @@ class TestSolveIvpCrossCheck:
             got = evaluate_curve(c, times)
             assert got.shape == (2, 201)
             assert np.max(np.abs(got - ref.sol(times))) <= 1e-7
+
+
+def _screen_case(name):
+    """(scheme, field, base point) of the screen's property cases; the large
+    circle's constraint values cancel terms of size 1e6."""
+    if name == "circle":
+        scheme = circle(eps_z=1e-9)
+        return scheme, rotation_field(scheme), (1.0, 0.0)
+    if name == "sphere":
+        scheme, v = _sphere()
+        return scheme, v, _sphere_point(0.3, 0.6)
+    if name == "square":  # the unit circle, touching the square's edges
+        scheme = square()
+        return scheme, rotation_field(scheme), (1.0, 0.0)
+    scheme = SchemePresentation(XY, ideal_gens=(expr_xy("x^2 + y^2 - 1e6"),), eps_z=1e-6)
+    return scheme, rotation_field(scheme), (1000.0, 0.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _screen_steps(name):
+    scheme, v, p = _screen_case(name)
+    c = integrate_max_curve(v, scheme.point(p), IntegratorOptions(horizon=7.0))
+    return scheme, cv._Screen.build(scheme), c.forward
+
+
+def _dense_states(t0, h, y0, coeffs, u):
+    """States (n, len(u)) of one step at u, by the dense-output formula."""
+    return cv._dense(y0[:, None], h, coeffs.T[..., None], u)
+
+
+class TestMembershipScreen:
+    """A step the screen clears passes membership at every checkpoint the
+    scan would test, and at 10^4 more states of its dense output."""
+
+    CASES = ["circle", "sphere", "square", "large"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_clears_the_steps_of_a_curve(self, case):
+        scheme, screen, steps = _screen_steps(case)
+        cleared = screen.clears(steps.t0, steps.y0, steps.h, steps.coeffs)
+        assert cleared.sum() >= len(steps) // 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=st.sampled_from(CASES),
+        pick=st.floats(0.0, 1.0),
+        offset=st.floats(-3.0, 3.0),
+        later=st.floats(0.0, 500.0),
+    )
+    def test_cleared_steps_pass_everywhere(self, case, pick, offset, later):
+        # a curve's step, scaled about the origin so that its constraint
+        # values move by about offset*eps_z, and started later, so the
+        # scan's last u can pass 1 by rounding
+        scheme, screen, steps = _screen_steps(case)
+        i = round(pick * (len(steps) - 1))
+        y0 = steps.y0[i]
+        scale = 1.0 + offset * scheme.eps_z / (2.0 * max(1.0, float(y0 @ y0)))
+        t0, h = steps.t0[i] + later, steps.h[i]
+        y0, coeffs = scale * y0, scale * steps.coeffs[i]
+        if not screen.clears(np.array([t0]), y0[None], np.array([h]), coeffs[None])[0]:
+            return
+        residual, eps_z = scheme.residual_fn(), scheme.eps_z
+        m = cv.CHECKPOINTS_PER_STEP
+        u = (t0 + h * (np.arange(1, m + 1) / m) - t0) / h  # as the scan computes it
+        assert residual(_dense_states(t0, h, y0, coeffs, u)).max() <= eps_z
+        dense = np.linspace(0.0, 1.0, 10**4)
+        assert residual(_dense_states(t0, h, y0, coeffs, dense)).max() <= eps_z
+
+    def test_graze_step_left_to_the_scan(self):
+        # from radius 1 + 1e-8 at angle pi/4 the orbit leaves the square for
+        # about 2.8e-4 time units near t = 0.785, between two checkpoints
+        # (ROADMAP item 4); the screen does not clear that step
+        sq = square()
+        r = 1.0 + 1e-8
+        start = (r * math.cos(math.pi / 4), r * math.sin(math.pi / 4))
+        c = integrate_max_curve(rotation_field(sq), sq.point(start), OPTS)
+        f = c.forward
+        exact = math.asin(math.sqrt(1.0 + sq.eps_z) / r) - math.pi / 4
+        i = int(np.searchsorted(f.t0, exact)) - 1
+        assert f.t0[i] < exact < f.t0[i] + f.h[i]
+        dense = np.linspace(0.0, 1.0, 10**4)
+        states = _dense_states(f.t0[i], f.h[i], f.y0[i], f.coeffs[i], dense)
+        assert sq.residual_fn()(states).max() > 10 * sq.eps_z
+        screen = cv._Screen.build(sq)
+        step = slice(i, i + 1)
+        assert not screen.clears(f.t0[step], f.y0[step], f.h[step], f.coeffs[step])[0]
+        assert c.diagnostics["forward"]["screened"] < len(f)
+
+
+class TestScreenRule:
+    """Where the screen applies: polynomial constraints of degree d with
+    7d + 1 < CHECKPOINTS_PER_STEP, and rounding at that degree below eps_z."""
+
+    def test_degree_of_the_square(self):
+        assert cv._Screen.build(square()).phi.shape == (7, 15)
+
+    @pytest.mark.parametrize(
+        "region, eps_z",
+        [
+            (["x^2 - 1", "cos(y) - 2"], 1e-9),  # transcendental
+            (["x/(1 + y^2) - 1"], 1e-9),  # a quotient by a variable
+            (["x^23 - 1"], 1e-3),  # 7*23 + 1 checkpoints or more
+            (["x^3 - 1"], 1e-9),  # gamma_22*||w|| is about 4e-9 at degree 21
+        ],
+    )
+    def test_not_built(self, region, eps_z):
+        scheme = SchemePresentation(XY, region=tuple(expr_xy(g) for g in region), eps_z=eps_z)
+        assert cv._Screen.build(scheme) is None
+
+    def test_guarded_quotient_not_built(self):
+        halves = (expr_xy("x - 1"), const(2, XY))
+        guarded = SmoothExpr("div", XY, halves, guard=((-5.0, 5.0), (-5.0, 5.0)))
+        assert cv._Screen.build(SchemePresentation(XY, region=(guarded,))) is None
+        plain = SmoothExpr("div", XY, halves)
+        assert cv._Screen.build(SchemePresentation(XY, region=(plain,))) is not None
+
+    def test_cubic_at_a_looser_tolerance(self):
+        scheme = SchemePresentation(XY, region=(expr_xy("x^3 - 1"),), eps_z=1e-7)
+        assert cv._Screen.build(scheme).phi.shape == (7, 22)

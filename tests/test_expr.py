@@ -22,6 +22,7 @@ from schemeflow.expr import (
     diff,
     evaluate,
     format_expr,
+    majorant,
     parse_expr,
     simplify,
     unary,
@@ -82,6 +83,26 @@ class TestParse:
     def test_variable_as_function_head_rejected(self):
         with pytest.raises(ParseError, match="function head"):
             parse_expr("x(y)", XY)
+
+    @pytest.mark.parametrize(
+        "src, value",
+        [("1e6", 10**6), ("2.5e-3", Fraction(1, 400)), ("1E3", 1000), ("3.e2", 300), (".5e+1", 5)],
+    )
+    def test_scientific_notation_is_exact(self, src, value):
+        e = parse_expr(src, XY)
+        assert e.kind == "const" and e.value == value
+
+    @pytest.mark.parametrize(
+        "src, position", [("1e", 1), ("x + 1e+", 5), ("2e-y", 1), ("1e10000", 2)]
+    )
+    def test_malformed_exponent_carries_position(self, src, position):
+        with pytest.raises(ParseError) as err:
+            parse_expr(src, XY)
+        assert err.value.position == position
+
+    def test_power_exponent_stays_an_integer(self):
+        with pytest.raises(ParseError, match="integer exponent"):
+            parse_expr("x^1e3", XY)
 
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
@@ -485,6 +506,7 @@ class TestSimplifyAndRoundTrip:
 
     def test_round_trip_handwritten(self):
         cases = [
+            "2.5e-3*x - 1E6*y^2 + 1e0",
             "x + y",
             "x - y",
             "-x",
@@ -500,6 +522,83 @@ class TestSimplifyAndRoundTrip:
         for src in cases:
             e = parse_expr(src, XY)
             assert parse_expr(format_expr(e), XY) == simplify(e)
+
+
+_POLY_CONSTS = [Fraction(k, d) for k in (-3, -1, 1, 2, 7) for d in (1, 3, 10)]
+_POLY_CONSTS.append(Fraction(10**20 + 1))  # not a double
+
+
+def _poly_tree(draw, depth):
+    """A polynomial tree over XY (constants, variables, sums, products,
+    negation, powers and quotients by a constant)."""
+    kinds = ["const", "var"] + (["add", "mul", "neg", "pow", "div"] if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "const":
+        return const(draw(st.sampled_from(_POLY_CONSTS)), XY)
+    if kind == "var":
+        return var(draw(st.integers(0, 1)), XY)
+    if kind in ("add", "mul"):
+        kids = tuple(_poly_tree(draw, depth - 1) for _ in range(draw(st.integers(2, 3))))
+        return SmoothExpr(kind, XY, kids)
+    child = _poly_tree(draw, depth - 1)
+    if kind == "neg":
+        return SmoothExpr("neg", XY, (child,))
+    if kind == "pow":
+        return SmoothExpr("pow", XY, (child,), exponent=draw(st.integers(0, 3)))
+    return SmoothExpr("div", XY, (child, const(draw(st.sampled_from([3, -7, 10])), XY)))
+
+
+def _exact(e, point):
+    """The value of a polynomial tree at a point, in exact rationals."""
+    kind = e.kind
+    if kind == "const":
+        return e.value
+    if kind == "var":
+        return Fraction(point[e.index])
+    vals = [_exact(c, point) for c in e.children]
+    if kind == "add":
+        return sum(vals)
+    if kind == "mul":
+        return math.prod(vals)
+    if kind == "neg":
+        return -vals[0]
+    if kind == "pow":
+        return vals[0] ** e.exponent
+    return vals[0] / vals[1]
+
+
+class TestMajorant:
+    # coordinates 0 or of size 1e-6 and up keep every product of a tree of
+    # depth 3 far above the underflow threshold, which the bound assumes
+    COORD = st.one_of(st.just(0.0), st.floats(1e-6, 3.0), st.floats(-3.0, -1e-6))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.tuples(COORD, COORD))
+    def test_rounding_bound_holds(self, data, point):
+        # |compiled - exact| <= gamma_k * m(|x|), and |exact| <= m(|x|)
+        e = _poly_tree(data.draw, 3)
+        m, k, d = majorant(e)
+        exact = _exact(e, point)
+        bound = Fraction(as_callable(m)([abs(c) for c in point]))
+        assert abs(exact) <= bound * (1 + Fraction(1, 10**9))
+        u = Fraction(1, 2**53)
+        gamma = k * u / (1 - k * u)
+        computed = Fraction(as_callable(e)(point))
+        assert abs(computed - exact) <= gamma * bound * (1 + Fraction(1, 10**9))
+        # the degree bounds the majorant's growth
+        grown = Fraction(as_callable(m)([2 * abs(c) for c in point]))
+        assert grown <= 2**d * bound * (1 + Fraction(1, 10**9))
+
+    @pytest.mark.parametrize(
+        "src", ["exp(x)", "x/y", "sin(x)^2", "cut(x)", "log(x + 3)"]
+    )
+    def test_not_a_polynomial(self, src):
+        assert majorant(parse_expr(src, XY)) is None
+
+    def test_counts_of_a_square(self):
+        m, k, d = majorant(parse_expr("x^2 + y^2 - 1", XY))
+        assert format_expr(m) == "x^2 + y^2 + 1"
+        assert (k, d) == (4 + 2, 2)
 
 
 class TestImmutability:

@@ -203,7 +203,7 @@ class TestClosedForm:
 
     def test_flow_map_callable(self):
         line = thickened_line()
-        phi = closed_form_flow(line, self.PSI)
+        phi = closed_form_flow(self.PSI)
         assert np.allclose(phi((1.0, 0.0), 2.0), [3.0, 0.0])
         assert np.allclose(phi((0.0, 2.0), 1.0), [1.0, 2.0 * math.e])
 
@@ -295,7 +295,7 @@ class TestFlowIdeal:
         # sampled form of the pullback law for the closed-form flow map
         line, _, _ = line_domain(9)
         fip = flow_ideal(line, TestClosedForm.PSI)
-        phi = closed_form_flow(line, TestClosedForm.PSI)
+        phi = closed_form_flow(TestClosedForm.PSI)
         line_residual = line.residual_fn()
         for x in np.linspace(-2, 2, 9):
             for y in np.linspace(-2, 2, 9):

@@ -180,7 +180,7 @@ class TestAxioms:
     def test_closed_form_flow_much_tighter(self):
         line, v = line_setup()
         arrows = sample_arrows(line, 100, seed=0, box=LINE_BOX)
-        phi = closed_form_flow(line, PSI)
+        phi = closed_form_flow(PSI)
         report = check_axioms(MemoFlow(v, OPTS), arrows, tol=1e-12, phi=phi)
         assert report.passed
 
@@ -198,7 +198,7 @@ class TestAxioms:
             parse_expr("x + t + t^2/100", XYT),
             parse_expr("y*exp(t)", XYT),
         )
-        bad_phi = closed_form_flow(line, bad_psi)
+        bad_phi = closed_form_flow(bad_psi)
         report = check_axioms(MemoFlow(v, OPTS), arrows, tol=1e-6, phi=bad_phi)
         assert not report.passed
         assert report.residuals["flow_law"] > 1e-6
@@ -330,7 +330,7 @@ class TestBatchedFlow:
     @given(flow_batches())
     def test_closed_form_batch_equals_point_calls(self, batch):
         _, psi, scheme, cols, times = batch
-        phi = closed_form_flow(scheme, psi)
+        phi = closed_form_flow(psi)
         states = phi(cols, times)
         along = phi(cols[:, 0], times)  # one point at many times
         assert states.shape == along.shape == cols.shape
