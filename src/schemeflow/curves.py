@@ -108,9 +108,9 @@ and output is what the scan alone gives.  The screen applies when 7d + 1 <
 ``_bernstein``), which excludes cubics at the default eps_z; a scheme with
 any other constraint is always scanned.  At the default tolerances it
 clears 8,449 of 8,609 steps of the square rotation's seed-1 ``domain`` jobs
-and 3,845 of 3,852 on the unit sphere.  A step with a short excursion between two checkpoints (ROADMAP
-item 4) is not cleared: its enclosure sees the excursion, and the scan,
-which may step over it, decides as before.
+and 3,845 of 3,852 on the unit sphere.  A step with a short excursion
+between two checkpoints is not cleared: its enclosure sees the excursion,
+and the scan, which may step over it, decides as before.
 
 Interval endpoints carry three epistemic flags: reached the horizon (no
 claim of completeness), closed (the localized boundary state itself passes

@@ -1486,7 +1486,7 @@ class TestMembershipScreen:
     def test_graze_step_left_to_the_scan(self):
         # from radius 1 + 1e-8 at angle pi/4 the orbit leaves the square for
         # about 2.8e-4 time units near t = 0.785, between two checkpoints
-        # (ROADMAP item 4); the screen does not clear that step
+        # that the scan steps over; the screen does not clear that step
         sq = square()
         r = 1.0 + 1e-8
         start = (r * math.cos(math.pi / 4), r * math.sin(math.pi / 4))
