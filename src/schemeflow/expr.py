@@ -647,6 +647,11 @@ def _fmt_base(e: SmoothExpr) -> str:
 _MAX_EXPONENT = 9999
 
 
+# the digits of a number; str.isdigit also takes other scripts' digits and
+# superscripts, so a text of digits is tested with isascii() as well
+_DIGITS = frozenset("0123456789")
+
+
 class _Tokenizer:
     def __init__(self, src: str):
         self.src = src
@@ -663,10 +668,10 @@ class _Tokenizer:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
+            if ch in _DIGITS or (ch == "." and i + 1 < n and src[i + 1] in _DIGITS):
                 j = i
                 seen_dot = False
-                while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
+                while j < n and (src[j] in _DIGITS or (src[j] == "." and not seen_dot)):
                     seen_dot = seen_dot or src[j] == "."
                     j += 1
                 if j < n and src[j] in "eE":
@@ -694,7 +699,7 @@ class _Tokenizer:
         src, n = self.src, len(self.src)
         j = e + 1 + (e + 1 < n and src[e + 1] in "+-")
         k = j
-        while k < n and src[k].isdigit():
+        while k < n and src[k] in _DIGITS:
             k += 1
         if k == j:
             raise ParseError(f"malformed number {src[start:k]!r}: exponent without digits", e)
@@ -749,7 +754,7 @@ class _Parser:
         if self.toks.peek()[0] == "^":
             self.toks.next()
             kind, text, pos = self.toks.next()
-            if kind != "num" or not text.isdigit():
+            if kind != "num" or not (text.isascii() and text.isdigit()):
                 raise ParseError("expected integer exponent after '^'", pos)
             return SmoothExpr("pow", self.vars, (base,), exponent=int(text))
         return base
@@ -787,7 +792,7 @@ class _Parser:
             return cut(arg, 0)
         if head.startswith("cut_"):
             tail = head[4:]
-            if tail.isdigit() and int(tail) >= 1:
+            if tail.isascii() and tail.isdigit() and int(tail) >= 1:
                 return cut(arg, int(tail))
         if head in _NON_SMOOTH_HEADS:
             raise NonSmoothError(f"non-smooth construct {head!r}", pos)

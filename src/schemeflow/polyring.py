@@ -1,9 +1,14 @@
 """Exact sparse multivariate polynomials and Groebner-basis ideal arithmetic.
 
-Coefficients are rationals (fractions.Fraction) throughout; floating point
-enters only when a polynomial is evaluated as an expression (``to_expr``).
-Monomial orders: grevlex (default) and lex, with variable precedence given
-by declaration order.
+A polynomial's coefficients are rationals (fractions.Fraction); floating
+point enters only when a polynomial is evaluated as an expression
+(``to_expr``).  Division and S-polynomials run on Python ints: each divisor
+is kept as its content times a primitive integer polynomial, and division
+is pseudo-division by those integer forms (Geddes, Czapor & Labahn,
+*Algorithms for Computer Algebra*, 1992), with a gcd reduction that bounds
+the growth of the integers; results become Fractions once, equal to those
+of rational division.  Monomial orders: grevlex (default) and lex, with
+variable precedence given by declaration order.
 
 Basis computation is Buchberger's algorithm with the Gebauer-Moeller
 update (Gebauer & Moeller 1988): when an element joins the basis, criterion
@@ -22,6 +27,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,6 +49,7 @@ __all__ = [
 ]
 
 DEFAULT_DEGREE_CAP = 40
+SCALE_BITS = 128  # growth of division's scale between two gcd reductions
 
 
 class DegreeCapExceeded(Exception):
@@ -277,18 +284,36 @@ def _heap_key(order: MonomialOrder):
     return lambda m: (-sum(m),) + m[::-1]
 
 
+def _integer_form(terms: dict[tuple[int, ...], Fraction]) -> tuple[dict, Fraction]:
+    """``(integers, content)`` with ``terms == content * integers`` term by
+    term and the integers coprime: the content times a primitive integer
+    polynomial."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+    g = math.gcd(*ints.values())
+    if g > 1:
+        ints = {m: c // g for m, c in ints.items()}
+    return ints, Fraction(g, den)
+
+
 def _reducer(g: Polynomial, order: MonomialOrder) -> tuple:
     """What division by the nonzero ``g`` and S-polynomials read: (leading
-    monomial, leading coefficient, negated tail).  Built once per polynomial
-    and order, and kept on the polynomial."""
+    monomial, leading coefficient L, negated tail, content), where ``g`` is
+    the content times a primitive integer polynomial with the integer
+    leading coefficient L > 0 (the content carries the sign) and the
+    integer tail.  Built once per polynomial and order, and kept on the
+    polynomial."""
     cache = g._reducers
     if cache is None:
         cache = g._reducers = {}
     entry = cache.get(order)
     if entry is None:
         lm = g.leading_monomial(order)
-        tail = tuple((m, -c) for m, c in g.terms.items() if m != lm)
-        entry = cache[order] = (lm, g.terms[lm], tail)
+        ints, content = _integer_form(g.terms)
+        lc = ints.pop(lm)
+        sign = 1 if lc > 0 else -1
+        tail = tuple((m, -sign * c) for m, c in ints.items())
+        entry = cache[order] = (lm, sign * lc, tail, sign * content)
     return entry
 
 
@@ -308,6 +333,20 @@ def normal_form(
     element of the reduced basis, for an ideal), with
     ``p == sum(q * g) + remainder`` exactly.  Each divisor's reduction data
     is built on its first division and reused after (``_reducer``).
+
+    The division runs on Python ints (pseudo-division by the divisors'
+    primitive integer forms): ``p`` becomes its content times integer
+    working terms W, and the working value is ``content / scale * W``.  A
+    term c x^m meets a divisor with leading coefficient L: with d =
+    gcd(c, L), W and the scale are multiplied by L/d, and (c/d) x^q times
+    the divisor's negated integer tail is added.  A remainder or quotient
+    term becomes a ``Fraction`` once, when it is made, at the scale of that
+    moment, so the result equals rational division value for value: the
+    same terms cancel, and the same divisor reduces each term.  Once the
+    scale has grown by ``SCALE_BITS`` bits, W and the scale are divided by
+    their common gcd.  That leaves the least scale at which W is integral,
+    so W stays within ``SCALE_BITS`` bits of the working terms of rational
+    division brought to their least common denominator.
     """
     if isinstance(divisors, PolyIdeal):
         order = divisors.order
@@ -320,15 +359,17 @@ def normal_form(
             continue
         if g.vars != p.vars:
             raise ValueError("incompatible variable lists")
-        lead.append((*_reducer(g, order), k))
+        lead.append((*_reducer(g, order)[:3], k))
 
     hkey = _heap_key(order)
-    work = dict(p.terms)
+    work, content = _integer_form(p.terms)
+    num, den = content.numerator, content.denominator
+    scale, limit = 1, SCALE_BITS
     heap = [(hkey(m), m) for m in work]
     heapq.heapify(heap)
     remainder: dict[tuple[int, ...], Fraction] = {}
     quots = [{} for _ in divisors] if quotients else None
-    le, add, sub = operator.le, operator.add, operator.sub
+    le, add, sub, gcd = operator.le, operator.add, operator.sub, math.gcd
     while heap:
         m = heapq.heappop(heap)[1]
         c = work.pop(m, None)
@@ -338,45 +379,70 @@ def normal_form(
             if all(map(le, lm, m)):
                 break
         else:
-            remainder[m] = c
+            remainder[m] = Fraction(c * num, scale * den)
             continue
+        if lc != 1:
+            d = gcd(c, lc)
+            if d != lc:
+                a = lc // d
+                scale *= a
+                work = {mm: v * a for mm, v in work.items()}
+            c //= d
         q = tuple(map(sub, m, lm))
-        factor = c if lc == 1 else c / lc
         if quots is not None:
-            quots[k][q] = factor  # q falls as m falls, so it is new
+            quots[k][q] = (c, scale)  # q falls as m falls, so it is new
         for gm, gc in tail:
             mm = tuple(map(add, gm, q))
             old = work.get(mm)
             if old is None:
-                work[mm] = factor * gc
+                work[mm] = c * gc
                 heapq.heappush(heap, (hkey(mm), mm))
             else:
-                s = old + factor * gc
+                s = old + c * gc
                 if s:
                     work[mm] = s
                 else:
                     del work[mm]
+        if scale.bit_length() > limit:
+            d = gcd(scale, *work.values())
+            if d > 1:
+                scale //= d
+                work = {mm: v // d for mm, v in work.items()}
+            limit = scale.bit_length() + SCALE_BITS
     r = Polynomial(remainder, p.vars)
     if quots is None:
         return r
-    return [Polynomial(q, p.vars) for q in quots], r
+    out = []
+    for g, qk in zip(divisors, quots):
+        if qk:  # the quotient is content / (scale * the divisor's content) * c
+            gcont = _reducer(g, order)[3]
+            n, d = num * gcont.denominator, den * gcont.numerator
+            qk = {q: Fraction(c * n, s * d) for q, (c, s) in qk.items()}
+        out.append(Polynomial(qk, p.vars))
+    return out, r
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    lf, lcf, _ = _reducer(f, order)
-    lg, lcg, _ = _reducer(g, order)
+    """x^(l - lm f) * f / lc f - x^(l - lm g) * g / lc g for l the lcm of the
+    leading monomials; the leading terms cancel.  Formed from the integer
+    forms over the least common multiple a*Lf = b*Lg of their leading
+    coefficients."""
+    lf, lcf, tf, _ = _reducer(f, order)
+    lg, lcg, tg, _ = _reducer(g, order)
     lcm = _mono_lcm(lf, lg)
     uf, ug = _mono_div(lcm, lf), _mono_div(lcm, lg)
-    cf, cg = 1 / lcf, 1 / lcg
-    out = {_mono_mul(m, uf): c * cf for m, c in f.terms.items()}
-    for m, c in g.terms.items():
+    d = math.gcd(lcf, lcg)
+    a, b = lcg // d, lcf // d
+    out = {_mono_mul(m, uf): -a * c for m, c in tf}
+    for m, c in tg:
         mm = _mono_mul(m, ug)
-        s = out.get(mm, 0) - c * cg
+        s = out.get(mm, 0) + b * c
         if s:
             out[mm] = s
         else:
             out.pop(mm, None)
-    return Polynomial(out, f.vars)
+    den = a * lcf
+    return Polynomial({m: Fraction(c, den) for m, c in out.items()}, f.vars)
 
 
 def groebner_basis(

@@ -139,6 +139,19 @@ class TestLoadScheme:
         assert main(["validate", "--scheme", str(p)]) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {p}: {why}\n"
 
+    @pytest.mark.parametrize(
+        "ideal, why",
+        [
+            ("y - \u0663", "unexpected character '\u0663' (at position 4)"),  # Arabic-Indic three
+            ("y^\u00b2", "unexpected character '\u00b2' (at position 2)"),  # superscript two
+        ],
+    )
+    def test_non_ascii_digits_exit_one(self, ideal, why, tmp_path, capsys):
+        p = tmp_path / "digits.json"
+        p.write_text(json.dumps(dict(LINE_SCHEME, ideal=[ideal])))
+        assert main(["validate", "--scheme", str(p)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {p}: in 'ideal', {ideal!r}: {why}\n"
+
     def test_non_string_expression_rejected(self, tmp_path):
         bad = dict(SQUARE_SCHEME, region=[3])
         p = tmp_path / "bad.json"
@@ -403,6 +416,18 @@ class TestGroupoidCommand:
         (line,) = captured.err.splitlines()
         assert line.startswith("refused: curve through (")
         assert " outside [" in line and line.endswith("requires horizon-complete curves")
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="dense-output drift cuts a target curve short (ROADMAP item 3); "
+        "the groupoid-sphere benchmark job of seed 7",
+    )
+    def test_passes_where_drift_refuses(self, capsys):
+        code = main([
+            "groupoid", "--scheme", SPHERE_PATH, "--samples", "3", "--seed", "847877000",
+        ])
+        assert code == EXIT_OK
+        assert "verdict: pass" in capsys.readouterr().out
 
     def test_field_compiled_once_per_job(self, monkeypatch):
         # the completeness gate and both sweep waves integrate curves; they

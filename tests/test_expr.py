@@ -100,6 +100,16 @@ class TestParse:
             parse_expr(src, XY)
         assert err.value.position == position
 
+    @pytest.mark.parametrize(
+        "src, position",
+        [("y - \u0663", 4), ("y^\u00b2", 2), ("x^1\u0663", 3), ("1e\u0663", 1), ("cut_\u0663(x)", 0)],
+    )
+    def test_only_ascii_digits(self, src, position):
+        # str.isdigit also takes an Arabic-Indic three and a superscript two
+        with pytest.raises(ParseError) as err:
+            parse_expr(src, XY)
+        assert err.value.position == position
+
     def test_power_exponent_stays_an_integer(self):
         with pytest.raises(ParseError, match="integer exponent"):
             parse_expr("x^1e3", XY)

@@ -105,25 +105,32 @@ def _vars(n: int) -> VarList:
     return VarList(tuple(f"x{i}" for i in range(n)))
 
 
+# small integers, so that terms cancel, or rationals with numerators up to
+# 10^12 and denominators up to 10^6, so that division meets contents,
+# denominators and large integers; either sign leads
+SMALL = st.integers(-3, 3).filter(bool).map(Fraction)
+WIDE = st.one_of(
+    SMALL, st.builds(Fraction, st.integers(-(10**12), 10**12).filter(bool), st.integers(1, 10**6))
+)
+
+
 @st.composite
-def polynomials(draw, vl: VarList, degree: int, max_terms: int):
-    """Nonzero polynomial with small integer coefficients."""
+def polynomials(draw, vl: VarList, degree: int, max_terms: int, coefficients=WIDE):
+    """Nonzero polynomial; one term (an empty tail as a divisor) is drawn too."""
     n = vl.arity
     monos = st.lists(st.integers(0, degree), min_size=n, max_size=n).filter(
         lambda e: sum(e) <= degree
     )
     terms = draw(
-        st.dictionaries(
-            monos.map(tuple), st.integers(-3, 3).filter(bool), min_size=1, max_size=max_terms
-        )
+        st.dictionaries(monos.map(tuple), coefficients, min_size=1, max_size=max_terms)
     )
-    return Polynomial({m: Fraction(c) for m, c in terms.items()}, vl)
+    return Polynomial(terms, vl)
 
 
 @st.composite
-def ideals(draw, max_vars: int = 4):
+def ideals(draw, max_vars: int = 4, coefficients=SMALL):
     vl = _vars(draw(st.integers(2, max_vars)))
-    gens = draw(st.lists(polynomials(vl, 2, 3), min_size=1, max_size=3))
+    gens = draw(st.lists(polynomials(vl, 2, 3, coefficients), min_size=1, max_size=3))
     return vl, gens
 
 
@@ -140,8 +147,9 @@ def _with_counted_spairs(monkeypatch) -> list[int]:
 
 
 class TestReductionData:
-    """Division reads each divisor's leading monomial, leading coefficient and
-    negated tail; they are built once per polynomial, not once per division."""
+    """Division reads each divisor's leading monomial, integer leading
+    coefficient, negated integer tail and content; they are built once per
+    polynomial, not once per division."""
 
     @staticmethod
     def _counted(monkeypatch):
@@ -187,8 +195,9 @@ class TestReductionData:
 
 
 class TestHeapNormalForm:
-    """The heap-ordered division equals the old max-scan division, divisor
-    for divisor, whether or not the divisors form a Groebner basis."""
+    """The heap-ordered division on integers equals the rational max-scan
+    division, divisor for divisor, whether or not the divisors form a
+    Groebner basis."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.sampled_from(ORDERS), st.integers(2, 3))
@@ -213,6 +222,45 @@ class TestHeapNormalForm:
                 divisors = [random_polynomial(rng, vl, 2, 3) for _ in range(rng.randint(1, 3))]
                 got = normal_form(p, divisors, order, quotients=True)
                 assert got == reference_normal_form(p, divisors, order, quotients=True)
+
+    def test_float_coefficients_by_a_rational_basis(self):
+        # floats enter as exact binary rationals (0.1 is 3602879701896397/2^55)
+        # and meet a reduced basis with other denominators, and the generators
+        ideal = PolyIdeal((P("x^2 + 2/3*y"), P("-5/7*x*y + x - 1/3")))
+        rng = random.Random(23)
+        for divisors in (ideal.groebner(), ideal.gens):
+            for _ in range(40):
+                terms = {(rng.randint(0, 4), rng.randint(0, 4)): rng.uniform(-10, 10) for _ in range(6)}
+                terms[(1, 1)] = 0.1
+                p = Polynomial(terms, XY)
+                got = normal_form(p, divisors, ideal.order, quotients=True)
+                assert got == reference_normal_form(p, divisors, ideal.order, quotients=True)
+                quotients, total = got
+                for q, g in zip(quotients, divisors):
+                    total = total + q * g
+                assert total == p
+
+    def test_quotients_against_katsura4(self):
+        # the reduced basis (monic, so each integer form has a leading
+        # coefficient other than 1), the same elements with non-unit integer
+        # contents, and the generators
+        ideal = PolyIdeal(tuple(katsura(4)))
+        basis = ideal.groebner()
+        scaled = [(k + 2) * g for k, g in enumerate(basis)]
+        vl = basis[0].vars
+        rng = random.Random(7)
+        for divisors in (basis, scaled, list(ideal.gens)):
+            for _ in range(8):
+                scale = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+                p = random_polynomial(rng, vl, 4, 8) * scale
+                got = normal_form(p, divisors, ideal.order, quotients=True)
+                assert got == reference_normal_form(p, divisors, ideal.order, quotients=True)
+                quotients, total = got
+                for q, g in zip(quotients, divisors):
+                    total = total + q * g
+                assert total == p
+                if divisors is basis:
+                    assert got == normal_form(p, ideal, quotients=True)
 
     def test_zero_divisor_gets_a_zero_quotient(self):
         zero = P("x") - P("x")
@@ -254,6 +302,12 @@ class TestAgainstReference:
         for gens in FIXTURES:
             for order in ORDERS:
                 assert groebner_basis(gens, order) == reference_groebner_basis(gens, order)
+
+    @settings(max_examples=25, deadline=None)
+    @given(ideals(max_vars=3, coefficients=WIDE), st.sampled_from(ORDERS))
+    def test_random_ideals(self, ideal, order):
+        _, gens = ideal
+        assert groebner_basis(gens, order) == reference_groebner_basis(gens, order)
 
     @pytest.mark.parametrize(
         "name, order, spairs",
@@ -306,6 +360,12 @@ class TestSympyOracle:
         gens = cyclic(5)
         ours = groebner_basis(gens)
         assert len(ours) == 20
+        assert _as_set(ours) == _sympy_basis(gens, gens[0].vars, MonomialOrder.GREVLEX)
+
+    def test_katsura5(self):
+        gens = katsura(5)
+        ours = groebner_basis(gens)
+        assert len(ours) == 22
         assert _as_set(ours) == _sympy_basis(gens, gens[0].vars, MonomialOrder.GREVLEX)
 
 
