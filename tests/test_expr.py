@@ -102,10 +102,16 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "src, position",
-        [("y - \u0663", 4), ("y^\u00b2", 2), ("x^1\u0663", 3), ("1e\u0663", 1), ("cut_\u0663(x)", 0)],
+        [
+            ("y - \u0663", 4),  # an Arabic-Indic three
+            ("y^\u00b2", 2),  # a superscript two
+            ("x^1\u0663", 3),
+            ("1e\u0663", 1),
+            ("cut_\u0663(x)", 0),
+        ],
     )
     def test_only_ascii_digits(self, src, position):
-        # str.isdigit also takes an Arabic-Indic three and a superscript two
+        # str.isdigit is True on both characters
         with pytest.raises(ParseError) as err:
             parse_expr(src, XY)
         assert err.value.position == position

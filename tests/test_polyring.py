@@ -223,6 +223,18 @@ class TestHeapNormalForm:
                 got = normal_form(p, divisors, order, quotients=True)
                 assert got == reference_normal_form(p, divisors, order, quotients=True)
 
+    @staticmethod
+    def _divide_checked(p, divisors, order):
+        """Quotients and remainder, checked against the oracle and against
+        p == sum(q * g) + remainder."""
+        got = normal_form(p, divisors, order, quotients=True)
+        assert got == reference_normal_form(p, divisors, order, quotients=True)
+        quotients, total = got
+        for q, g in zip(quotients, divisors):
+            total = total + q * g
+        assert total == p
+        return got
+
     def test_float_coefficients_by_a_rational_basis(self):
         # floats enter as exact binary rationals (0.1 is 3602879701896397/2^55)
         # and meet a reduced basis with other denominators, and the generators
@@ -230,15 +242,9 @@ class TestHeapNormalForm:
         rng = random.Random(23)
         for divisors in (ideal.groebner(), ideal.gens):
             for _ in range(40):
-                terms = {(rng.randint(0, 4), rng.randint(0, 4)): rng.uniform(-10, 10) for _ in range(6)}
-                terms[(1, 1)] = 0.1
-                p = Polynomial(terms, XY)
-                got = normal_form(p, divisors, ideal.order, quotients=True)
-                assert got == reference_normal_form(p, divisors, ideal.order, quotients=True)
-                quotients, total = got
-                for q, g in zip(quotients, divisors):
-                    total = total + q * g
-                assert total == p
+                monos = [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(6)]
+                terms = {m: rng.uniform(-10, 10) for m in monos} | {(1, 1): 0.1}
+                self._divide_checked(Polynomial(terms, XY), divisors, ideal.order)
 
     def test_quotients_against_katsura4(self):
         # the reduced basis (monic, so each integer form has a leading
@@ -253,12 +259,7 @@ class TestHeapNormalForm:
             for _ in range(8):
                 scale = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
                 p = random_polynomial(rng, vl, 4, 8) * scale
-                got = normal_form(p, divisors, ideal.order, quotients=True)
-                assert got == reference_normal_form(p, divisors, ideal.order, quotients=True)
-                quotients, total = got
-                for q, g in zip(quotients, divisors):
-                    total = total + q * g
-                assert total == p
+                got = self._divide_checked(p, divisors, ideal.order)
                 if divisors is basis:
                     assert got == normal_form(p, ideal, quotients=True)
 
