@@ -92,6 +92,21 @@ class TestGroebner:
                     s = s_polynomial(basis[i], basis[j], ideal.order)
                     assert normal_form(s, basis, ideal.order).is_zero()
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from(ORDERS))
+    def test_s_polynomial_is_the_rational_definition(self, data, order):
+        # formed on the integer forms, equal to the rational formula
+        vl = _vars(3)
+        f, g = data.draw(polynomials(vl, 3, 4)), data.draw(polynomials(vl, 3, 4))
+        lf, lg = f.leading_monomial(order), g.leading_monomial(order)
+        lcm = tuple(map(max, lf, lg))
+
+        def shifted(h, lm):
+            shift = Polynomial({tuple(a - b for a, b in zip(lcm, lm)): 1}, vl)
+            return shift * h * (1 / h.leading_coeff(order))
+
+        assert s_polynomial(f, g, order) == shifted(f, lf) - shifted(g, lg)
+
     def test_reduced_basis_is_deterministic(self):
         gens = (P("x^2+y"), P("x*y+x"))
         assert groebner_basis(gens) == groebner_basis(gens)
@@ -115,15 +130,21 @@ WIDE = st.one_of(
 
 
 @st.composite
+def monomials(draw, n: int, degree: int):
+    """Exponents of total degree at most ``degree``, drawn without a filter:
+    the variables, in a drawn order, each take part of what is left."""
+    exps, left = [0] * n, degree
+    for i in draw(st.permutations(range(n))):
+        exps[i] = draw(st.integers(0, left))
+        left -= exps[i]
+    return tuple(exps)
+
+
+@st.composite
 def polynomials(draw, vl: VarList, degree: int, max_terms: int, coefficients=WIDE):
     """Nonzero polynomial; one term (an empty tail as a divisor) is drawn too."""
-    n = vl.arity
-    monos = st.lists(st.integers(0, degree), min_size=n, max_size=n).filter(
-        lambda e: sum(e) <= degree
-    )
-    terms = draw(
-        st.dictionaries(monos.map(tuple), coefficients, min_size=1, max_size=max_terms)
-    )
+    monos = monomials(vl.arity, degree)
+    terms = draw(st.dictionaries(monos, coefficients, min_size=1, max_size=max_terms))
     return Polynomial(terms, vl)
 
 
