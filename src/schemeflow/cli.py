@@ -20,8 +20,10 @@ recorded as declared, never verified.
 
 Exit codes: 0 success/certified; 1 I/O or parse error, including a usage
 error (argparse's message), a malformed ``--point`` (a NaN coordinate
-included) or ``--box`` (a box axis needs finite bounds lo < hi), and an
-array too large for memory (such as a huge ``--grid``);
+included), ``--box`` (a box axis needs two finite bounds lo:hi with lo <
+hi), a NaN ``--time`` or a negative ``curve --samples``, each with a message
+that names the flag or the axis, and an array too large for memory (such
+as a huge ``--grid``);
 2 check failed, input not on the scheme (a ``--point`` whose membership
 residual exceeds the tolerance, an overflow to inf included), a ``--time``
 outside the curve's definition interval, a curve over its step limit or a
@@ -219,9 +221,12 @@ def _parse_box(text: Optional[str], arity: int):
         raise ValueError(f"box needs {arity} axis ranges lo:hi")
     out = []
     for span in spans:
-        lo, hi = (float(x) for x in span.split(":"))
+        try:
+            lo, hi = (float(x) for x in span.split(":"))
+        except ValueError:  # not two numbers
+            lo = hi = math.nan
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"box axis {span!r} needs finite bounds lo < hi")
+            raise ValueError(f"box axis {span!r} needs two finite bounds lo:hi with lo < hi")
         out.append((lo, hi))
     return tuple(out)
 
@@ -242,6 +247,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be at least 0, got {args.samples}")
     sf = load_scheme(args.scheme, args.tol, args.horizon)
     point = _parse_point(args.point, sf.scheme)
     curve = cv.integrate_max_curve(sf.field, point, sf.options)
@@ -270,6 +277,8 @@ def cmd_domain(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    if math.isnan(args.time):
+        raise ValueError("--time is not a number")
     sf = load_scheme(args.scheme, args.tol, args.horizon)
     point = _parse_point(args.point, sf.scheme)
     state = fl.flow_eval(sf.field, point, args.time, sf.options)

@@ -5,10 +5,11 @@ explicit Runge-Kutta method of order 8 with a combined 5th/3rd-order error
 estimate and a continuous output of order 7.  The curve of the scheme
 is the restriction of that trajectory to the connected component of 0 in the
 set of times where the state stays on the zero set: membership of the dense
-output is monitored at a fixed density per accepted step and the first
-threshold crossing is localized by bisection.  Sign-based event detection is
-not enough here because the membership residual can touch zero without
-crossing, so a threshold test on the max residual is used instead.
+output is monitored at a fixed density per accepted step, and the first
+failing state is localized by the same test on ever finer samples.
+Sign-based event detection is not enough here because the membership
+residual can touch zero without crossing, so a threshold test on the max
+residual is used instead.
 
 Lanes and rounds.  Curves are integrated in lockstep by
 ``integrate_max_curves``; ``integrate_max_curve`` is a batch of one point.
@@ -29,7 +30,7 @@ of the steps it leaves go through the scheme's residual in one call.  A
 round runs with numpy's floating-point warnings off: overflow is how
 blow-up shows.  Whatever one curve decides stays per lane, with the rules
 of one curve: step size and controller, rejection, step-size underflow, the
-horizon, the step limit, the first failing checkpoint and its bisection.
+horizon, the step limit, the first failing checkpoint and its bound.
 
 Dense output.  A direction's accepted steps are stored as columns
 (``Steps``: ``t0`` (k,), signed ``h`` (k,), ``y0`` (k, n) and ``coeffs``
@@ -40,20 +41,20 @@ continuous output, y0 + h*(u*(c1 + v*(c2 + u*(c3 + v*(c4 + u*(c5 + v*(c6 +
 u*c7))))))), in elementwise numpy arithmetic in that order, so a state's
 bits never depend on how many states are evaluated together; it gives y0
 at u = 0 exactly and the step's new state at u = 1 up to rounding.  The
-checkpoint scan, bisection and ``evaluate_curve`` all call it: a checkpoint
-state is, bit for bit, ``evaluate_curve`` at its time t0 + theta*h.
+checkpoint scan, the exit localization and ``evaluate_curve`` all call it: a
+checkpoint state is, bit for bit, ``evaluate_curve`` at its time t0 +
+theta*h.
 
 Per-lane errors.  A round is computed, without changing any lane, for all
 live lanes at once: the attempt, the extra stages, the checkpoint scan and
-the bisection of every exit.  If any of it raises, the round is computed
+the localization of every exit.  If any of it raises, the round is computed
 again for each lane alone; a lane whose own round raises fails with that
 exception, and the other lanes take their step in the same round.  That is
-the one per-lane fallback.  A bisection call that raises is computed again
-one level at a time, whose states are exactly the ones the walks visit, so
-a state that no walk visits never fails a lane.  Within a step, a batched
-residual call that raises sends the step's checkpoints through the residual
-state by state, so a failure at a later checkpoint never pre-empts an
-earlier membership exit; an overflow gives +-inf (see
+the one per-lane fallback.  A batched residual call of the scan or of the
+localization that raises sends each lane's states through the residual
+state by state, up to its first failing one, so a state after it never
+fails a lane and never pre-empts an earlier membership exit; an overflow
+gives +-inf (see
 ``expr.as_callable``), so only a guard violation or the sine or cosine of
 an infinity makes a batch raise.  A point's result is its forward lane's
 exception if that lane raised, otherwise its backward lane's, otherwise its
@@ -67,19 +68,23 @@ only if numpy's elementwise evaluation of the field or the residual does.
 Sums, products and negation never do (rotations, translations); powers,
 quotients, exp, log, sin, cos and the cutoffs go through numpy functions
 that nothing documents to be independent of the array's length.  The
-residual sees each checkpoint and bisection state in a batch: with the
-other lanes' states and, in the bisection, with states of later levels.
+residual sees each checkpoint and localization state in a batch, with the
+other states of its round.
 
 Membership scan.  ``CHECKPOINTS_PER_STEP`` states at u = 1/m, 2/m, ..., 1
 of each accepted step are tested; at m = 160 and the default tolerances a
 rotation's longest steps (about 0.33) put them about 2.1e-3 apart in time.
-The first failing checkpoint is localized by bisection on times between it
-and the checkpoint before it (or the step's start), each state at u
-computed from its time as ``evaluate_curve`` computes it; the bound is the
-last time whose state passed.  The exits of a round bisect together,
-``BISECT_DEPTH`` levels per residual call: a call holds the 2^depth - 1
-midpoints that each exit's next levels could visit, each computed as the
-walk computes it, and each walk reads the ones it visits.
+One rule, the first state that fails (or raises), both detects an exit
+and localizes it.  The gap from the last passing time (the checkpoint
+before the first failing one, or the step's start) to the first failing
+time is sampled at its own interior fractions 1/m, ..., (m - 1)/m; the
+first failing sample and the sample before it make the next gap, until the
+gap is within ``event_tol`` or holds no other float (``_Lockstep._locate``).
+Each state is at u computed from its time as ``evaluate_curve`` computes
+it, and the bound is the gap's passing end: the first exit from the space,
+not just some crossing, at a time whose state passed.  All gaps of a round
+are sampled in one residual call per level; about four levels reach the
+default ``event_tol``.
 
 Membership screen.  When every constraint is a polynomial of degree at most
 d, a step can be cleared without its checkpoints.  Along a step, constraint
@@ -102,7 +107,7 @@ Numerical Algorithms*, ch. 3 and 5); the polynomial with coefficients b
 then misses p by at most kappa*m(X) + tau*max|values| at the nodes, hence
 by at most the nodes' Lebesgue constant times that on [0, 1]; and a last
 checkpoint whose u passes 1 by rounding adds a term of that excess.  Only
-the steps the screen leaves are scanned and bisected, so every exit, bound
+the steps the screen leaves are scanned and localized, so every exit, bound
 and output is what the scan alone gives.  The screen applies when 7d + 1 <
 ``CHECKPOINTS_PER_STEP``, gamma_(N+1)*||W|| < eps_z and tau < 1/2 (see
 ``_bernstein``), which excludes cubics at the default eps_z; a scheme with
@@ -148,7 +153,9 @@ accepted and rejected steps, the smallest and largest accepted |h|
 ("min_h", "max_h") and the reason the direction ended: "horizon", "reach",
 "underflow" (with "last_h", the controller step below the floor) or "exit"
 (with "checkpoint", the index of the first failing checkpoint of the last
-step), and "screened", the accepted steps the membership screen cleared.
+step, and "fails_at", the failing end of the localized gap: a time within
+``event_tol`` beyond the bound whose state fails), and "screened", the
+accepted steps the membership screen cleared.
 """
 
 from __future__ import annotations
@@ -337,14 +344,8 @@ MAX_LANES = 32
 BASE_CHECK = 256
 
 # The membership scan tests the states at u = 1/m, 2/m, ..., 1 of every
-# accepted step, m this many.
+# accepted step, m this many; an exit's gap is sampled at the interior ones.
 CHECKPOINTS_PER_STEP = 160
-
-# The bisection of a round's exits evaluates this many levels per residual
-# call (see ``_Lockstep._bisect``): 2^depth - 1 states per exit, depth of them
-# visited.  Of depths 3-6, 5 spent the least time bisecting the square
-# rotation's domain jobs (2-core x86-64 host).
-BISECT_DEPTH = 5
 
 # The unit roundoff and Higham's gamma_k = k*u/(1 - k*u), the bound on the
 # relative error of k roundings.
@@ -854,43 +855,50 @@ class _Lockstep:
     def _scan(self, t, y, h, K) -> tuple:
         """The rows [t0, h, y0, coeffs] (lanes, 2 + 8n) of accepted steps
         from ``t`` with states ``y`` and stages ``K``, for each step None or
-        (its first failing checkpoint, the bound of the exit), and which
-        steps the screen cleared: the checkpoints of all other steps go
-        through the residual in one call, and the exits of all steps are
-        bisected together."""
-        residual, eps_z = self.residual, self.eps_z
+        (its first failing checkpoint, the bound of the exit, the failing end
+        of its gap), and which steps the screen cleared: the checkpoints of
+        all other steps go through the residual in one call, and the exits
+        of all steps are localized together."""
         coeffs = _dense_coeffs(self.rhs, y, h, K)
-        tcol, hcol = t[:, None], h[:, None]
-        rows = np.concatenate((tcol, hcol, y, coeffs.reshape(len(t), -1)), axis=1)
+        rows = np.concatenate((t[:, None], h[:, None], y, coeffs.reshape(len(t), -1)), axis=1)
         cleared = np.zeros(len(t), dtype=bool)
         if self.screen is not None:
             cleared = self.screen.clears(t, y, h, coeffs)
         scan = (~cleared).nonzero()[0]
         exits = [None] * len(t)
-        if not len(scan):
-            return rows, exits, cleared.tolist()
-        tcol, hcol = tcol[scan], hcol[scan]
-        # checkpoint states (n, lanes, checkpoints), at u computed from
-        # their times as evaluate_curve computes it
-        u = (tcol + hcol * self.thetas - tcol) / hcol
-        states = _dense(y[scan].T[:, :, None], hcol, coeffs[scan].T[..., None], u)
-        try:
-            failing = residual(states.reshape(self.n, -1)).reshape(len(scan), -1) > eps_z
-            first = failing.argmax(axis=1).tolist()
-            bad = [f if row[f] else None for f, row in zip(first, failing)]
-        except (ex.GuardViolation, ValueError):
-            # state by state: a state raises only if none before it exits
-            bad = [
-                next((k for k, s in enumerate(states[:, a].T) if residual(s) > eps_z), None)
-                for a in range(len(scan))
-            ]
-        out = [a for a, b in zip(scan.tolist(), bad) if b is not None]
-        bad = [b for b in bad if b is not None]
-        if out:
-            bounds = self._bisect(t[out], h[out], y[out], coeffs[out], bad)
-            for a, b, bound in zip(out, bad, bounds):
-                exits[a] = (b, bound)
+        if len(scan):
+            times = t[scan, None] + h[scan, None] * self.thetas
+            first = self._first_failing(times, t[scan], h[scan], y[scan], coeffs[scan])
+            out = first < len(self.thetas)
+            a, bad = scan[out], first[out]
+            if len(a):
+                located = self._locate(t[a], h[a], y[a], coeffs[a], bad)
+                for i, b, bound, fails_at in zip(a.tolist(), bad.tolist(), *located):
+                    exits[i] = (b, bound, fails_at)
         return rows, exits, cleared.tolist()
+
+    def _first_failing(self, times, t0, h, y0, coeffs) -> np.ndarray:
+        """For each lane, the index of its first state that fails
+        membership, or k if none of its k states does: the states at
+        ``times`` (lanes, k) of the steps from ``t0`` (lanes,) with signed
+        steps ``h`` (lanes,), states ``y0`` (lanes, n) and coefficients
+        ``coeffs`` (lanes, n, 7), each at u computed from its time as
+        ``evaluate_curve`` computes it.  One residual call on all of them,
+        or, if it raises, state by state, so a state raises only if none
+        before it fails."""
+        residual, eps_z = self.residual, self.eps_z
+        lanes, k = times.shape
+        hcol = h[:, None]
+        u = (times - t0[:, None]) / hcol
+        states = _dense(y0.T[:, :, None], hcol, coeffs.T[..., None], u)
+        try:
+            failing = residual(states.reshape(self.n, -1)).reshape(lanes, k) > eps_z
+        except (ex.GuardViolation, ValueError):
+            return np.array([
+                next((i for i, s in enumerate(states[:, a].T) if residual(s) > eps_z), k)
+                for a in range(lanes)
+            ])
+        return np.where(failing.any(axis=1), failing.argmax(axis=1), k)
 
     def _apply(self, rows, accepted, t, y, k1, h_abs, steps, exits, cleared) -> None:
         """Store a round computed by ``_step`` and end the lanes that exit,
@@ -908,7 +916,7 @@ class _Lockstep:
             lane.rows.append(row)
             lane.screened += screened
             if end is not None:
-                lane.finish("exit", end[1], True, False, checkpoint=end[0])
+                lane.finish("exit", end[1], True, False, checkpoint=end[0], fails_at=end[2])
                 self._settle(lane)
             elif abs(t1) >= opts.horizon:
                 lane.finish("horizon", lane.sign * opts.horizon, True, True)
@@ -919,62 +927,35 @@ class _Lockstep:
             elif len(lane.rows) >= opts.max_steps:
                 self._fail(lane, StepLimitExceeded(f"exceeded {opts.max_steps} accepted steps"))
 
-    def _bisect(self, t0, h, y0, coeffs, bad: list) -> list:
-        """The bounds of the first membership failures inside the steps from
+    def _locate(self, t0, h, y0, coeffs, bad) -> tuple:
+        """The gaps of the first membership failures inside the steps from
         ``t0`` (lanes,) with signed steps ``h`` (lanes,), states ``y0``
         (lanes, n) and coefficients ``coeffs`` (lanes, n, 7), whose
-        checkpoints ``bad`` are the first to fail.  Bisects each on times,
-        each state at u computed from its time as ``evaluate_curve``
-        computes it, and returns the last time whose state passed (a
-        checkpoint's time, or t0, whose state the scan or the start passed),
-        so the bound's state passes: a membership exit is closed.  The lanes
-        bisect together, ``BISECT_DEPTH`` levels per residual call, and a
-        call that raises is computed again at depth 1 (see the module
-        docstring)."""
-        tol, thetas = self.opts.event_tol, self.thetas.tolist()
-        ts, hs = t0.tolist(), h.tolist()
-        lo = [a + thetas[b - 1] * hj if b else a for a, hj, b in zip(ts, hs, bad)]
-        hi = [a + thetas[b] * hj for a, hj, b in zip(ts, hs, bad)]
+        checkpoints ``bad`` (lanes,) are the first to fail.  Each exit's gap
+        runs from the last passing time (the checkpoint before, or t0) to
+        the first failing one; the scan's rule is applied to it again, at
+        the gap's own interior checkpoint fractions, and its first failing
+        sample and the sample before it make the next gap, until the gap is
+        within ``event_tol`` or holds no other float.  Returns the gaps'
+        passing ends, the bounds, so a membership exit is closed, and their
+        failing ends.  The gaps of a round are sampled together, one
+        ``_first_failing`` call per level."""
+        thetas, inner = self.thetas, self.thetas[:-1]
+        lo = np.where(bad > 0, t0 + thetas[bad - 1] * h, t0)
+        hi = t0 + thetas[bad] * h
 
-        def done(j):
-            mid = 0.5 * (lo[j] + hi[j])
-            # adjacent floats leave no time between them to test
-            return abs(hi[j] - lo[j]) <= tol or mid == lo[j] or mid == hi[j]
+        def live():
+            wide = np.abs(hi - lo) > self.opts.event_tol
+            return (wide & (np.nextafter(lo, hi) != hi)).nonzero()[0]
 
-        def chunk(depth):
-            # each live lane's midpoints in heap order: node i's children
-            # are 2i + 1 (its state fails: hi = mid) and 2i + 2 (lo = mid)
-            mids = []
-            for j in live:
-                spans, m = [(lo[j], hi[j])], []
-                for i in range(2**depth - 1):
-                    a, b = spans[i]
-                    m.append(0.5 * (a + b))
-                    spans += [(a, m[i]), (m[i], b)]
-                mids.append(m)
-            hl = h[live, None]
-            u = (np.array(mids) - t0[live, None]) / hl
-            states = _dense(y0.T[:, live, None], hl, coeffs.T[..., live, None], u)
-            failing = self.residual(states.reshape(self.n, -1)) > self.eps_z
-            return mids, failing.reshape(len(live), -1).tolist()
-
-        live = [j for j in range(len(bad)) if not done(j)]
-        while live:
-            try:
-                depth, (mids, failing) = BISECT_DEPTH, chunk(BISECT_DEPTH)
-            except (ex.GuardViolation, ValueError):  # what the residual raises
-                depth, (mids, failing) = 1, chunk(1)
-            for j, m, f in zip(live, mids, failing):
-                node = 0
-                for _ in range(depth):
-                    if done(j):
-                        break
-                    if f[node]:
-                        hi[j], node = m[node], 2 * node + 1
-                    else:
-                        lo[j], node = m[node], 2 * node + 2
-            live = [j for j in live if not done(j)]
-        return lo
+        while len(j := live()):
+            times = lo[j, None] + (hi - lo)[j, None] * inner
+            # ends[k] is each lane's first failing sample, or hi if all pass
+            ends = np.concatenate((lo[j, None], times, hi[j, None]), axis=1)
+            k = self._first_failing(times, t0[j], h[j], y0[j], coeffs[j]) + 1
+            r = np.arange(len(j))
+            lo[j], hi[j] = ends[r, k - 1], ends[r, k]
+        return lo.tolist(), hi.tolist()
 
     def _compact(self) -> None:
         keep = [lane.live for lane in self.lanes]

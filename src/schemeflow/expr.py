@@ -866,6 +866,9 @@ def as_callable(e: Union[SmoothExpr, Sequence[SmoothExpr]]) -> Callable:
     def compiled(p):
         if isinstance(p, np.ndarray) and p.ndim == 2:
             p = np.asarray(p, dtype=float)  # no copy of a float array
+            # no np.errstate here: a groupoid job calls the field about 1,000
+            # times, and entering it per call cost about 9% of the job (2-core
+            # x86-64 host); the callers enter it once around many calls
             try:
                 values = f(p)
             except FloatingPointError:

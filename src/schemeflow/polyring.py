@@ -453,18 +453,20 @@ def groebner_basis(
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     Buchberger's algorithm with the Gebauer-Moeller update; the inputs,
-    made monic and sorted by leading monomial, enter through it too.  Pairs
-    wait in a heap and leave by the normal selection strategy, smallest lcm
-    first: by lcm degree in grevlex (ties to the lowest indices), by the lcm
-    itself in lex.  Each new element drops the old pairs it makes redundant
+    sorted by leading monomial, enter through it too.  Pairs wait in a heap
+    and leave by the normal selection strategy, smallest lcm first: by lcm
+    degree in grevlex (ties to the lowest indices), by the lcm itself in
+    lex.  Each new element drops the old pairs it makes redundant
     (criterion B), keeps one new pair per minimal lcm (criteria M and F) and
     drops new pairs with coprime leading monomials; S-polynomials are
     reduced by the elements no newer leading monomial divides.  A final
-    inter-reduction leaves the basis sorted by leading monomial.  Raises
+    inter-reduction leaves the basis sorted by leading monomial, and only
+    its elements are made monic: a remainder does not change when a divisor
+    is scaled, and S-polynomials read the integer forms.  Raises
     DegreeCapExceeded if an intermediate polynomial climbs above
     ``degree_cap``.
     """
-    polys = [g.monic(order) for g in gens if not g.is_zero()]
+    polys = [g for g in gens if not g.is_zero()]
     polys.sort(key=lambda g: order.key(_reducer(g, order)[0]))
     lms = [_reducer(g, order)[0] for g in polys]
     active: list[int] = []  # indices of the current basis, ascending
@@ -510,7 +512,7 @@ def groebner_basis(
                 f"intermediate degree {r.total_degree()} exceeds cap {degree_cap}; "
                 "raise the cap to continue"
             )
-        polys.append(r.monic(order))
+        polys.append(r)
         lms.append(_reducer(polys[-1], order)[0])
         update(len(polys) - 1)
 
@@ -520,12 +522,12 @@ def groebner_basis(
         if not any(_divides(lms[j], lms[k]) for j in minimal):
             minimal.append(k)
     # fully reduce each element against the others: no other leading
-    # monomial divides its own, so it keeps its monic leading term, and the
-    # basis keeps the ascending order of ``minimal``
+    # monomial divides its own, so it keeps its leading term, and the basis
+    # keeps the ascending order of ``minimal``
     reduced = []
     for k in minimal:
         others = [polys[j] for j in minimal if j != k]
-        reduced.append(normal_form(polys[k], others, order) if others else polys[k])
+        reduced.append((normal_form(polys[k], others, order) if others else polys[k]).monic(order))
     return reduced
 
 

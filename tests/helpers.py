@@ -503,7 +503,7 @@ def reference_integrate_direction(rhs, y0, sign, residual, eps_z, opts):
         checkpoints = cv._dense(y[:, None], h, c.T[..., None], ((t + thetas * h) - t) / h)
         bad = next((j for j, s in enumerate(checkpoints.T) if residual(s) > eps_z), None)
         if bad is not None:
-            bound, _ = reference_bisect(residual, eps_z, t, h, y, c, bad, opts.event_tol)
+            bound, _ = reference_locate(residual, eps_z, t, h, y, c, bad, opts.event_tol)
             return steps(), bound, True, False
         t = t + h
         y = y_new
@@ -512,22 +512,27 @@ def reference_integrate_direction(rhs, y0, sign, residual, eps_z, opts):
     return steps(), sign * opts.horizon, True, True
 
 
-def reference_bisect(residual, eps_z, t, h, y, c, bad, event_tol):
-    """The bisection of one exit, one state per residual call, in the step
-    from ``t`` (signed step ``h``, state ``y``, coefficients ``c`` (n, 7))
-    whose checkpoint ``bad`` fails first: (the bound, the levels walked).
-    It bisects on times; the bound is the last time whose state passed."""
-    thetas = np.arange(1, cv.CHECKPOINTS_PER_STEP + 1) / cv.CHECKPOINTS_PER_STEP
-    lo = t + float(thetas[bad - 1]) * h if bad else t
-    hi = t + float(thetas[bad]) * h
+def reference_locate(residual, eps_z, t, h, y, c, bad, event_tol):
+    """The localization of one exit, one state per residual call, in the
+    step from ``t`` (signed step ``h``, state ``y``, coefficients ``c``
+    (n, 7)) whose checkpoint ``bad`` fails first: (the bound, the levels
+    walked).  Each level scans the gap from the last passing time to the
+    first failing one at its interior checkpoint fractions, in order, up to
+    the first failing sample; the bound is the gap's passing end."""
+    thetas = (np.arange(1, cv.CHECKPOINTS_PER_STEP + 1) / cv.CHECKPOINTS_PER_STEP).tolist()
+    lo = t + thetas[bad - 1] * h if bad else t
+    hi = t + thetas[bad] * h
     levels = 0
-    while abs(hi - lo) > event_tol and lo != 0.5 * (lo + hi) != hi:
-        mid = 0.5 * (lo + hi)
+    while abs(hi - lo) > event_tol and np.nextafter(lo, hi) != hi:
         levels += 1
-        if residual(cv._dense(y, h, c.T, (mid - t) / h)) > eps_z:
-            hi = mid
-        else:
-            lo = mid
+        last, gap = lo, hi - lo
+        for theta in thetas[:-1]:
+            s = lo + gap * theta
+            if residual(cv._dense(y, h, c.T, (s - t) / h)) > eps_z:
+                hi = s
+                break
+            last = s
+        lo = last
     return lo, levels
 
 

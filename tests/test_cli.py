@@ -251,6 +251,11 @@ class TestCurveCommand:
         assert main(argv + (["--time", "0.5"] if command == "flow" else [])) == EXIT_ERROR
         assert capsys.readouterr().err == "error: point (nan, 0.0) has a NaN coordinate\n"
 
+    def test_negative_samples_exit_one(self, line_path, capsys):
+        code = main(["curve", "--scheme", line_path, "--point", "1,0", "--samples", "-3"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: --samples must be at least 0, got -3\n"
+
     def test_step_limit_exits_two(self, tmp_path, capsys):
         p = tmp_path / "short.json"
         p.write_text(json.dumps(dict(LINE_SCHEME, options={"horizon": 20.0, "max_steps": 2})))
@@ -309,6 +314,11 @@ class TestFlowCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "residual inf" in err
 
+    def test_nan_time_exits_one(self, line_path, capsys):
+        code = main(["flow", "--scheme", line_path, "--point", "1,0", "--time", "nan"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: --time is not a number\n"
+
     def test_step_limit_exits_two(self, tmp_path, capsys):
         p = tmp_path / "short.json"
         p.write_text(json.dumps(dict(LINE_SCHEME, options={"horizon": 20.0, "max_steps": 2})))
@@ -366,11 +376,17 @@ class TestDomainCommand:
         assert code == EXIT_OK
         assert widths and widths.count(1) == 0
 
-    @pytest.mark.parametrize("box", ["0:0,-1:1", "1:-1,-1:1", "-1:inf,-1:1", "nan:1,-1:1"])
+    @pytest.mark.parametrize(
+        "box",
+        ["0:0,-1:1", "1:-1,-1:1", "-1:inf,-1:1", "nan:1,-1:1", "0:1:2,0:1", "0,0:1", "0:a,0:1"],
+    )
     def test_empty_or_reversed_box_exits_one(self, square_path, box, capsys):
         code = main(["domain", "--scheme", square_path, "--grid", "3", f"--box={box}"])
         assert code == EXIT_ERROR
-        assert capsys.readouterr().err.startswith("error: box axis")
+        axis = box.split(",")[0]
+        assert capsys.readouterr().err == (
+            f"error: box axis {axis!r} needs two finite bounds lo:hi with lo < hi\n"
+        )
 
     def test_impossible_grid_exits_one(self, square_path, capsys):
         # 10^16 grid points: numpy refuses the allocation at once.  Never

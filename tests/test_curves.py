@@ -32,7 +32,7 @@ from helpers import (
     curves_identical,
     expr_xy,
     first_steps,
-    reference_bisect,
+    reference_locate,
     reference_integrate_max_curve,
     rotation_field,
     shear_field,
@@ -952,11 +952,11 @@ class TestLockstepErrors:
         assert float(re.search(r"point \((\S+),", str(alone.value)).group(1)) > 3.0
 
     def test_dense_output_stage_error_isolated(self, monkeypatch):
-        # the attempt, the extra stages of the dense output and the bisection
-        # of an exit each raise from some states only (as a field or a
-        # constraint defined only there would): the lanes that get there fail
-        # alone, and the other lanes finish their step
-        real_attempt, real_dense, real_bisect = cv._attempt, cv._dense_coeffs, cv._Lockstep._bisect
+        # the attempt, the extra stages of the dense output and the
+        # localization of an exit each raise from some states only (as a
+        # field or a constraint defined only there would): the lanes that get
+        # there fail alone, and the other lanes finish their step
+        real_attempt, real_dense, real_locate = cv._attempt, cv._dense_coeffs, cv._Lockstep._locate
 
         def attempt(rhs, y, h, k1):
             if np.any(y[:, 0] < -1.1):
@@ -968,14 +968,14 @@ class TestLockstepErrors:
                 raise GuardViolation("past x = 2")
             return real_dense(rhs, y, h, K)
 
-        def bisect(self, t0, h, y0, coeffs, bad):
+        def locate(self, t0, h, y0, coeffs, bad):
             if np.any(y0[:, 0] > 0.8):
-                raise GuardViolation("bisection from x > 0.8")
-            return real_bisect(self, t0, h, y0, coeffs, bad)
+                raise GuardViolation("localization from x > 0.8")
+            return real_locate(self, t0, h, y0, coeffs, bad)
 
         monkeypatch.setattr(cv, "_attempt", attempt)
         monkeypatch.setattr(cv, "_dense_coeffs", dense_coeffs)
-        monkeypatch.setattr(cv._Lockstep, "_bisect", bisect)
+        monkeypatch.setattr(cv._Lockstep, "_locate", locate)
         line, sq = thickened_line(), square()
         cases = (
             # the line: 1.9 forward and 2.5 at its start meet the extra
@@ -1050,29 +1050,29 @@ class TestLockstepErrors:
             assert curves_identical(got[i], integrate_max_curve(v, points[i], OPTS))
 
 
-class _BisectionLog:
-    """What ``_instrument`` saw: residual calls, rounds, the residual calls
-    a per-lane walk of each bisection's exits needs in chunks of
-    ``BISECT_DEPTH`` levels, the exits of each bisection, the states the
-    batched bisection evaluated, the states the per-lane walks visit, and
-    the residual calls that raised on the poisoned state."""
+class _LocateLog:
+    """What ``_instrument`` saw: residual calls, rounds, the levels the
+    per-lane rescan of each localization walks (its most, per call), the
+    exits of each localization, the states the batched localization
+    evaluated, the states the per-lane rescans visit, and the residual calls
+    that raised on the poisoned state."""
 
     def __init__(self):
-        self.calls = self.rounds = self.chunks = self.raised = 0
+        self.calls = self.rounds = self.levels = self.raised = 0
         self.exits: list[int] = []
-        self.chunk_states: set = set()
+        self.batch_states: set = set()
         self.walk_states: set = set()
-        self.bisecting = False
+        self.locating = False
 
 
-def _instrument(monkeypatch, poison=None) -> _BisectionLog:
+def _instrument(monkeypatch, poison=None) -> _LocateLog:
     """Log the lockstep's residual calls, and raise GuardViolation on a call
-    that holds the state ``poison``.  Each bisection is replayed, lane by
-    lane, with the per-lane walk (``reference_bisect``), whose bounds it must
-    return bit for bit."""
-    log = _BisectionLog()
-    real_fn, real_bisect, real_step = (
-        SchemePresentation.residual_fn, cv._Lockstep._bisect, cv._Lockstep._step
+    that holds the state ``poison``.  Each localization is replayed, lane by
+    lane, with the per-lane rescan (``reference_locate``), whose bounds it
+    must return bit for bit."""
+    log = _LocateLog()
+    real_fn, real_locate, real_step = (
+        SchemePresentation.residual_fn, cv._Lockstep._locate, cv._Lockstep._step
     )
 
     def residual_fn(scheme):
@@ -1081,8 +1081,8 @@ def _instrument(monkeypatch, poison=None) -> _BisectionLog:
         def logged(p):
             log.calls += 1
             states = {tuple(s) for s in np.reshape(p, (scheme.arity, -1)).T.tolist()}
-            if log.bisecting:
-                log.chunk_states |= states
+            if log.locating:
+                log.batch_states |= states
             if poison in states:
                 log.raised += 1
                 raise GuardViolation("poisoned state")
@@ -1094,7 +1094,7 @@ def _instrument(monkeypatch, poison=None) -> _BisectionLog:
         log.rounds += 1
         return real_step(self, rows)
 
-    def bisect(self, t0, h, y0, coeffs, bad):
+    def locate(self, t0, h, y0, coeffs, bad):
         f = real_fn(self.scheme)
 
         def walked(s):
@@ -1102,22 +1102,22 @@ def _instrument(monkeypatch, poison=None) -> _BisectionLog:
             return f(s)
 
         walks = [
-            reference_bisect(walked, self.eps_z, a, hj, y, c, b, self.opts.event_tol)
+            reference_locate(walked, self.eps_z, a, hj, y, c, b, self.opts.event_tol)
             for a, hj, y, c, b in zip(t0.tolist(), h.tolist(), y0, coeffs, bad)
         ]
-        log.chunks += math.ceil(max(levels for _, levels in walks) / cv.BISECT_DEPTH)
+        log.levels += max(levels for _, levels in walks)
         log.exits.append(len(bad))
-        log.bisecting = True
+        log.locating = True
         try:
-            bounds = real_bisect(self, t0, h, y0, coeffs, bad)
+            located = real_locate(self, t0, h, y0, coeffs, bad)
         finally:
-            log.bisecting = False
-        assert np.array(bounds).tobytes() == np.array([b for b, _ in walks]).tobytes()
-        return bounds
+            log.locating = False
+        assert np.array(located[0]).tobytes() == np.array([b for b, _ in walks]).tobytes()
+        return located
 
     monkeypatch.setattr(SchemePresentation, "residual_fn", residual_fn)
     monkeypatch.setattr(cv._Lockstep, "_step", step)
-    monkeypatch.setattr(cv._Lockstep, "_bisect", bisect)
+    monkeypatch.setattr(cv._Lockstep, "_locate", locate)
     return log
 
 
@@ -1129,8 +1129,9 @@ def _drift_off_line():
 
 
 class TestBatchedBisection:
-    """The exits of a round bisect together, ``BISECT_DEPTH`` levels per
-    residual call, and give the per-lane walk's bounds bit for bit."""
+    """The exits of a round are localized together, one residual call per
+    level of the search, and give the per-lane rescan's bounds bit for
+    bit."""
 
     SQ_OPTS = IntegratorOptions(horizon=2.0)
     LINE_OPTS = IntegratorOptions(horizon=5.0)
@@ -1172,8 +1173,8 @@ class TestBatchedBisection:
         log = _instrument(monkeypatch)
         _batch(v, points, opts)
         assert max(log.exits) >= 2  # lanes that exit in the same round
-        # one scan per round, one call per chunk of levels, the base points
-        assert log.calls <= log.rounds + log.chunks + len(points)
+        # one scan per round, one call per localization level, the base points
+        assert log.calls <= log.rounds + log.levels + len(points)
 
     def test_raise_on_a_state_the_walk_never_visits(self, monkeypatch):
         sq = square()
@@ -1183,10 +1184,11 @@ class TestBatchedBisection:
         want = [reference_integrate_max_curve(v, p, opts) for p in points]
         log = _instrument(monkeypatch)
         _batch(v, points, opts)
-        # a chunk holds the visited states and others
-        assert log.walk_states < log.chunk_states
+        # a level's call holds the visited states and the samples after
+        # each lane's first failing one
+        assert log.walk_states < log.batch_states
         monkeypatch.undo()
-        log = _instrument(monkeypatch, poison=min(log.chunk_states - log.walk_states))
+        log = _instrument(monkeypatch, poison=min(log.batch_states - log.walk_states))
         got = _batch(v, points, opts)
         assert log.raised >= 1
         assert all(curves_identical(c, w) for c, w in zip(got, want))
@@ -1206,6 +1208,101 @@ class TestBatchedBisection:
         assert log.raised >= 1
         assert [isinstance(r, GuardViolation) for r in got] == [i == k for i in range(len(points))]
         assert all(curves_identical(c, w) for i, (c, w) in enumerate(zip(got, want)) if i != k)
+
+
+class TestFirstExit:
+    """A membership exit is the first time the state leaves the space: the
+    state at the bound passes, and the failing end of the localized gap
+    fails and lies within ``event_tol`` beyond the bound."""
+
+    def test_two_failing_stretches_in_one_gap(self):
+        # x = t under the field (1, 0).  The region 10^6 (x-a)(x-b)(x-c) <= 0
+        # fails on (a, b) and past c, with a, b and c at 0.10, 0.12 and 0.45
+        # of the checkpoint gap around t = 0.2: the checkpoints on both sides
+        # of the gap pass and fail, and the exit is at a, not at c
+        opts = IntegratorOptions(horizon=1.0)
+        plane = SchemePresentation(XY, region=(expr_xy("0 - 1"),))
+        free = integrate_max_curve(
+            LiftedField.from_strings(["1", "0"], plane), plane.point((0.0, 0.0)), opts
+        ).forward
+        i = np.searchsorted(free.t0, 0.2) - 1
+        m = cv.CHECKPOINTS_PER_STEP
+        times = free.t0[i] + free.h[i] * (np.arange(1, m + 1) / m)
+        k = int(np.searchsorted(times, 0.2))
+        lo, hi = float(times[k - 1]), float(times[k])
+        a, b, c = (lo + f * (hi - lo) for f in (0.10, 0.12, 0.45))
+        scheme = SchemePresentation(
+            XY, region=(expr_xy(f"1000000*(x - {a!r})*(x - {b!r})*(x - {c!r})"),)
+        )
+        v = LiftedField.from_strings(["1", "0"], scheme)
+        curve = integrate_max_curve(v, scheme.point((0.0, 0.0)), opts)
+        assert curve.diagnostics["forward"]["checkpoint"] == k
+        # past a by the eps_z margin, about 3.7e-8, and short of b
+        assert a < curve.interval.hi < b
+        assert curve.classification == CurveClass.HALF_OPEN
+        assert self._checked(curve, scheme) == 1  # the backward lane reaches the horizon
+
+    @staticmethod
+    def _checked(curve, scheme) -> int:
+        """Check the contract on each direction of ``curve`` that ends with a
+        membership exit, evaluated with the dense output of its last step;
+        returns how many it checked.  A singleton keeps no steps."""
+        residual, tol = scheme.residual_fn(), IntegratorOptions().event_tol
+        checked = 0
+        for side, bound in (("forward", curve.interval.hi), ("backward", curve.interval.lo)):
+            d = curve.diagnostics[side]
+            if d["end"] != "exit" or curve.interval.is_singleton:
+                continue
+            steps = getattr(curve, side)
+            t0, h, y0, c = steps.t0[-1], steps.h[-1], steps.y0[-1], steps.coeffs[-1]
+
+            def state(t):
+                return cv._dense(y0, h, c.T, (t - t0) / h)
+
+            fails_at = d["fails_at"]
+            assert residual(state(bound)) <= scheme.eps_z
+            assert residual(state(fails_at)) > scheme.eps_z
+            assert 0.0 < (fails_at - bound) * math.copysign(1.0, h) <= tol
+            checked += 1
+        return checked
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        near_edges=st.lists(
+            st.tuples(
+                st.sampled_from([0, 1]), st.sampled_from([-1.0, 1.0]),
+                st.floats(0.0, 1e-3), st.floats(-1.0, 1.0),
+            ),
+            max_size=6,
+        ),
+        near_corners=st.lists(
+            st.tuples(
+                st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0]),
+                st.floats(0.0, 0.05), st.floats(0.0, 0.05),
+            ),
+            max_size=6,
+        ),
+        on_circle=st.lists(st.floats(-0.01, 0.01), min_size=1, max_size=6),
+    )
+    def test_exit_contract(self, near_edges, near_corners, on_circle):
+        sq, ring = square(), circle(1e-7)
+        edges = [
+            (side * (1 - depth), along) if axis == 0 else (along, side * (1 - depth))
+            for axis, side, depth, along in near_edges
+        ]
+        corners = [(sx * (1 - a), sy * (1 - b)) for sx, sy, a, b in near_corners]
+        cases = (
+            # the translation (1, 0) leaves the circle both ways from near
+            # (0, 1), at |t| between about 5e-6 and 3e-4
+            (rotation_field(sq), [sq.point(p) for p in edges + corners], IntegratorOptions(horizon=2.0)),
+            (LiftedField.from_strings(["1", "0"], ring),
+             [ring.point((math.sin(a), math.cos(a))) for a in on_circle], IntegratorOptions(horizon=1.0)),
+        )
+        checked = 0
+        for v, points, opts in cases:
+            for curve in _batch(v, points, opts):
+                checked += self._checked(curve, v.home)
+        assert checked >= 2 * len(on_circle)
 
 
 class TestDiagnostics:

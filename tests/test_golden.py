@@ -43,6 +43,21 @@ CASES = {
 }
 
 
+def _first_difference(path: str, got: bytes, want: bytes) -> str:
+    """The file, the first line where ``got`` and ``want`` differ, and both
+    lines; a line only one of them has shows as <none>."""
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    n = next(
+        (i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w),
+        min(len(got_lines), len(want_lines)),
+    )
+
+    def line(lines):
+        return repr(lines[n]) if n < len(lines) else "<none>"
+
+    return f"{path}, line {n + 1}:\n  golden: {line(want_lines)}\n  output: {line(got_lines)}"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_is_byte_identical(name, capsys):
     """Stdout, stderr and the exit code."""
@@ -50,4 +65,7 @@ def test_stdout_is_byte_identical(name, capsys):
     captured = capsys.readouterr()
     for text, path in ((captured.out, name), (captured.err, name + ".stderr")):
         with open(os.path.join(GOLDEN, path), "rb") as fh:
-            assert text.encode("utf-8") == fh.read(), path
+            want = fh.read()
+        got = text.encode("utf-8")
+        if got != want:
+            pytest.fail(_first_difference(path, got, want), pytrace=False)

@@ -167,6 +167,29 @@ def _with_counted_spairs(monkeypatch) -> list[int]:
     return calls
 
 
+def _count_joining_remainders(monkeypatch) -> list[int]:
+    """Count the nonzero remainders of S-polynomials, the elements that
+    join a basis under construction."""
+    joined = [0]
+    spolys: dict = {}  # id -> S-polynomial, kept alive so that ids stay distinct
+    real_s, real_nf = pr.s_polynomial, pr.normal_form
+
+    def s_polynomial(f, g, order):
+        out = real_s(f, g, order)
+        spolys[id(out)] = out
+        return out
+
+    def normal_form(p, *args, **kwargs):
+        out = real_nf(p, *args, **kwargs)
+        if id(p) in spolys and not out.is_zero():
+            joined[0] += 1
+        return out
+
+    monkeypatch.setattr(pr, "s_polynomial", s_polynomial)
+    monkeypatch.setattr(pr, "normal_form", normal_form)
+    return joined
+
+
 class TestReductionData:
     """Division reads each divisor's leading monomial, integer leading
     coefficient, negated integer tail and content; they are built once per
@@ -195,11 +218,13 @@ class TestReductionData:
 
     def test_basis_builds_once_per_polynomial(self, monkeypatch):
         counts, entries = self._counted(monkeypatch)
-        groebner_basis(katsura(4))
-        # each polynomial the basis creates, input or new element, is made
-        # monic once; one build per divisor per division would be hundreds
-        # (28 S-pairs against up to 13 elements)
-        created = counts["monic"]
+        joined = _count_joining_remainders(monkeypatch)
+        gens = katsura(4)
+        groebner_basis(gens)
+        # the polynomials the basis works with are the inputs and the
+        # remainders that join it; one build per divisor per division would
+        # be hundreds (28 S-pairs against up to 13 elements)
+        created = len(gens) + joined[0]
         builds = len({id(e) for e in entries})
         assert builds <= created
         assert counts["leading_monomial"] <= 2 * created
