@@ -83,8 +83,8 @@ gap is within ``event_tol`` or holds no other float (``_Lockstep._locate``).
 Each state is at u computed from its time as ``evaluate_curve`` computes
 it, and the bound is the gap's passing end: the first exit from the space,
 not just some crossing, at a time whose state passed.  All gaps of a round
-are sampled in one residual call per level; about four levels reach the
-default ``event_tol``.
+are sampled in one residual call per level; three or four levels reach
+the default ``event_tol`` on the square rotation.
 
 Membership screen.  When every constraint is a polynomial of degree at most
 d, a step can be cleared without its checkpoints.  Along a step, constraint
