@@ -4,13 +4,9 @@ maximal integral curves that stop where the zero set does, flow domains, and
 groupoid verification for complete fields."""
 
 from .cring import (
-    EqualityResult,
-    EqualityStatus,
     PointNotOnScheme,
-    RingElement,
     SchemePoint,
     SchemePresentation,
-    element_equal,
     in_zero_set,
     sample_zero_set,
 )
@@ -27,13 +23,9 @@ from .curves import (
 from .derivation import (
     LiftedField,
     PreservationReport,
-    apply,
-    derivation_equal,
     hadamard_decompose,
-    lie_bracket,
     lift,
     preserves_ideal,
-    related,
 )
 from .expr import (
     GuardViolation,
@@ -51,11 +43,10 @@ from .expr import (
 )
 from .flow import (
     FlowDomain,
-    FlowIdealPresentation,
     MemoFlow,
+    check_time_zero_identity,
     flow_domain,
     flow_eval,
-    flow_ideal,
     t_convexity_check,
     validate_closed_form,
 )

@@ -15,16 +15,19 @@ A scheme file is a single UTF-8 JSON document:
 "ideal" entries are expression strings over the variables (generators that
 must vanish); "region" entries are constraints g <= 0; "derivation" must
 assign a coefficient expression to every variable; "flow_closed_form", when
-present, lists expressions over the variables plus "t".  germ_determined is
-recorded as declared, never verified.
+present, lists expressions over the variables plus "t".  "declared_flags"
+is an object that ``validate`` echoes as given; nothing reads or verifies
+it.
 
 Exit codes: 0 success/certified; 1 I/O or parse error, including a usage
 error (argparse's message), a malformed ``--point`` (a NaN coordinate
 included), ``--box`` (a box axis needs two finite bounds lo:hi with lo <
 hi), a NaN ``--time`` or a negative ``curve --samples``, each with a message
-that names the flag or the axis, and an array too large for memory (such
-as a huge ``--grid``);
-2 check failed, input not on the scheme (a ``--point`` whose membership
+that names the flag or the axis, a closed form that fails psi(x, 0) = x in
+``validate`` (a NaN value included), and an array too large for memory
+(such as a huge ``--grid``);
+2 check failed (a NaN closed-form deviation or pullback identity
+included), input not on the scheme (a ``--point`` whose membership
 residual exceeds the tolerance, an overflow to inf included), a ``--time``
 outside the curve's definition interval, a curve over its step limit or a
 Groebner basis over its degree cap; 3 groupoid refused
@@ -138,12 +141,9 @@ def load_scheme(path: str, tol_override: Optional[float] = None,
     flags = raw.get("declared_flags", {})
     if not isinstance(flags, dict):
         raise SchemeFileError(f"{path}: 'declared_flags' must be an object")
-    germ = bool(flags.get("germ_determined", True))
 
     try:
-        scheme = cring.SchemePresentation(
-            vl, ideal, region, eps_z=eps_z, germ_determined=germ
-        )
+        scheme = cring.SchemePresentation(vl, ideal, region, eps_z=eps_z)
     except ValueError as err:
         raise SchemeFileError(f"{path}: {err}") from err
 
@@ -324,7 +324,7 @@ def cmd_validate(args) -> int:
         f"derivation coefficients: {sf.scheme.arity}",
     ]
     if sf.flow_closed_form is not None:
-        fl.flow_ideal(sf.scheme, sf.flow_closed_form)  # runs the t=0 identity check
+        fl.check_time_zero_identity(sf.scheme, sf.flow_closed_form)
         lines.append("flow_closed_form: present, t=0 identity ok")
     flags = ", ".join(f"{k}={v}" for k, v in sorted(sf.declared_flags.items()))
     lines += [f"declared flags: {flags or '(none)'}", "ok"]

@@ -10,7 +10,6 @@ the zero set, which is what all numeric checks sample.
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 from dataclasses import dataclass
@@ -23,12 +22,8 @@ from . import polyring as pr
 
 __all__ = [
     "SchemePresentation",
-    "RingElement",
     "SchemePoint",
-    "EqualityStatus",
-    "EqualityResult",
     "PointNotOnScheme",
-    "element_equal",
     "in_zero_set",
     "membership_residual",
     "sample_zero_set",
@@ -66,7 +61,6 @@ class SchemePresentation:
     ideal_gens: tuple[ex.SmoothExpr, ...] = ()
     region: tuple[ex.SmoothExpr, ...] = ()
     eps_z: float = DEFAULT_EPS_Z
-    germ_determined: bool = True  # declared by the presenter, never verified
 
     def __post_init__(self):
         if not self.ideal_gens and not self.region:
@@ -162,10 +156,6 @@ class SchemePresentation:
         majorants, roundings, degrees = zip(*data)
         return ex.as_callable(majorants), roundings, degrees
 
-    def element(self, source) -> "RingElement":
-        e = ex.parse_expr(source, self.vars) if isinstance(source, str) else source
-        return RingElement(e, self)
-
     def point(self, coords: Sequence[float], tol: Optional[float] = None) -> SchemePoint:
         """The point at ``coords`` if it is on the zero set (residual within
         ``tol``, default eps_z); a NaN coordinate raises ValueError."""
@@ -184,38 +174,6 @@ class SchemePresentation:
         return tuple((-w, w) for _ in range(self.arity))
 
 
-@dataclass(frozen=True)
-class RingElement:
-    rep: ex.SmoothExpr
-    home: SchemePresentation
-
-    def __post_init__(self):
-        if self.rep.vars != self.home.vars:
-            raise ValueError("representative over a different variable list")
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return RingElement(self.rep + other.rep, self.home)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return RingElement(self.rep - other.rep, self.home)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return RingElement(self.rep * other.rep, self.home)
-
-    def _coerce(self, other) -> "RingElement":
-        if isinstance(other, RingElement):
-            if other.home is not self.home and other.home != self.home:
-                raise ValueError("elements of different presentations")
-            return other
-        return RingElement(ex.const(other, self.home.vars), self.home)
-
-    def __repr__(self):
-        return f"RingElement({ex.format_expr(self.rep)!r})"
-
-
 def membership_residual(scheme: SchemePresentation, point: Sequence[float]) -> float:
     """The scheme's compiled residual (``residual_fn``) at one point."""
     return scheme.residual_fn()(point)
@@ -228,97 +186,6 @@ def in_zero_set(scheme: SchemePresentation, point: Sequence[float]) -> bool:
     constraint values it gives."""
     r = membership_residual(scheme, point)
     return r <= scheme.eps_z and not np.isnan(np.asarray(point, dtype=float)).any()
-
-
-class EqualityStatus(enum.Enum):
-    EQUAL = "equal-certified"
-    DISTINCT = "distinct-certified"
-    UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class EqualityResult:
-    status: EqualityStatus
-    normal_form: Optional[pr.Polynomial] = None
-    witness: Optional[tuple[float, ...]] = None
-    detail: str = ""
-
-    def __bool__(self):
-        return self.status is EqualityStatus.EQUAL
-
-
-def element_equal(
-    a: RingElement,
-    b: RingElement,
-    box: Optional[tuple[tuple[float, float], ...]] = None,
-    resolution: int = 9,
-) -> EqualityResult:
-    """Certificate-style equality of cosets.
-
-    equal-certified: the difference is polynomial and reduces to zero modulo
-    a polynomial presentation of the ideal (sound: the algebraic ideal sits
-    inside the smooth one).  distinct-certified: a sampled zero-set point
-    witnesses a nonzero value, or a gradient outside the span of the
-    generator gradients (both witnesses are sound for the smooth ideal).
-    Anything else: unknown, with the nonzero normal form attached when one
-    was computed.
-    """
-    if a.home != b.home:
-        raise ValueError("elements of different presentations")
-    scheme = a.home
-    d = ex.simplify(a.rep - b.rep)
-    if d.kind == "const" and d.value == 0:
-        return EqualityResult(EqualityStatus.EQUAL, detail="representatives identical")
-
-    nf = None
-    dp = ex.as_polynomial(d)
-    ideal = scheme.poly_ideal()
-    if dp is not None and ideal is not None:
-        nf = ideal.normal_form(dp)
-        if nf.is_zero():
-            return EqualityResult(EqualityStatus.EQUAL, normal_form=nf)
-
-    pts = sample_zero_set(scheme, box or scheme.default_box(), resolution)
-    # sampled points satisfy the generators only to eps_z, so a sound value
-    # witness needs headroom above what an ideal element could reach there
-    value_tol = max(1e-6, 100.0 * scheme.eps_z, scheme.eps_z**0.5 * 10.0)
-    n = scheme.arity
-    cols = np.reshape([p.coords for p in pts], (-1, n)).T
-    with np.errstate(all="ignore"):
-        # row 0 holds d, rows 1..n its gradient
-        d_values = ex.as_callable([d] + [ex.diff(d, i) for i in range(n)])(cols)
-        grads = ex.as_callable([ex.diff(g, i) for g in scheme.ideal_gens for i in range(n)])(cols)
-    grads = grads.reshape(len(scheme.ideal_gens), n, len(pts))
-    for j, p in enumerate(pts):
-        val = float(d_values[0, j])
-        if abs(val) > value_tol:
-            return EqualityResult(
-                EqualityStatus.DISTINCT,
-                normal_form=nf,
-                witness=p.coords,
-                detail=f"value {val:.3e} off the zero set tolerance",
-            )
-        v = d_values[1:, j]
-        if not np.all(np.isfinite(v)):
-            continue
-        if scheme.ideal_gens:
-            span = grads[:, :, j].T
-            coeffs, *_ = np.linalg.lstsq(span, v, rcond=None)
-            resid = float(np.linalg.norm(v - span @ coeffs, ord=np.inf))
-        else:
-            resid = float(np.linalg.norm(v, ord=np.inf))
-        if resid > 1e-6 * (1.0 + float(np.linalg.norm(v, ord=np.inf))):
-            return EqualityResult(
-                EqualityStatus.DISTINCT,
-                normal_form=nf,
-                witness=p.coords,
-                detail="gradient outside the span of generator gradients",
-            )
-    return EqualityResult(
-        EqualityStatus.UNKNOWN,
-        normal_form=nf,
-        detail="no zero normal form and no distinctness witness found",
-    )
 
 
 def box_grid(box: Sequence[tuple[float, float]], resolution: int) -> np.ndarray:

@@ -25,21 +25,10 @@ __all__ = [
     "PreservationReport",
     "GeneratorCheck",
     "GeneratorStatus",
-    "NotCertifiedError",
     "lift",
     "preserves_ideal",
-    "apply",
-    "related",
-    "RelatednessStatus",
-    "RelatednessResult",
     "hadamard_decompose",
-    "derivation_equal",
-    "lie_bracket",
 ]
-
-
-class NotCertifiedError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -235,101 +224,6 @@ def preserves_ideal(
     return PreservationReport(tuple(checks), note=note)
 
 
-def apply(field: LiftedField, element: cring.RingElement) -> cring.RingElement:
-    """The induced derivation on the quotient: well defined once the ideal is
-    preserved; raises NotCertifiedError otherwise."""
-    if field.home is None or element.home != field.home:
-        raise ValueError("element and field must share a home presentation")
-    report = preserves_ideal(field)
-    if report.failed:
-        raise NotCertifiedError(
-            "field does not certifiably preserve the ideal:\n" + report.summary()
-        )
-    return cring.RingElement(field.directional(element.rep), field.home)
-
-
-class RelatednessStatus(enum.Enum):
-    CERTIFIED = "certified"
-    NOT_CERTIFIED = "not-certified"
-    NUMERIC = "numeric"
-
-
-@dataclass(frozen=True)
-class RelatednessResult:
-    status: RelatednessStatus
-    per_coordinate: tuple[cring.EqualityResult, ...]
-    max_sampled: float = 0.0
-
-
-def related(
-    phi: Sequence[ex.SmoothExpr],
-    w: LiftedField,
-    v: LiftedField,
-    tol: float = 1e-7,
-    box: Optional[tuple[tuple[float, float], ...]] = None,
-    resolution: int = 9,
-) -> RelatednessResult:
-    """Are v (on the source) and w (on the target) intertwined by the map
-    with components ``phi``?  Checks v(phi_j) = w_j o phi for every target
-    coordinate, modulo the source ideal; the chain rule extends the
-    coordinate check to the whole ring.
-    """
-    if len(phi) != w.vars.arity:
-        raise ValueError("map components must match the target arity")
-    for c in phi:
-        if c.vars != v.vars:
-            raise ValueError("map components live over the source variables")
-
-    source = v.home
-    results = []
-    sampled = 0.0
-    status = RelatednessStatus.CERTIFIED
-    free = []  # (index in results, difference) on a free source
-    unknown = []  # differences a presented source leaves unknown
-    for j, wj in enumerate(w.coeffs):
-        lhs = v.directional(phi[j])
-        rhs = ex.apply_operation(wj, tuple(phi))
-        diff = ex.simplify(lhs - rhs)
-        if diff.kind == "const" and diff.value == 0:
-            results.append(cring.EqualityResult(cring.EqualityStatus.EQUAL))
-            continue
-        if source is not None:
-            r = cring.element_equal(source.element(diff), source.element("0"), box, resolution)
-            results.append(r)
-            if r.status is cring.EqualityStatus.DISTINCT:
-                status = RelatednessStatus.NOT_CERTIFIED
-            elif r.status is cring.EqualityStatus.UNKNOWN:
-                status = _merge_numeric(status)
-                unknown.append(diff)
-            continue
-        free.append((len(results), diff))
-        results.append(None)
-    if unknown:
-        # presented source: one sample of the zero set, all differences in one call
-        pts = cring.sample_zero_set(source, box or source.default_box(), resolution)
-        sampled = max(sampled, *_max_abs(unknown, [p.coords for p in pts]))
-    if free:
-        # free source: sample a box grid, all differences in one call
-        half = cring.DEFAULT_BOX_HALFWIDTH
-        pts = cring.box_grid(box or ((-half, half),) * v.vars.arity, resolution)
-        for (j, _), worst in zip(free, _max_abs([d for _, d in free], pts)):
-            sampled = max(sampled, worst)
-            if worst > tol:
-                status = RelatednessStatus.NOT_CERTIFIED
-                verdict = cring.EqualityStatus.DISTINCT
-            else:
-                status = _merge_numeric(status)
-                verdict = cring.EqualityStatus.UNKNOWN
-            results[j] = cring.EqualityResult(verdict, detail=f"max {worst:.3e}")
-    if status is RelatednessStatus.NUMERIC and sampled > tol:
-        status = RelatednessStatus.NOT_CERTIFIED
-    return RelatednessResult(status, tuple(results), sampled)
-
-
-def _merge_numeric(status: RelatednessStatus) -> RelatednessStatus:
-    return status if status is RelatednessStatus.NOT_CERTIFIED else RelatednessStatus.NUMERIC
-
-
 def _max_abs(exprs: Sequence[ex.SmoothExpr], points) -> list[float]:
     """max |e| over ``points`` (one per row) of each expression, all in one
     batched call; 0.0 for no points, and a NaN value is skipped."""
@@ -364,39 +258,3 @@ def hadamard_decompose(f: pr.Polynomial) -> list[pr.Polynomial]:
             raise AssertionError("telescoping difference not divisible; check inputs")
         out.append(quotient)
     return out
-
-
-def derivation_equal(
-    d: LiftedField,
-    e: LiftedField,
-    box: Optional[tuple[tuple[float, float], ...]] = None,
-    resolution: int = 9,
-) -> cring.EqualityResult:
-    """Coefficientwise coset equality; a derivation of the quotient is
-    determined by its values on the coordinate generators."""
-    if d.home is None or e.home is None or d.home != e.home:
-        raise ValueError("fields must share a home presentation")
-    scheme = d.home
-    verdicts = []
-    for a, b in zip(d.coeffs, e.coeffs):
-        r = cring.element_equal(scheme.element(a), scheme.element(b), box, resolution)
-        if r.status is cring.EqualityStatus.DISTINCT:
-            return r
-        verdicts.append(r)
-    if all(r.status is cring.EqualityStatus.EQUAL for r in verdicts):
-        return cring.EqualityResult(cring.EqualityStatus.EQUAL)
-    return cring.EqualityResult(
-        cring.EqualityStatus.UNKNOWN, detail="some coordinates lack a certificate"
-    )
-
-
-def lie_bracket(d: LiftedField, e: LiftedField) -> LiftedField:
-    """Coefficients of [d, e]; preservation of the ideal is re-certified by
-    callers, never assumed."""
-    if d.vars != e.vars or d.home != e.home:
-        raise ValueError("fields must live on the same presentation")
-    coeffs = tuple(
-        ex.simplify(d.directional(e.coeffs[i]) - e.directional(d.coeffs[i]))
-        for i in range(d.vars.arity)
-    )
-    return LiftedField(coeffs, d.home)

@@ -40,7 +40,6 @@ __all__ = [
     "simplify",
     "format_expr",
     "as_callable",
-    "extend_vars",
 ]
 
 
@@ -336,13 +335,6 @@ def _subst(e: SmoothExpr, args: tuple[SmoothExpr, ...], target: VarList) -> Smoo
         exponent=e.exponent,
         cut_order=e.cut_order,
     )
-
-
-def extend_vars(e: SmoothExpr, newvars: VarList) -> SmoothExpr:
-    """Reinterpret ``e`` over an extended variable list (indices unchanged)."""
-    if newvars.names[: e.vars.arity] != e.vars.names:
-        raise ValueError("new variable list must extend the old one")
-    return _subst(e, tuple(var(i, newvars) for i in range(e.vars.arity)), newvars)
 
 
 # -- polynomial bridge ---------------------------------------------------

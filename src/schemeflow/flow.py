@@ -1,6 +1,5 @@
 """Flows assembled from maximal curves: the domain table, flow evaluation,
-the cached numeric flow and the closed forms checked against it, and the
-presentation of the flow ideal over the extended variable list.
+the cached numeric flow and the closed forms checked against it.
 
 The flow domain is sampled as a table of (base point, definition interval)
 rows.  Its two structural facts are checked rather than assumed: slices are
@@ -15,12 +14,10 @@ so a row the check integrates again gets the same curve.
 The numeric flow is a ``MemoFlow``, which holds the field, the options and
 the curves integrated so far; the checks that read a flow take it whole.
 
-The flow ideal over (x_1..x_n, t) carries two generator families: the base
-generators reindexed through the projection, and, when a closed-form flow
-map is supplied, the generators composed with it.  The third ingredient is
-not a generator list at all but a membership predicate (vanishing on the
-sampled domain plus a unit-section condition), because its exact generators
-are not constructible in closed form.
+A closed-form flow is a list of expressions over (x_1..x_n, t).  It is
+never trusted: ``check_time_zero_identity`` checks psi(x, 0) = x on a grid,
+and ``validate_closed_form`` compares it with the numeric flow.  Both read
+a NaN value as a failure.
 """
 
 from __future__ import annotations
@@ -40,13 +37,12 @@ __all__ = [
     "FlowDomain",
     "DomainRow",
     "MemoFlow",
-    "FlowIdealPresentation",
     "ConvexityReport",
     "ClosedFormReport",
     "flow_domain",
     "flow_eval",
     "t_convexity_check",
-    "flow_ideal",
+    "check_time_zero_identity",
     "validate_closed_form",
     "closed_form_flow",
     "flow_columns",
@@ -253,14 +249,6 @@ class ClosedFormReport:
         return self.max_deviation <= self.tol
 
 
-def _extended_vars(scheme: cring.SchemePresentation) -> ex.VarList:
-    if TIME_VAR in scheme.vars.names:
-        raise ValueError(
-            f"scheme variables may not shadow the flow time variable {TIME_VAR!r}"
-        )
-    return scheme.vars.extended(TIME_VAR)
-
-
 def flow_columns(points, t) -> tuple[np.ndarray, np.ndarray, bool]:
     """The arguments of a batched flow call as (n, m) points, one per
     column, and their m times; one point or one time is repeated to the
@@ -377,7 +365,8 @@ def validate_closed_form(
     The points' curves are read from ``flow``, which integrates those it
     does not hold yet in one batch.  Each curve is compared at the times
     it is defined at (``IntegralCurve.defined_at``); the first point whose
-    integration raised raises."""
+    integration raised raises.  A NaN deviation makes the maximum NaN, so
+    the report fails."""
     phi = closed_form_flow(psi)
     points = list(points)
     flow.fill([p.coords for p in points])
@@ -390,102 +379,22 @@ def validate_closed_form(
         if len(inside):
             num = cv.evaluate_curve(curve, inside)
             sym = phi(p.coords, inside)
-            # Python's max: a NaN deviation never becomes the worst
-            worst = max([worst, *np.abs(num - sym).max(axis=0).tolist()])
+            worst = float(np.max(np.abs(num - sym), initial=worst))
             count += len(inside)
     return ClosedFormReport(worst, count, tol)
 
 
-@dataclass(frozen=True)
-class FlowIdealPresentation:
-    scheme: cring.SchemePresentation
-    extended_vars: ex.VarList
-    pr_generators: tuple[ex.SmoothExpr, ...]
-    psi_generators: tuple[ex.SmoothExpr, ...]
-    psi: Optional[tuple[ex.SmoothExpr, ...]]
-    domain: Optional[FlowDomain] = None
-
-    def generators(self) -> tuple[ex.SmoothExpr, ...]:
-        return self.pr_generators + self.psi_generators
-
-    def iprime_member(
-        self, g: ex.SmoothExpr, samples_per_row: int = 9, tol: Optional[float] = None
-    ) -> bool:
-        """The two defining conditions of the remainder ideal: g vanishes on
-        the sampled domain, and g(x, 0) lies in the base ideal (normal-form
-        test when polynomial, sampled vanishing on the zero set otherwise).
-        """
-        if g.vars != self.extended_vars:
-            raise ValueError("candidate must live over the extended variables")
-        tol = self.scheme.eps_z if tol is None else tol
-        n = self.scheme.arity
-
-        if self.domain is not None:
-            samples = []  # (x_1..x_n, t) of every sample, in one batched call
-            for row in self.domain.rows:
-                if row.error is None:
-                    lo, hi = row.interval.lo, row.interval.hi
-                    times = np.linspace(lo, hi, samples_per_row) if hi > lo else [0.0]
-                    samples += [(*row.point.coords, float(t)) for t in times]
-            with np.errstate(all="ignore"):
-                values = ex.as_callable(g)(np.reshape(samples, (-1, n + 1)).T)
-            if np.any(np.abs(values) > tol):  # a NaN sample fails nothing
-                return False
-
-        # restriction to t = 0
-        unit_args = tuple(
-            ex.var(i, self.scheme.vars) for i in range(n)
-        ) + (ex.const(0, self.scheme.vars),)
-        at_unit = ex.simplify(ex.apply_operation(g, unit_args))
-        poly = ex.as_polynomial(at_unit)
-        ideal = self.scheme.poly_ideal()
-        if poly is not None and ideal is not None:
-            return ideal.normal_form(poly).is_zero()
-        pts = cring.sample_zero_set(self.scheme, self.scheme.default_box(), 9)
-        with np.errstate(all="ignore"):
-            values = ex.as_callable(at_unit)(np.reshape([p.coords for p in pts], (-1, n)).T)
-        return bool(np.all(np.abs(values) <= tol))
-
-
-def flow_ideal(
-    scheme: cring.SchemePresentation,
-    psi: Optional[Sequence[ex.SmoothExpr]] = None,
-    domain: Optional[FlowDomain] = None,
-    identity_tol: float = 1e-9,
-) -> FlowIdealPresentation:
-    """Generators of the flow ideal over (x_1..x_n, t).
-
-    ``psi``, when given, must be expressions over the extended variables
-    satisfying psi(x, 0) = x (checked on a sample grid).  Its pullback
-    generators join the projection pullbacks; the remainder ideal is exposed
-    as the iprime_member predicate on the returned presentation.
-    """
-    evl = _extended_vars(scheme)
-    pr_gens = tuple(ex.extend_vars(g, evl) for g in scheme.ideal_gens)
-
-    psi_gens: tuple[ex.SmoothExpr, ...] = ()
-    psi_tuple = None
-    if psi is not None:
-        psi_tuple = tuple(psi)
-        if len(psi_tuple) != scheme.arity:
-            raise ValueError("closed form needs one component per scheme variable")
-        for c in psi_tuple:
-            if c.vars != evl:
-                raise ValueError("closed-form components live over (x..., t)")
-        _check_time_zero_identity(scheme, psi_tuple, identity_tol)
-        psi_gens = tuple(
-            ex.apply_operation(g, psi_tuple) for g in scheme.ideal_gens
-        )
-    return FlowIdealPresentation(scheme, evl, pr_gens, psi_gens, psi_tuple, domain)
-
-
-def _check_time_zero_identity(scheme, psi, tol):
-    """psi(x, 0) = x on a grid over the default box, in one batched call of
-    the closed form; the first failure in grid-row order, then component
-    order, raises."""
+def check_time_zero_identity(
+    scheme: cring.SchemePresentation, psi: Sequence[ex.SmoothExpr], tol: float = 1e-9
+) -> None:
+    """Check that the closed form ``psi`` over (x_1..x_n, t) satisfies
+    psi(x, 0) = x on a grid over the default box, in one batched call of
+    the closed form.  A component off by more than ``tol``, or NaN, fails;
+    the first failure in grid-row order, then component order, raises
+    ValueError."""
     grid = cring.box_grid(scheme.default_box(), 5)
     states = closed_form_flow(psi)(grid.T, 0.0)
-    bad = np.abs(states - grid.T) > tol
+    bad = ~(np.abs(states - grid.T) <= tol)  # a NaN state is bad
     if bad.any():
         j = int(np.argmax(bad.any(axis=0)))
         i = int(np.argmax(bad[:, j]))

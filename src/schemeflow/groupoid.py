@@ -247,8 +247,8 @@ class IdealInclusionReport:
     tol: float
 
     @property
-    def passed(self) -> bool:
-        return max(self.projection_identity, self.flow_identity) <= self.tol
+    def passed(self) -> bool:  # a NaN identity fails
+        return self.projection_identity <= self.tol and self.flow_identity <= self.tol
 
 
 def check_ideal_inclusions(
@@ -283,6 +283,6 @@ def check_ideal_inclusions(
     with np.errstate(all="ignore"):
         # the composite projects where the second factor (a1) does
         gaps = (gens(anchors) - gens(sources), gens(reached) - gens(phi(targets, t2)))
-    # a NaN gap is skipped, as Python's max skipped it
-    proj, flow = (float(np.fmax.reduce(np.abs(g), axis=None, initial=0.0)) for g in gaps)
+    # a NaN gap makes its identity NaN, which fails
+    proj, flow = (float(np.max(np.abs(g), initial=0.0)) for g in gaps)
     return IdealInclusionReport(proj, flow, len(arrows), tol)

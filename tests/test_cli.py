@@ -45,6 +45,25 @@ SQUARE_SCHEME = {
     "declared_flags": {"germ_determined": True},
 }
 
+# Closed forms of the thickened line's flow that are NaN at every point: each
+# exp overflows to inf, and the difference of the two infs is NaN.
+NAN_CLOSED_FORMS = {
+    "y": ["x + t", "y*exp(t) + exp(800 + x^2)*exp(800) - exp(801 + x^2)*exp(799)"],
+    "x": [
+        "x + t + exp(800 + y^2)*exp(800 + x^2) - exp(801 + y^2)*exp(799 + x^2)",
+        "y*exp(t)",
+    ],
+}
+
+
+@pytest.fixture(params=sorted(NAN_CLOSED_FORMS))
+def nan_form_path(request, tmp_path):
+    """The thickened line with a closed form whose ``request.param``
+    component is NaN, as (component index, path)."""
+    p = tmp_path / "nan_form.json"
+    p.write_text(json.dumps(dict(LINE_SCHEME, flow_closed_form=NAN_CLOSED_FORMS[request.param])))
+    return "xy".index(request.param), str(p)
+
 
 @pytest.fixture
 def line_path(tmp_path):
@@ -445,6 +464,18 @@ class TestGroupoidCommand:
         assert code == EXIT_OK
         assert "verdict: pass" in capsys.readouterr().out
 
+    def test_nan_closed_form_fails(self, nan_form_path, capsys):
+        # the axioms read the numeric flow and pass; the closed-form checks
+        # read the NaN and fail
+        index, path = nan_form_path
+        code = main(["groupoid", "--scheme", path, "--samples", "5"])
+        out = capsys.readouterr().out
+        assert code == EXIT_FAILED
+        assert "verdict: pass" in out
+        assert "closed form max deviation: nan\n" in out
+        if index == 1:  # the generator y^2 reads the NaN component
+            assert "pullback identities: projection 0.000e+00, flow nan\n" in out
+
     def test_field_compiled_once_per_job(self, monkeypatch):
         # the completeness gate and both sweep waves integrate curves; they
         # share one compiled right-hand side
@@ -474,6 +505,16 @@ class TestValidateCommand:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(bad))
         assert main(["validate", "--scheme", str(p)]) == EXIT_ERROR
+
+    def test_nan_closed_form_exits_one(self, nan_form_path, capsys):
+        index, path = nan_form_path
+        assert main(["validate", "--scheme", path]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: closed form fails the t=0 identity at (-2.0, -2.0): "
+            f"component {index} maps to nan\n"
+        )
 
 
 # every subcommand with the flags it needs on the thickened line

@@ -11,24 +11,21 @@ from schemeflow import derivation as dv
 from schemeflow import expr as ex
 from schemeflow import polyring as pr
 from schemeflow.cring import (
-    EqualityStatus,
     PointNotOnScheme,
     SchemePresentation,
     _Dedup,
     box_grid,
-    element_equal,
     in_zero_set,
     membership_residual,
     sample_zero_set,
 )
-from schemeflow.expr import GuardViolation, SmoothExpr, VarList, const, evaluate, log, parse_expr
+from schemeflow.expr import GuardViolation, SmoothExpr, VarList, const, log, parse_expr
 
 from helpers import (
     XY,
     circle,
     crossing_axes,
     expr_xy,
-    forbid_evaluate,
     reference_dedup,
     reference_evaluate,
     reference_sample_zero_set,
@@ -224,9 +221,8 @@ class TestComputedOncePerPresentation:
         assert scheme.poly_ideal() is scheme.poly_ideal()
         assert scheme.poly_ideal().groebner() is first and len(bases) == 1
         v = dv.LiftedField.from_strings(["-y", "x"], scheme)
-        dv.apply(v, scheme.element("x*y"))
-        dv.apply(v, scheme.element("x"))
-        element_equal(scheme.element("x^2"), scheme.element("1 - y^2"))
+        assert dv.preserves_ideal(v).certified
+        assert dv.preserves_ideal(v).certified
         assert len(bases) == 1
 
     def test_second_in_zero_set_compiles_nothing(self, monkeypatch):
@@ -489,73 +485,3 @@ class TestDedup:
         pts = np.array([[0.0, 0.0], [r, 0.0], [0.0, np.nextafter(r, 0.0)], [-r, r]])
         assert reference_dedup(pts, r) == [0, 1, 3]
         assert _dedup(pts, r) == pts[[0, 1, 3]].tolist()
-
-
-class TestElementEqual:
-    def test_nilpotent_direction_is_distinct(self):
-        line = thickened_line()
-        r = element_equal(line.element("y"), line.element("0"))
-        assert r.status is EqualityStatus.DISTINCT
-
-    def test_generator_is_zero(self):
-        line = thickened_line()
-        r = element_equal(line.element("y^2"), line.element("0"))
-        assert r.status is EqualityStatus.EQUAL
-
-    def test_euler_image_is_zero(self):
-        axes = crossing_axes()
-        r = element_equal(axes.element("3*x^2*y"), axes.element("0"))
-        assert r.status is EqualityStatus.EQUAL
-
-    def test_off_axis_gradient_witness(self):
-        # x*y is not in <x^2*y>: away from the origin its gradient leaves the
-        # span of the generator gradient, which is a sound witness
-        axes = crossing_axes()
-        r = element_equal(axes.element("x*y"), axes.element("0"))
-        assert r.status is EqualityStatus.DISTINCT
-        assert r.normal_form is not None and not r.normal_form.is_zero()
-
-    def test_witness_is_the_first_sample_in_order(self, monkeypatch):
-        # values and gradients come from one batch per expression; the scan
-        # over them still returns the first sampled point that witnesses:
-        # on the y-axis away from 0 the gradient (y, x) of x*y leaves the
-        # span of (2*x*y, x^2)
-        forbid_evaluate(monkeypatch)
-        axes = crossing_axes()
-        r = element_equal(axes.element("x*y"), axes.element("0"))
-        pts = [p.coords for p in sample_zero_set(axes, axes.default_box(), 9)]
-        assert r.witness == next(p for p in pts if p[0] == 0.0 and p[1] != 0.0)
-
-    def test_second_order_vanishing_stays_unknown(self):
-        # y^2 mod <y^3> defeats both witnesses (value and gradient vanish on
-        # the zero set) and the normal form is nonzero: deliberately unknown
-        cubic = SchemePresentation(XY, ideal_gens=(expr_xy("y^3"),))
-        r = element_equal(cubic.element("y^2"), cubic.element("0"))
-        assert r.status is EqualityStatus.UNKNOWN
-        assert r.normal_form is not None and not r.normal_form.is_zero()
-
-    def test_equivalence_on_certified_triple(self):
-        line = thickened_line()
-        a = line.element("y^2 + x")
-        b = line.element("x")
-        c = line.element("x + 2*y^2")
-        ab = element_equal(a, b)
-        bc = element_equal(b, c)
-        ac = element_equal(a, c)
-        aa = element_equal(a, a)
-        assert all(
-            r.status is EqualityStatus.EQUAL for r in (ab, bc, ac, aa)
-        )
-        assert element_equal(b, a).status is EqualityStatus.EQUAL
-
-    def test_quotient_soundness_on_samples(self):
-        line = thickened_line()
-        a = line.element("x + y^2*(x^2 + 3)")
-        b = line.element("x")
-        assert element_equal(a, b).status is EqualityStatus.EQUAL
-        for p in sample_zero_set(line, ((-2, 2), (-2, 2)), 9):
-            assert abs(evaluate(a.rep, p.coords) - evaluate(b.rep, p.coords)) <= 1e-7
-
-    def test_home_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            element_equal(thickened_line().element("x"), crossing_axes().element("x"))

@@ -7,21 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schemeflow.expr as ex
-from schemeflow.cring import EqualityStatus, SchemePresentation, sample_zero_set
+from schemeflow.cring import SchemePresentation, sample_zero_set
 from schemeflow.derivation import (
     GeneratorStatus,
     LiftedField,
-    NotCertifiedError,
-    RelatednessStatus,
-    apply,
-    derivation_equal,
     hadamard_decompose,
-    lie_bracket,
     lift,
     preserves_ideal,
-    related,
 )
-from schemeflow.expr import VarList, as_polynomial, parse_expr, simplify, variables
+from schemeflow.expr import VarList, as_polynomial, parse_expr, simplify
 from schemeflow.polyring import Polynomial, normal_form
 
 from helpers import (
@@ -257,51 +251,9 @@ class TestSampledChecksAreBatched:
         assert check.status is GeneratorStatus.NUMERIC and check.sample_count == len(pts) > 0
         assert check.numeric_residual == pytest.approx(want, rel=1e-13)
 
-    def test_free_source_grid(self, monkeypatch):
-        forbid_evaluate(monkeypatch)
-        tvl = VarList(("s",))
-        d_dt = LiftedField((parse_expr("1", tvl),), None)
-        target = LiftedField(shear_field(thickened_line()).coeffs, None)
-        phi = (parse_expr("s^2", tvl), parse_expr("0", tvl))
-        # v(phi_1) - w_1(phi) = 2*s - 1, largest at s = -2 on the grid of [-2, 2]
-        assert related(phi, target, d_dt).max_sampled == 5.0
-
-    def test_samples_of_an_unknown_coordinate(self, monkeypatch):
-        forbid_evaluate(monkeypatch)
-        # (y - x^2/3)^2 vanishes to second order on the parabola, so neither
-        # witness fires; the polished samples leave it small but nonzero
-        cubic = SchemePresentation(XY, ideal_gens=(expr_xy("(y - x^2/3)^3"),))
-        v = LiftedField.from_strings(["1", "(y - x^2/3)^2"], cubic)
-        w = LiftedField((expr_xy("1"), expr_xy("0")), None)
-        r = related(tuple(variables("x y")), w, v)
-        pts = sample_zero_set(cubic, cubic.default_box(), 9)
-        want = max(abs(reference_evaluate(expr_xy("(y - x^2/3)^2"), p.coords)) for p in pts)
-        assert r.per_coordinate[1].status is EqualityStatus.UNKNOWN
-        assert r.max_sampled == pytest.approx(want, rel=1e-13) and want > 0
-
-    def test_one_sample_for_all_unknown_coordinates(self, monkeypatch):
-        # each unknown coordinate's equality check samples the zero set, and
-        # the largest difference comes from one more sample for all of them
-        forbid_evaluate(monkeypatch)
-        import schemeflow.cring as cring
-
-        calls = []
-        real = cring.sample_zero_set
-        monkeypatch.setattr(cring, "sample_zero_set", lambda *a: calls.append(a) or real(*a))
-        cubic = SchemePresentation(XY, ideal_gens=(expr_xy("(y - x^2/3)^3"),))
-        v = LiftedField.from_strings(["(y - x^2/3)^2", "2*(y - x^2/3)^2"], cubic)
-        w = LiftedField((expr_xy("0"), expr_xy("0")), None)
-        r = related(tuple(variables("x y")), w, v)
-        assert [c.status for c in r.per_coordinate] == [EqualityStatus.UNKNOWN] * 2
-        assert len(calls) == 3
-        pts = real(cubic, cubic.default_box(), 9)
-        want = max(abs(reference_evaluate(expr_xy("2*(y - x^2/3)^2"), p.coords)) for p in pts)
-        assert r.max_sampled == pytest.approx(want, rel=1e-13) and want > 0
-
     def test_one_call_for_all_numeric_images(self, monkeypatch):
         # the sampler compiles the generators and their Jacobian, the residual
-        # its constraints, and the three images share one compiled call; a free
-        # source's two coordinate differences share one as well
+        # its constraints, and the three images share one compiled call
         compiled = []
         real = ex.as_callable
         monkeypatch.setattr(ex, "as_callable", lambda e: compiled.append(e) or real(e))
@@ -309,38 +261,11 @@ class TestSampledChecksAreBatched:
         report = preserves_ideal(LiftedField.from_strings(["1", "y"], SchemePresentation(XY, gens)))
         assert [c.status for c in report.checks] == [GeneratorStatus.NUMERIC] * 3
         assert len(compiled) == 4
-        compiled.clear()
-        tvl = VarList(("s",))
-        phi = (parse_expr("s^2", tvl), parse_expr("s^3", tvl))
-        target = LiftedField(shear_field(thickened_line()).coeffs, None)
-        r = related(phi, target, LiftedField((parse_expr("1", tvl),), None))
-        assert [c.detail for c in r.per_coordinate] == ["max 5.000e+00", "max 2.000e+01"]
-        assert len(compiled) == 1
 
 
 class TestApply:
-    def test_shear_keeps_nilpotent_direction(self):
-        line = thickened_line()
-        v = shear_field(line)
-        out = apply(v, line.element("y"))
-        assert as_polynomial(out.rep) == as_polynomial(expr_xy("y"))
-
-    def test_flat_field_kills_nilpotent_direction(self):
-        line = thickened_line()
-        u = LiftedField.from_strings(["1", "0"], line)
-        out = apply(u, line.element("y"))
-        assert simplify(out.rep).value == 0
-
-    def test_constants_die(self):
-        line = thickened_line()
-        out = apply(shear_field(line), line.element("1"))
-        assert simplify(out.rep).value == 0
-
-    def test_uncertified_field_rejected(self):
-        line = thickened_line()
-        v = LiftedField.from_strings(["0", "1"], line)
-        with pytest.raises(NotCertifiedError):
-            apply(v, line.element("y"))
+    """The field applied to a ring element is its directional derivative,
+    read modulo the ideal."""
 
     def test_well_defined_modulo_ideal(self):
         # changing the representative by an ideal element moves the output
@@ -348,47 +273,10 @@ class TestApply:
         line = thickened_line()
         v = shear_field(line)
         ideal = line.poly_ideal()
-        a = line.element("x*y")
-        a_shifted = line.element("x*y + y^2*(x + 2)")
-        out = apply(v, a)
-        out_shifted = apply(v, a_shifted)
-        delta = as_polynomial(simplify(out_shifted.rep - out.rep))
+        a = expr_xy("x*y")
+        a_shifted = expr_xy("x*y + y^2*(x + 2)")
+        delta = as_polynomial(simplify(v.directional(a_shifted) - v.directional(a)))
         assert delta is not None and ideal.normal_form(delta).is_zero()
-
-
-class TestRelated:
-    def test_quotient_map_relates_lift_and_derivation(self):
-        # identity coordinates into the quotient: certified by construction
-        line = thickened_line()
-        v_quot = shear_field(line)
-        v_free = LiftedField(v_quot.coeffs, None)
-        phi = tuple(variables("x y"))
-        r = related(phi, v_free, v_quot)
-        assert r.status is RelatednessStatus.CERTIFIED
-
-    def test_curve_relates_time_to_field(self):
-        # gamma(t) = (x0 + t, 0) intertwines d/dt with the shear field
-        tvl = VarList(("s",))
-        d_dt = LiftedField((parse_expr("1", tvl),), None)
-        target = LiftedField(shear_field(thickened_line()).coeffs, None)
-        phi = (parse_expr("2 + s", tvl), parse_expr("0", tvl))
-        r = related(phi, target, d_dt)
-        assert r.status is RelatednessStatus.CERTIFIED
-
-    def test_identity_map_self_related(self):
-        line = thickened_line()
-        v = shear_field(line)
-        phi = tuple(variables("x y"))
-        r = related(phi, v, v)
-        assert r.status is RelatednessStatus.CERTIFIED
-
-    def test_unrelated_pair_flagged(self):
-        tvl = VarList(("s",))
-        d_dt = LiftedField((parse_expr("1", tvl),), None)
-        target = LiftedField(shear_field(thickened_line()).coeffs, None)
-        phi = (parse_expr("s^2", tvl), parse_expr("0", tvl))  # not an integral curve
-        r = related(phi, target, d_dt)
-        assert r.status is RelatednessStatus.NOT_CERTIFIED
 
 
 class TestHadamard:
@@ -427,25 +315,10 @@ class TestHadamard:
                 assert (lhs - rhs).is_zero()
 
 
-class TestDerivationEqual:
-    def test_flat_vs_shear_distinct(self):
-        line = thickened_line()
-        u = LiftedField.from_strings(["1", "0"], line)
-        v = shear_field(line)
-        assert derivation_equal(u, v).status is EqualityStatus.DISTINCT
-
-    def test_ideal_perturbation_equal(self):
-        line = thickened_line()
-        v = shear_field(line)
-        w = LiftedField.from_strings(["1", "y + y^2"], line)
-        assert derivation_equal(v, w).status is EqualityStatus.EQUAL
-
-    def test_reflexive(self):
-        v = LiftedField.from_strings(["x", "y"], crossing_axes())
-        assert derivation_equal(v, v).status is EqualityStatus.EQUAL
-
-
 class TestAlgebraicProperties:
+    """The derivation laws on the quotient: a field acts on a representative
+    by ``LiftedField.directional``, and the laws hold modulo the ideal."""
+
     def test_chain_rule_normal_form(self):
         line = thickened_line()
         v = shear_field(line)
@@ -457,11 +330,11 @@ class TestAlgebraicProperties:
             a1 = random_polynomial(rng, XY, 2)
             a2 = random_polynomial(rng, XY, 2)
             composite = f.compose([a1, a2])
-            lhs = as_polynomial(apply(v, line.element(composite.to_expr())).rep)
+            lhs = as_polynomial(v.directional(composite.to_expr()))
             partials = []
             for j, aj in enumerate((a1, a2)):
                 df = f.diff(j).compose([a1, a2])
-                va = as_polynomial(apply(v, line.element(aj.to_expr())).rep)
+                va = as_polynomial(v.directional(aj.to_expr()))
                 partials.append(df * va)
             rhs = partials[0] + partials[1]
             assert ideal.normal_form(lhs - rhs).is_zero()
@@ -474,9 +347,9 @@ class TestAlgebraicProperties:
         for _ in range(20):
             a = random_polynomial(rng, XY, 2)
             b = random_polynomial(rng, XY, 2)
-            lhs = as_polynomial(apply(v, line.element((a * b).to_expr())).rep)
-            va = as_polynomial(apply(v, line.element(a.to_expr())).rep)
-            vb = as_polynomial(apply(v, line.element(b.to_expr())).rep)
+            lhs = as_polynomial(v.directional((a * b).to_expr()))
+            va = as_polynomial(v.directional(a.to_expr()))
+            vb = as_polynomial(v.directional(b.to_expr()))
             rhs = a * vb + b * va
             assert ideal.normal_form(lhs - rhs).is_zero()
 
@@ -495,34 +368,6 @@ class TestAlgebraicProperties:
             line,
         )
         a = expr_xy("x^2 + y")
-        lhs = as_polynomial(apply(combo, line.element(a)).rep)
-        rhs = c * as_polynomial(apply(d, line.element(a)).rep) + as_polynomial(
-            apply(e, line.element(a)).rep
-        )
+        lhs = as_polynomial(combo.directional(a))
+        rhs = c * as_polynomial(d.directional(a)) + as_polynomial(e.directional(a))
         assert ideal.normal_form(lhs - rhs).is_zero()
-
-    def test_lift_quotient_coherence(self):
-        line = thickened_line()
-        v = shear_field(line)
-        ideal = line.poly_ideal()
-        a = expr_xy("x*y + x^2")
-        via_field = as_polynomial(v.directional(a))
-        via_quotient = as_polynomial(apply(v, line.element(a)).rep)
-        assert ideal.normal_form(via_field - via_quotient).is_zero()
-
-    def test_bracket_coefficients(self):
-        line = thickened_line()
-        v = shear_field(line)
-        u = LiftedField.from_strings(["1", "0"], line)
-        br = lie_bracket(u, v)
-        # [d/dx, d/dx + y d/dy] = 0
-        assert all(simplify(c).value == 0 for c in br.coeffs)
-
-    def test_bracket_recertified_not_assumed(self):
-        axes = crossing_axes()
-        a = LiftedField.from_strings(["x", "y"], axes)
-        b = LiftedField.from_strings(["y", "x"], axes)
-        br = lie_bracket(a, b)
-        report = preserves_ideal(br)
-        assert report.checks  # certification actually ran
-

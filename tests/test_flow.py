@@ -6,15 +6,15 @@ import pytest
 
 from schemeflow.cring import sample_zero_set
 from schemeflow.curves import CurveClass, IntegratorOptions, integrate_max_curve, evaluate_curve
-from schemeflow.expr import GuardViolation, evaluate, parse_expr
+from schemeflow.expr import GuardViolation, parse_expr
 from schemeflow.flow import (
     MemoFlow,
     _probe_residuals,
+    check_time_zero_identity,
     closed_form_flow,
     domain_to_csv,
     flow_domain,
     flow_eval,
-    flow_ideal,
     scale_row_bounds,
     t_convexity_check,
     validate_closed_form,
@@ -24,7 +24,6 @@ from helpers import (
     XY,
     circle,
     count_integrations,
-    forbid_evaluate,
     rotation_field,
     shear_field,
     square,
@@ -230,87 +229,10 @@ class TestClosedForm:
 
 
 class TestFlowIdeal:
-    def test_generators_with_closed_form(self):
-        line, _, W = line_domain(9)
-        psi = TestClosedForm.PSI
-        fip = flow_ideal(line, psi, domain=W)
-        assert [g for g in fip.pr_generators] == [parse_expr("y^2", XYT)]
-        assert len(fip.psi_generators) == 1
-        # pulled generator is e^{2t} y^2 pointwise
-        g = fip.psi_generators[0]
-        for p in [(0.0, 1.0, 0.0), (1.0, 0.5, 2.0), (-2.0, 1.5, -1.0)]:
-            assert evaluate(g, p) == pytest.approx(
-                math.exp(2 * p[2]) * p[1] ** 2, rel=1e-12
-            )
-
-    def test_zero_sets_of_both_generator_families_agree(self):
-        # both y^2 and (y e^t)^2 vanish exactly on y = 0
-        line, _, _ = line_domain(9)
-        fip = flow_ideal(line, TestClosedForm.PSI)
-        for x in np.linspace(-2, 2, 5):
-            for y in np.linspace(-2, 2, 5):
-                for t in np.linspace(-2, 2, 5):
-                    pr_zero = all(
-                        abs(evaluate(g, (x, y, t))) <= 1e-9 for g in fip.pr_generators
-                    )
-                    psi_zero = all(
-                        abs(evaluate(g, (x, y, t))) <= 1e-9 for g in fip.psi_generators
-                    )
-                    assert pr_zero == psi_zero == (abs(y) <= 1e-9)
-
-    def test_without_closed_form(self):
-        line, _, W = line_domain(9)
-        fip = flow_ideal(line, None, domain=W)
-        assert fip.psi_generators == ()
-        assert fip.psi is None
+    """A closed form over (x, t) presents the flow only if psi(x, 0) = x."""
 
     def test_time_zero_identity_enforced(self):
-        line, _, _ = line_domain(9)
+        line = thickened_line()
         bad = (parse_expr("x + t^2 + 1", XYT), parse_expr("y", XYT))
         with pytest.raises(ValueError, match="t=0 identity"):
-            flow_ideal(line, bad)
-
-    def test_iprime_membership(self):
-        line, _, W = line_domain(9)
-        fip = flow_ideal(line, TestClosedForm.PSI, domain=W)
-        # t*y vanishes on the sampled domain (y=0 there) and restricts to 0
-        assert fip.iprime_member(parse_expr("t*y", XYT))
-        # y^2 * t has zero restriction and vanishes on the domain
-        assert fip.iprime_member(parse_expr("y^2*t", XYT))
-        # x is nonzero on the domain
-        assert not fip.iprime_member(parse_expr("x", XYT))
-        # y vanishes on the domain sample but its restriction y is not in <y^2>
-        assert not fip.iprime_member(parse_expr("y", XYT))
-
-    def test_iprime_restriction_sampled_in_one_batch(self, monkeypatch):
-        # a restriction to t = 0 that is not polynomial is checked on the
-        # zero-set sample, in one batched call
-        forbid_evaluate(monkeypatch)
-        line, _, _ = line_domain(9)
-        fip = flow_ideal(line, TestClosedForm.PSI)
-        assert fip.iprime_member(parse_expr("y*exp(x) + t*x", XYT))
-        assert not fip.iprime_member(parse_expr("exp(x) - 1 + t", XYT))
-
-    def test_pullback_zero_set_is_preimage_of_zero_set(self):
-        # sampled form of the pullback law for the closed-form flow map
-        line, _, _ = line_domain(9)
-        fip = flow_ideal(line, TestClosedForm.PSI)
-        phi = closed_form_flow(TestClosedForm.PSI)
-        line_residual = line.residual_fn()
-        for x in np.linspace(-2, 2, 9):
-            for y in np.linspace(-2, 2, 9):
-                for t in np.linspace(-2, 2, 9):
-                    pulled = all(
-                        abs(evaluate(g, (x, y, t))) <= 1e-7
-                        for g in fip.psi_generators
-                    )
-                    image_on_z = line_residual(tuple(phi((x, y), t))) <= 1e-7
-                    assert pulled == image_on_z
-
-    def test_unit_section_vanishing(self):
-        line, _, W = line_domain(9)
-        fip = flow_ideal(line, TestClosedForm.PSI, domain=W)
-        for row in W.rows:
-            args = tuple(row.point.coords) + (0.0,)
-            for g in fip.generators():
-                assert abs(evaluate(g, args)) <= line.eps_z
+            check_time_zero_identity(line, bad)

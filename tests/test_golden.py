@@ -40,6 +40,8 @@ CASES = {
     "groupoid_thickened_line.txt": [
         "groupoid", "--scheme", LINE, "--samples", "20", "--seed", "7", "--box=-3:3,-1:1",
     ],
+    "validate_thickened_line.txt": ["validate", "--scheme", LINE],
+    "validate_sphere_rotation.txt": ["validate", "--scheme", SPHERE],
 }
 
 

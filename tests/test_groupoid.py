@@ -434,3 +434,16 @@ class TestIdealInclusions:
         )
         report = check_ideal_inclusions(line, bad_psi, arrows, tol=1e-9)
         assert not report.passed
+
+    def test_nan_flow_fails(self):
+        # both exps overflow to inf, so the y component is NaN everywhere;
+        # the projection identity never reads the flow and stays 0
+        line, _ = line_setup()
+        arrows = sample_arrows(line, 5, seed=0, box=LINE_BOX)
+        nan_psi = (
+            parse_expr("x + t", XYT),
+            parse_expr("y*exp(t) + exp(800 + x^2)*exp(800) - exp(801 + x^2)*exp(799)", XYT),
+        )
+        report = check_ideal_inclusions(line, nan_psi, arrows, tol=1e-9)
+        assert report.projection_identity == 0.0 and math.isnan(report.flow_identity)
+        assert not report.passed
