@@ -37,6 +37,7 @@ Groebner basis over its degree cap; 3 groupoid refused
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -332,6 +333,7 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on the first call of ``main``, then reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schemeflow",

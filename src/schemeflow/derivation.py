@@ -171,13 +171,13 @@ def preserves_ideal(
     have nothing to check: every smooth field preserves the vanishing ideal
     of a full-dimensional closed region.
 
-    When the ideal and every coefficient are polynomial, V(g) is computed in
-    ``polyring`` as sum(a_i * dg/dx_i) over ``poly_ideal().gens``, in exact
-    rational arithmetic, and ``GeneratorCheck.image`` is its ``to_expr()``,
-    built when first read.
-    Otherwise (a non-polynomial generator or coefficient) V(g) is
-    ``field.directional(g)``, converted by ``expr.as_polynomial`` where it
-    can be.  Both give the same polynomial wherever both apply.
+    When the ideal and every coefficient are polynomial, V(g) is computed
+    exactly in ``polyring`` as sum(a_i * dg/dx_i) over
+    ``poly_ideal().gens``, and ``GeneratorCheck.image`` is its
+    ``to_expr()``, built when first read.  Otherwise (a non-polynomial
+    generator or coefficient) V(g) is ``field.directional(g)``, converted by
+    ``expr.as_polynomial`` when the ideal is polynomial.  Both give the same
+    polynomial wherever both apply.
     """
     scheme = field.home
     if scheme is None:
@@ -188,12 +188,13 @@ def preserves_ideal(
     for k, g in enumerate(scheme.ideal_gens):
         if coeffs is not None:
             gen = ideal.gens[k]
-            image = image_poly = sum(a * gen.diff(i) for i, a in enumerate(coeffs))
+            parts = (a * gen.diff(i) for i, a in enumerate(coeffs))
+            image = image_poly = pr.Polynomial.sum(parts, gen.vars)
         else:
             image = field.directional(g)
-            image_poly = ex.as_polynomial(image)
+            image_poly = None if ideal is None else ex.as_polynomial(image)
         images.append(image)
-        if ideal is None or image_poly is None:
+        if image_poly is None:
             checks.append(None)  # numeric: all such images are sampled below
             continue
         quotients, nf = pr.normal_form(image_poly, ideal, quotients=True)
@@ -226,10 +227,10 @@ def preserves_ideal(
 
 def _max_abs(exprs: Sequence[ex.SmoothExpr], points) -> list[float]:
     """max |e| over ``points`` (one per row) of each expression, all in one
-    batched call; 0.0 for no points, and a NaN value is skipped."""
+    batched call; 0.0 for no points, and NaN when a value is NaN."""
     with np.errstate(all="ignore"):
         values = ex.as_callable(exprs)(np.reshape(points, (-1, exprs[0].vars.arity)).T)
-    return np.fmax.reduce(np.abs(values), axis=1, initial=0.0).tolist()
+    return np.max(np.abs(values), axis=1, initial=0.0).tolist()
 
 
 def hadamard_decompose(f: pr.Polynomial) -> list[pr.Polynomial]:

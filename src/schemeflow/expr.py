@@ -355,13 +355,7 @@ def as_polynomial(e: SmoothExpr):
         if kind == "var":
             return polyring.Polynomial.variable(node.index, node.vars)
         if kind == "add":
-            # one dict for the whole sum: adding Polynomials copies the
-            # accumulated sum at every child
-            terms: dict = {}
-            for c in node.children:
-                for m, v in conv(c).terms.items():
-                    terms[m] = terms.get(m, 0) + v
-            return polyring.Polynomial(terms, node.vars)
+            return polyring.Polynomial.sum(map(conv, node.children), node.vars)
         if kind == "mul":
             out = conv(node.children[0])
             for c in node.children[1:]:
@@ -373,13 +367,9 @@ def as_polynomial(e: SmoothExpr):
             return conv(node.children[0]) ** node.exponent
         if kind == "div":
             den = conv(node.children[1])
-            terms = list(den.terms.items())
-            constant = (
-                len(terms) == 1 and not any(terms[0][0]) and terms[0][1] != 0
-            )
-            if not constant:
+            if den.total_degree() != 0:  # zero has degree -1
                 raise _NotPolynomial()
-            return conv(node.children[0]) * (1 / terms[0][1])
+            return conv(node.children[0]) * (1 / den.leading_coeff(polyring.MonomialOrder.GREVLEX))
         raise _NotPolynomial()
 
     try:

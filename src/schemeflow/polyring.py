@@ -1,14 +1,15 @@
 """Exact sparse multivariate polynomials and Groebner-basis ideal arithmetic.
 
-A polynomial's coefficients are rationals (fractions.Fraction); floating
-point enters only when a polynomial is evaluated as an expression
-(``to_expr``).  Division and S-polynomials run on Python ints: each divisor
-is kept as its content times a primitive integer polynomial, and division
-is pseudo-division by those integer forms (Geddes, Czapor & Labahn,
-*Algorithms for Computer Algebra*, 1992), with a gcd reduction that bounds
-the growth of the integers; results become Fractions once, equal to those
-of rational division.  Monomial orders: grevlex (default) and lex, with
-variable precedence given by declaration order.
+A polynomial is stored as its content times its primitive part: a positive
+rational times integer coefficients with gcd 1 (Geddes, Czapor & Labahn,
+*Algorithms for Computer Algebra*, 1992, ch. 2).  Ring operations, division
+and S-polynomials all run on the integers; a ``Fraction`` is built for a
+content, and per term only when ``terms`` is read.  Floating point enters
+only when a polynomial is evaluated as an expression (``to_expr``).
+Division is pseudo-division by the divisors' primitive parts, with a gcd
+reduction that bounds the growth of the integers, and its results equal
+those of rational division.  Monomial orders: grevlex (default) and lex,
+with variable precedence given by declaration order.
 
 Basis computation is Buchberger's algorithm with the Gebauer-Moeller
 update (Gebauer & Moeller 1988): when an element joins the basis, criterion
@@ -25,6 +26,7 @@ membership a checkable certificate.
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 import itertools
 import math
@@ -50,6 +52,7 @@ __all__ = [
 
 DEFAULT_DEGREE_CAP = 40
 SCALE_BITS = 128  # growth of division's scale between two gcd reductions
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class DegreeCapExceeded(Exception):
@@ -69,63 +72,78 @@ class MonomialOrder(enum.Enum):
 
 
 class Polynomial:
-    """Sparse map exponent-vector -> nonzero rational coefficient.
-
-    ``int`` and ``float`` coefficients are stored as ``Fraction`` (a float as
-    its exact binary rational), so arithmetic stays exact.  ``terms`` is
-    never written after construction (nothing in the package does), which
-    is what lets a polynomial keep its reduction data (``_reducer``).
+    """Sparse multivariate polynomial with rational coefficients, stored as
+    its content times its primitive part: a positive ``Fraction`` times a
+    map exponent-vector -> nonzero int whose values have gcd 1.  The form
+    is canonical, so ``==`` and ``hash`` compare it directly; zero has
+    content 0 and no terms.  The constructor takes a map to int, float or
+    ``Fraction`` coefficients (a float as its exact binary rational), and
+    ``terms`` reads them back as Fractions.  A polynomial is never changed
+    after construction, which is what lets it keep its reduction data
+    (``_reducer``).
     """
 
-    __slots__ = ("terms", "vars", "_reducers")
+    __slots__ = ("_content", "_prim", "vars", "_reducers")
 
     def __init__(self, terms: dict[tuple[int, ...], Fraction], vars_: VarList):
-        self.terms = {
-            m: c if type(c) is Fraction else Fraction(c) for m, c in terms.items() if c != 0
-        }
-        self.vars = vars_
-        self._reducers = None  # monomial order -> ``_reducer`` entry, on first use
+        coeffs = {m: Fraction(c) for m, c in terms.items() if c != 0}
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        ints = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
+        p = _canonical(ints, 1, den, vars_)
+        self._content, self._prim, self.vars, self._reducers = p._content, p._prim, vars_, {}
+
+    @classmethod
+    def _of(cls, prim: dict[tuple[int, ...], int], content: Fraction, vars_: VarList):
+        """``content * prim``, given in canonical form."""
+        p = object.__new__(cls)
+        # the reducers map a monomial order to its ``_reducer`` entry
+        p._content, p._prim, p.vars, p._reducers = content, prim, vars_, {}
+        return p
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def constant(cls, value, vars_: VarList) -> "Polynomial":
-        c = Fraction(value)
-        zero = (0,) * vars_.arity
-        return cls({zero: c} if c != 0 else {}, vars_)
+        c = value if type(value) is Fraction else Fraction(value)
+        return _canonical({(0,) * vars_.arity: c.numerator} if c else {}, 1, c.denominator, vars_)
 
     @classmethod
     def variable(cls, index: int, vars_: VarList) -> "Polynomial":
         exps = tuple(1 if i == index else 0 for i in range(vars_.arity))
-        return cls({exps: Fraction(1)}, vars_)
+        return cls._of({exps: 1}, _ONE, vars_)
+
+    @classmethod
+    def sum(cls, parts: Iterable["Polynomial"], vars_: VarList) -> "Polynomial":
+        """The sum of ``parts``, all over ``vars_``, in one map: each primitive
+        part is added times its content over the parts' common content."""
+        parts = [p for p in parts if p._prim]
+        if any(p.vars != vars_ for p in parts):
+            raise ValueError("polynomials over different variable lists")
+        if len(parts) < 2:
+            return parts[0] if parts else cls._of({}, _ZERO, vars_)
+        num = math.gcd(*(p._content.numerator for p in parts))
+        den = math.lcm(*(p._content.denominator for p in parts))
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        for p in parts:
+            u = p._content.numerator // num * (den // p._content.denominator)
+            for m, c in p._prim.items():
+                out[m] = get(m, 0) + u * c
+        return _canonical({m: c for m, c in out.items() if c}, num, den, vars_)
 
     # -- ring structure ----------------------------------------------------
-
-    def _check(self, other: "Polynomial"):
-        if self.vars != other.vars:
-            raise ValueError("polynomials over different variable lists")
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other, self.vars)
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Polynomial(out, self.vars)
+        return Polynomial.sum((self, other), self.vars)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()}, self.vars)
+        return Polynomial._of({m: -c for m, c in self._prim.items()}, self._content, self.vars)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self.vars)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -134,15 +152,19 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other, self.vars)
-        self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        add = operator.add
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        if self.vars != other.vars:
+            raise ValueError("polynomials over different variable lists")
+        if not (self._prim and other._prim):
+            return Polynomial._of({}, _ZERO, self.vars)
+        out: dict[tuple[int, ...], int] = {}
+        get, add = out.get, operator.add
+        for m1, c1 in self._prim.items():
+            for m2, c2 in other._prim.items():
                 m = tuple(map(add, m1, m2))
-                old = out.get(m)
-                out[m] = c1 * c2 if old is None else old + c1 * c2
-        return Polynomial(out, self.vars)  # drops the terms that cancelled
+                out[m] = get(m, 0) + c1 * c2
+        # Gauss's lemma: a product of primitive polynomials is primitive
+        prim = {m: c for m, c in out.items() if c}
+        return Polynomial._of(prim, self._content * other._content, self.vars)
 
     __rmul__ = __mul__
 
@@ -150,66 +172,72 @@ class Polynomial:
         if k < 0:
             raise ValueError("negative power of a polynomial")
         out = Polynomial.constant(1, self.vars)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+        for bit in bin(k)[2:]:  # binary powering, from the leading bit
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
             and self.vars == other.vars
-            and self.terms == other.terms
+            and self._content == other._content
+            and self._prim == other._prim
         )
 
     def __hash__(self):
-        return hash((self.vars, tuple(sorted(self.terms.items()))))
+        return hash((self.vars, self._content, frozenset(self._prim.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._prim)
 
     def __repr__(self):
         return f"Polynomial({self.to_source()!r})"
 
     # -- structure queries -------------------------------------------------
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """The map exponent-vector -> nonzero ``Fraction`` coefficient, built
+        anew on each read."""
+        n, d = self._content.numerator, self._content.denominator
+        return {m: Fraction(c * n, d) for m, c in self._prim.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._prim
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self._prim:
             return -1
-        return max(sum(m) for m in self.terms)
+        return max(sum(m) for m in self._prim)
 
     def leading_monomial(self, order: MonomialOrder) -> tuple[int, ...]:
-        if not self.terms:
+        if not self._prim:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+        return max(self._prim, key=order.key)
 
     def leading_coeff(self, order: MonomialOrder) -> Fraction:
-        return self.terms[self.leading_monomial(order)]
+        return self._content * self._prim[self.leading_monomial(order)]
 
     def diff(self, index: int) -> "Polynomial":
         """Exact partial derivative with respect to variable ``index``."""
         if not 0 <= index < self.vars.arity:
             raise ValueError(f"variable index {index} out of range")
         out = {}
-        for m, c in self.terms.items():
+        for m, c in self._prim.items():
             e = m[index]
             if e:
                 out[m[:index] + (e - 1,) + m[index + 1 :]] = c * e
-        return Polynomial(out, self.vars)
+        return _canonical(out, self._content.numerator, self._content.denominator, self.vars)
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
-        if not self.terms:
+        """The polynomial over its leading coefficient: the content becomes
+        1/|L| for the leading integer L, and the primitive part changes sign
+        when L < 0."""
+        if not self._prim:
             return self
-        lc = self.leading_coeff(order)
-        if lc == 1:
-            return self
-        return Polynomial({m: c / lc for m, c in self.terms.items()}, self.vars)
+        return _canonical(self._prim, 1, self._prim[self.leading_monomial(order)], self.vars)
 
     # -- conversion ---------------------------------------------------------
 
@@ -218,46 +246,53 @@ class Polynomial:
         if len(args) != self.vars.arity:
             raise ValueError("composition arity mismatch")
         target = args[0].vars
-        out = Polynomial.constant(0, target)
-        for m, c in self.terms.items():
+        parts = []
+        for m, c in self._prim.items():
             term = Polynomial.constant(c, target)
             for a, e in zip(args, m):
                 if e:
                     term = term * a**e
-            out = out + term
-        return out
+            parts.append(term)
+        return Polynomial.sum(parts, target) * self._content
 
     def to_expr(self) -> SmoothExpr:
-        """Expression-tree form (printable in the expression grammar)."""
-        terms = sorted(
-            self.terms.items(), key=lambda mc: MonomialOrder.GREVLEX.key(mc[0]), reverse=True
-        )
-        vl = self.vars
-        if not terms:
-            return const(0, vl)
+        """Expression-tree form (printable in the expression grammar): terms
+        largest first in grevlex, each a product folded left to right."""
+        vl, grevlex = self.vars, MonomialOrder.GREVLEX.key
         parts = []
-        for m, c in terms:
-            factors: list[SmoothExpr] = []
-            if c != 1 or not any(m):
-                factors.append(const(c, vl))
-            for i, e in enumerate(m):
-                if e == 1:
-                    factors.append(var(i, vl))
-                elif e > 1:
-                    factors.append(var(i, vl) ** e)
-            term = factors[0]
-            for f in factors[1:]:
-                term = term * f
-            parts.append(term)
-        out = parts[0]
-        for p in parts[1:]:
-            out = out + p
-        return out
+        for m, c in sorted(self.terms.items(), key=lambda mc: grevlex(mc[0]), reverse=True):
+            factors = [const(c, vl)] if c != 1 or not any(m) else []
+            factors += [var(i, vl) ** e if e > 1 else var(i, vl) for i, e in enumerate(m) if e]
+            parts.append(functools.reduce(operator.mul, factors))
+        return functools.reduce(operator.add, parts) if parts else const(0, vl)
 
     def to_source(self) -> str:
         from .expr import format_expr
 
         return format_expr(self.to_expr())
+
+
+def _canonical(ints: dict, num: int, den: int, vars_: VarList) -> Polynomial:
+    """``num / den * ints`` in canonical form, for a map to nonzero ints and
+    a nonzero ``num / den``: the gcd of ``ints`` moves into the content."""
+    if not ints:
+        return Polynomial._of({}, _ZERO, vars_)
+    g = math.gcd(*ints.values())
+    if (num < 0) != (den < 0):
+        g = -g
+    if g != 1:
+        ints = {m: c // g for m, c in ints.items()}
+    return Polynomial._of(ints, Fraction(num * g, den), vars_)
+
+
+def _gather(scaled: dict, num: int, den: int, vars_: VarList) -> Polynomial:
+    """``num / den`` times the sum of c/s x^m over ``scaled = {m: (c, s)}``,
+    in canonical form, over the least common multiple of the scales s."""
+    if not scaled:
+        return Polynomial._of({}, _ZERO, vars_)
+    lcm = math.lcm(*{s for _, s in scaled.values()})
+    ints = {m: c * (lcm // s) for m, (c, s) in scaled.items()}
+    return _canonical(ints, num, den * lcm, vars_)
 
 
 def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -284,36 +319,19 @@ def _heap_key(order: MonomialOrder):
     return lambda m: (-sum(m),) + m[::-1]
 
 
-def _integer_form(terms: dict[tuple[int, ...], Fraction]) -> tuple[dict, Fraction]:
-    """``(integers, content)`` with ``terms == content * integers`` term by
-    term and the integers coprime: the content times a primitive integer
-    polynomial."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
-    g = math.gcd(*ints.values())
-    if g > 1:
-        ints = {m: c // g for m, c in ints.items()}
-    return ints, Fraction(g, den)
-
-
 def _reducer(g: Polynomial, order: MonomialOrder) -> tuple:
     """What division by the nonzero ``g`` and S-polynomials read: (leading
-    monomial, leading coefficient L, negated tail, content), where ``g`` is
-    the content times a primitive integer polynomial with the integer
-    leading coefficient L > 0 (the content carries the sign) and the
-    integer tail.  Built once per polynomial and order, and kept on the
-    polynomial."""
-    cache = g._reducers
-    if cache is None:
-        cache = g._reducers = {}
-    entry = cache.get(order)
+    monomial, leading coefficient L, negated tail, sign), where ``g`` is the
+    sign times its content times the integer polynomial with the leading
+    coefficient L > 0 and the integer tail.  Built once per polynomial and
+    order, and kept on the polynomial."""
+    entry = g._reducers.get(order)
     if entry is None:
         lm = g.leading_monomial(order)
-        ints, content = _integer_form(g.terms)
-        lc = ints.pop(lm)
+        lc = g._prim[lm]
         sign = 1 if lc > 0 else -1
-        tail = tuple((m, -sign * c) for m, c in ints.items())
-        entry = cache[order] = (lm, sign * lc, tail, sign * content)
+        tail = tuple((m, -sign * c) for m, c in g._prim.items() if m != lm)
+        entry = g._reducers[order] = (lm, sign * lc, tail, sign)
     return entry
 
 
@@ -335,14 +353,15 @@ def normal_form(
     is built on its first division and reused after (``_reducer``).
 
     The division runs on Python ints (pseudo-division by the divisors'
-    primitive integer forms): ``p`` becomes its content times integer
-    working terms W, and the working value is ``content / scale * W``.  A
-    term c x^m meets a divisor with leading coefficient L: with d =
-    gcd(c, L), W and the scale are multiplied by L/d, and (c/d) x^q times
-    the divisor's negated integer tail is added.  A remainder or quotient
-    term becomes a ``Fraction`` once, when it is made, at the scale of that
-    moment, so the result equals rational division value for value: the
-    same terms cancel, and the same divisor reduces each term.  Once the
+    primitive parts): the working terms W start as ``p``'s primitive part,
+    and the working value is ``content / scale * W``.  A term c x^m meets a
+    divisor with leading coefficient L: with d = gcd(c, L), W and the scale
+    are multiplied by L/d, and (c/d) x^q times the divisor's negated integer
+    tail is added.  A remainder or quotient term is kept with the scale of
+    the moment it is made, and each result is brought to the least common
+    multiple of its scales once, at the end, so it equals rational division
+    value for value: the same terms cancel, and the same divisor reduces
+    each term.  Once the
     scale has grown by ``SCALE_BITS`` bits, W and the scale are divided by
     their common gcd.  That leaves the least scale at which W is integral,
     so W stays within ``SCALE_BITS`` bits of the working terms of rational
@@ -362,12 +381,12 @@ def normal_form(
         lead.append((*_reducer(g, order)[:3], k))
 
     hkey = _heap_key(order)
-    work, content = _integer_form(p.terms)
-    num, den = content.numerator, content.denominator
+    work = dict(p._prim)
+    num, den = p._content.numerator, p._content.denominator
     scale, limit = 1, SCALE_BITS
     heap = [(hkey(m), m) for m in work]
     heapq.heapify(heap)
-    remainder: dict[tuple[int, ...], Fraction] = {}
+    remainder: dict[tuple[int, ...], tuple[int, int]] = {}  # m -> (c, scale)
     quots = [{} for _ in divisors] if quotients else None
     le, add, sub, gcd = operator.le, operator.add, operator.sub, math.gcd
     while heap:
@@ -379,7 +398,7 @@ def normal_form(
             if all(map(le, lm, m)):
                 break
         else:
-            remainder[m] = Fraction(c * num, scale * den)
+            remainder[m] = (c, scale)
             continue
         if lc != 1:
             d = gcd(c, lc)
@@ -409,23 +428,22 @@ def normal_form(
                 scale //= d
                 work = {mm: v // d for mm, v in work.items()}
             limit = scale.bit_length() + SCALE_BITS
-    r = Polynomial(remainder, p.vars)
+    r = _gather(remainder, num, den, p.vars)
     if quots is None:
         return r
     out = []
     for g, qk in zip(divisors, quots):
-        if qk:  # the quotient is content / (scale * the divisor's content) * c
-            gcont = _reducer(g, order)[3]
-            n, d = num * gcont.denominator, den * gcont.numerator
-            qk = {q: Fraction(c * n, s * d) for q, (c, s) in qk.items()}
-        out.append(Polynomial(qk, p.vars))
+        # the quotient is content / (scale * the divisor's signed content) * c
+        sign = _reducer(g, order)[3] if qk else 1
+        n, d = num * g._content.denominator, den * g._content.numerator
+        out.append(_gather(qk, sign * n, d, p.vars))
     return out, r
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     """x^(l - lm f) * f / lc f - x^(l - lm g) * g / lc g for l the lcm of the
-    leading monomials; the leading terms cancel.  Formed from the integer
-    forms over the least common multiple a*Lf = b*Lg of their leading
+    leading monomials; the leading terms cancel.  Formed from the primitive
+    parts over the least common multiple a*Lf = b*Lg of their leading
     coefficients."""
     lf, lcf, tf, _ = _reducer(f, order)
     lg, lcg, tg, _ = _reducer(g, order)
@@ -441,8 +459,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
             out[mm] = s
         else:
             out.pop(mm, None)
-    den = a * lcf
-    return Polynomial({m: Fraction(c, den) for m, c in out.items()}, f.vars)
+    return _canonical(out, 1, a * lcf, f.vars)
 
 
 def groebner_basis(
@@ -598,26 +615,20 @@ def bounded_membership(
     """
     if p.is_zero():
         return True
-    vl = p.vars
-    n = vl.arity
     monos = [
         m
-        for m in itertools.product(range(cofactor_degree + 1), repeat=n)
+        for m in itertools.product(range(cofactor_degree + 1), repeat=p.vars.arity)
         if sum(m) <= cofactor_degree
     ]
-    # unknowns: coefficient of each monomial in each cofactor
-    columns: list[dict[tuple[int, ...], Fraction]] = []
-    for g in gens:
-        for m in monos:
-            col: dict[tuple[int, ...], Fraction] = {}
-            for gm, gc in g.terms.items():
-                mm = _mono_mul(gm, m)
-                col[mm] = col.get(mm, Fraction(0)) + gc
-            columns.append(col)
-    rows = sorted(set().union(p.terms, *[c.keys() for c in columns]))
-    matrix = [[col.get(r, Fraction(0)) for col in columns] for r in rows]
-    rhs = [p.terms.get(r, Fraction(0)) for r in rows]
-    return _solvable(matrix, rhs)
+    # unknowns: coefficient of each monomial in each cofactor; the column of
+    # g times x^m is g's terms shifted by m
+    columns = []
+    for terms in [g.terms for g in gens]:
+        columns += [{_mono_mul(gm, m): gc for gm, gc in terms.items()} for m in monos]
+    target = p.terms
+    rows = sorted(set().union(target, *columns))
+    matrix = [[col.get(r, 0) for col in columns] for r in rows]
+    return _solvable(matrix, [target.get(r, 0) for r in rows])
 
 
 def _solvable(matrix: list[list[Fraction]], rhs: list[Fraction]) -> bool:
@@ -625,11 +636,7 @@ def _solvable(matrix: list[list[Fraction]], rhs: list[Fraction]) -> bool:
     ncols = len(matrix[0]) if matrix else 0
     pivot_row = 0
     for col in range(ncols):
-        sel = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col] != 0:
-                sel = r
-                break
+        sel = next((r for r in range(pivot_row, len(rows)) if rows[r][col] != 0), None)
         if sel is None:
             continue
         rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]

@@ -217,6 +217,43 @@ class TestCheckCommand:
         assert main(["check", "--scheme", str(p)]) == EXIT_FAILED
         assert "error:" in capsys.readouterr().err
 
+    def test_refuted_katsura3_output_is_pinned(self, tmp_path, capsys):
+        # residuals with fractions and negative leading terms, byte for byte
+        scheme = {
+            "variables": ["x", "y", "z"],
+            "ideal": ["x + 2*y + 2*z - 1", "x^2 + 2*y^2 + 2*z^2 - x", "2*x*y + 2*y*z - y"],
+            "derivation": {"x": "3*y - z", "y": "x + 1/2", "z": "-2*x + y"},
+        }
+        p = tmp_path / "katsura3.json"
+        p.write_text(json.dumps(scheme))
+        assert main(["check", "--scheme", str(p)]) == EXIT_FAILED
+        assert capsys.readouterr().out == (
+            "generator x + 2*y + 2*z - 1: not certified, residual 9*y + 3*z - 1\n"
+            "generator x^2 + 2*y^2 + 2*z^2 - x: not certified, "
+            "residual 16/5*z^2 + 27/5*y + (-17/5)*z\n"
+            "generator 2*x*y + 2*y*z - y: not certified, "
+            "residual (-16/5)*z^2 + (-27/5)*y + (-13/5)*z + 3/2\n"
+            "overall: not certified\n"
+        )
+
+    def test_nan_image_is_not_a_perfect_fit(self, tmp_path, capsys):
+        # each exp overflows to inf, so V(g) is inf - inf = NaN at every sample
+        scheme = {
+            "variables": ["x", "y"],
+            "ideal": ["exp(x) - 1 - y"],
+            "derivation": {
+                "x": "exp(800 + x^2)*exp(800) - exp(801 + x^2)*exp(799)",
+                "y": "0",
+            },
+        }
+        p = tmp_path / "nan_image.json"
+        p.write_text(json.dumps(scheme))
+        assert main(["check", "--scheme", str(p)]) == EXIT_FAILED
+        assert capsys.readouterr().out == (
+            "generator exp(x) - y - 1: numeric only, max residual nan over 12 samples\n"
+            "overall: not certified\n"
+        )
+
     def test_non_string_expression_exits_one(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(dict(SQUARE_SCHEME, region=[3])))

@@ -416,6 +416,71 @@ class TestSympyOracle:
         assert _as_set(ours) == _sympy_basis(gens, gens[0].vars, MonomialOrder.GREVLEX)
 
 
+# rational coefficients of either sign, with fractional and whole contents;
+# the empty map is the zero polynomial
+RATIONAL = st.builds(Fraction, st.integers(-12, 12).filter(bool), st.sampled_from((1, 2, 3, 6)))
+
+
+@st.composite
+def maybe_zero(draw, vl: VarList):
+    terms = draw(st.dictionaries(monomials(vl.arity, 3), RATIONAL, max_size=4))
+    return Polynomial(terms, vl) * draw(st.sampled_from((1, -1, 2, Fraction(-3, 4))))
+
+
+def _to_sympy(p: Polynomial, syms):
+    sympy = pytest.importorskip("sympy")
+    coeffs = {m: sympy.Rational(c.numerator, c.denominator) for m, c in p.terms.items()}
+    return sympy.Poly.from_dict(coeffs, *syms, domain="QQ")
+
+
+class TestRingOpsAgainstSympy:
+    """Content times primitive part gives the values of rational arithmetic."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_ring_ops_match(self, data):
+        sympy = pytest.importorskip("sympy")
+        vl = _vars(2)
+        syms = sympy.symbols(vl.names)
+        a, b = data.draw(maybe_zero(vl)), data.draw(maybe_zero(vl))
+        if data.draw(st.booleans()):
+            b = b - a  # a + b cancels every term of a
+        sa, sb = _to_sympy(a, syms), _to_sympy(b, syms)
+        k = data.draw(st.integers(0, 3))
+        pairs = [(a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb), (a**k, sa**k)]
+        pairs += [(a.diff(i), sa.diff(s)) for i, s in enumerate(syms)]
+        for order in ORDERS:
+            want = sa.quo_ground(sa.LC(order=order.value)) if a else sa
+            pairs.append((a.monic(order), want))
+        for ours, want in pairs:
+            assert _to_sympy(ours, syms) == want
+            # the form is canonical: the result is its own rebuild from terms
+            rebuilt = Polynomial(ours.terms, vl)
+            assert ours == rebuilt and hash(ours) == hash(rebuilt)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_compose_matches(self, data):
+        sympy = pytest.importorskip("sympy")
+        inner = _vars(3)
+        f = data.draw(maybe_zero(XY))
+        g, h = data.draw(maybe_zero(inner)), data.draw(maybe_zero(inner))
+        x, y = sympy.symbols(XY.names)
+        syms = sympy.symbols(inner.names)
+        gx, hx = _to_sympy(g, syms).as_expr(), _to_sympy(h, syms).as_expr()
+        want = _to_sympy(f, (x, y)).as_expr().subs({x: gx, y: hx}, simultaneous=True)
+        assert _to_sympy(f.compose([g, h]), syms) == sympy.Poly(want, *syms, domain="QQ")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_one_value_by_every_route_is_one_key(self, data):
+        a, b = data.draw(maybe_zero(XY)), data.draw(maybe_zero(XY))
+        routes = [Polynomial(a.terms, XY), (2 * a) * Fraction(1, 2), -(-a), a + b - b]
+        assert all(r == a for r in routes)
+        assert len({hash(r) for r in routes + [a]}) == 1
+        assert len(set(routes)) == 1
+
+
 class TestNormalForm:
     def test_euler_image_reduces_to_zero(self):
         ideal = PolyIdeal((P("x^2*y"),))
